@@ -5,6 +5,16 @@ modifications, and records everything that happens: a per-switch ordered
 event stream (the controller's input) plus a delivery log of packets
 handed to clients at access points. Time is a discrete tick counter owned
 by the scenario driver; the simulator itself never advances it.
+
+Delivery semantics: lookups ignore the ingress port, so a packet's fate
+at a switch depends only on its (switch, header) state, and one injection
+walks each reachable state once. A client receives one copy per
+state-to-access-point edge and the controller one packet-in per
+to-controller state, however many paths lead there. A branch that comes
+back to a state on its own path is a forwarding loop and is cut with a
+"loop" trace; a branch that reaches a state another branch already walked
+merges into it silently. The hop limit cuts states whose shortest path
+from the injection point is longer than the limit.
 """
 
 from __future__ import annotations
@@ -15,6 +25,8 @@ from .hspace import Ternary
 from .topology import AccessPoint, FlowRule, FlowTable, Topology
 
 HOP_LIMIT_FACTOR = 4
+
+State = tuple[str, int]  # (switch, header): all a lookup depends on
 
 
 @dataclass(frozen=True)
@@ -165,49 +177,131 @@ class Network:
         return paths
 
     def _walk(self, header: int, switch: str, in_port: str) -> list[TracePath]:
-        """Depth-first multicast walk; each leaf becomes one linear trace.
+        """Depth-first multicast walk over (switch, header) states.
 
-        A branch terminates on drop, egress at an access point, a
-        to-controller rule, a repeated (switch, header) state (a true
-        forwarding loop: lookups ignore the ingress port), or the hop
-        limit backstop.
+        Lookups ignore the ingress port, so a packet's fate depends only on
+        its (switch, header) state: each state's rule is looked up once per
+        walk and the state expanded at most once per pass. Branches are
+        followed in rule-port order and every leaf becomes one linear trace:
+
+        - egress: one copy per state-to-access-point edge, not per path;
+        - drop or controller: once per state that ends there, carrying the
+          ingress port of the first branch to arrive;
+        - loop: a branch re-enters a state on its own path (a true
+          forwarding loop), or enters a state farther than ``hop_limit``
+          hops from the injection point.
+
+        A branch that reaches a state another branch already expanded
+        merges silently. The hop limit is measured on shortest paths: if
+        the first pass cut any state, a second pass judges each state by its
+        breadth-first depth instead, so exactly the states within the limit
+        are expanded, however long the depth-first path that reaches them.
         """
-        paths: list[TracePath] = []
-
-        def step(sw: str, port: str, h: int, hops: list[TraceHop], visited: frozenset, depth: int):
-            if (sw, h) in visited or depth > self.hop_limit:
-                hops = hops + [TraceHop(sw, port, None, "loop")]
-                paths.append(TracePath(hops, "loop", header=h))
-                return
-            visited = visited | {(sw, h)}
-            rule = self.tables[sw].match_header(h)
-            if rule is None or rule.action.kind == "drop":
-                paths.append(TracePath(hops + [TraceHop(sw, port, rule, "drop")], "drop", header=h))
-                return
-            if rule.action.kind == "ctrl":
-                paths.append(TracePath(hops + [TraceHop(sw, port, rule, "ctrl")], "controller", header=h))
-                return
-            h2 = h
-            if rule.action.kind == "rewrite":
-                h2 = rule.action.rewrite.apply(h)
-            for out_port in rule.action.ports:
-                hop = TraceHop(sw, port, rule, f"fwd:{out_port}")
-                ap = self.topo.access_point_at(sw, out_port)
-                if ap is not None:
-                    paths.append(TracePath(hops + [hop], "egress", egress=ap, header=h2))
-                    continue
-                peer = self.topo.peer(sw, out_port)
-                if peer is None:
-                    # defensive: validated topologies cannot reach this
-                    paths.append(TracePath(hops + [hop], "drop", header=h2))
-                    continue
-                step(peer[0], peer[1], h2, hops + [hop], visited, depth + 1)
-
-        step(switch, in_port, header, [], frozenset(), 1)
+        rules: dict[State, FlowRule | None] = {}
+        paths, cut = self._dfs(header, switch, in_port, rules, None)
+        if cut:
+            paths, _ = self._dfs(header, switch, in_port, rules, self._min_depths(header, switch, rules))
         return paths
 
-    def egress_points(self, paths: list[TracePath]) -> set[AccessPoint]:
-        return {p.egress for p in paths if p.outcome == "egress"}
+    def _rule(self, rules: dict[State, FlowRule | None], state: State) -> FlowRule | None:
+        if state not in rules:
+            rules[state] = self.tables[state[0]].match_header(state[1])
+        return rules[state]
+
+    def _dfs(
+        self,
+        header: int,
+        switch: str,
+        in_port: str,
+        rules: dict[State, FlowRule | None],
+        min_depth: dict[State, int] | None,
+    ) -> tuple[list[TracePath], bool]:
+        """One depth-first pass; also reports whether the hop limit cut a state.
+
+        States deeper than the hop limit are judged by their depth on this
+        pass, or by ``min_depth`` (states absent from it are too deep).
+        """
+        limit = self.hop_limit
+        paths: list[TracePath] = []
+        hops: list[TraceHop] = []  # forwarding hops from the injection point to the top state
+        on_path: set[State] = set()
+        expanded: set[State] = set()
+        stack: list[tuple] = []  # open states: (state, in_port, rule, header out, port iterator)
+        cut = False
+
+        def enter(sw: str, port: str, h: int) -> bool:
+            nonlocal cut
+            state = (sw, h)
+            if state in on_path:
+                paths.append(TracePath(hops + [TraceHop(sw, port, None, "loop")], "loop", header=h))
+                return False
+            if state in expanded:
+                return False
+            depth = len(hops) + 1 if min_depth is None else min_depth.get(state, limit + 1)
+            if depth > limit:
+                cut = True
+                paths.append(TracePath(hops + [TraceHop(sw, port, None, "loop")], "loop", header=h))
+                return False
+            expanded.add(state)
+            rule = self._rule(rules, state)
+            if rule is None or rule.action.kind == "drop":
+                paths.append(TracePath(hops + [TraceHop(sw, port, rule, "drop")], "drop", header=h))
+                return False
+            if rule.action.kind == "ctrl":
+                paths.append(TracePath(hops + [TraceHop(sw, port, rule, "ctrl")], "controller", header=h))
+                return False
+            on_path.add(state)
+            stack.append((state, port, rule, _header_out(rule, h), iter(rule.action.ports)))
+            return True
+
+        enter(switch, in_port, header)
+        while stack:
+            state, port, rule, h2, out_ports = stack[-1]
+            out_port = next(out_ports, None)
+            if out_port is None:
+                stack.pop()
+                on_path.remove(state)
+                if stack:
+                    hops.pop()
+                continue
+            sw = state[0]
+            hop = TraceHop(sw, port, rule, f"fwd:{out_port}")
+            ap = self.topo.access_point_at(sw, out_port)
+            if ap is not None:
+                paths.append(TracePath(hops + [hop], "egress", egress=ap, header=h2))
+                continue
+            peer = self.topo.peer(sw, out_port)
+            if peer is None:
+                # defensive: validated topologies cannot reach this
+                paths.append(TracePath(hops + [hop], "drop", header=h2))
+                continue
+            hops.append(hop)
+            if not enter(peer[0], peer[1], h2):
+                hops.pop()
+        return paths, cut
+
+    def _min_depths(self, header: int, switch: str, rules: dict[State, FlowRule | None]) -> dict[State, int]:
+        """Breadth-first hop count of every state within the hop limit."""
+        depth = {(switch, header): 1}
+        frontier = [(switch, header)]
+        for d in range(2, self.hop_limit + 1):
+            following = []
+            for state in frontier:
+                rule = self._rule(rules, state)
+                if rule is None or rule.action.kind not in ("fwd", "rewrite"):
+                    continue
+                h2 = _header_out(rule, state[1])
+                for out_port in rule.action.ports:
+                    peer = self.topo.peer(state[0], out_port)  # None at an access point
+                    if peer is not None and (peer[0], h2) not in depth:
+                        depth[(peer[0], h2)] = d
+                        following.append((peer[0], h2))
+            frontier = following
+        return depth
+
+
+def _header_out(rule: FlowRule, header: int) -> int:
+    return rule.action.rewrite.apply(header) if rule.action.kind == "rewrite" else header
 
 
 def magic_rule(width: int, magic: Ternary, priority: int = 65535) -> FlowRule:

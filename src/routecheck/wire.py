@@ -24,10 +24,11 @@ Reply body: client + alias (each u16 BE length + UTF-8) + nonce (16
 bytes) + signature (u16 BE length); the signature covers the frame
 prefix up to and excluding the signature length field.
 
-Report body mirrors the query plaintext plus counters and a trailing
-signature block::
+Report frame: the outer header, then fields that mirror the query
+plaintext, counters and a trailing signature block::
 
     version   u8
+    msgtype   u8      (4 report)
     kind      u8
     nonce     16 bytes          (echo of the query nonce)
     auth_requested  u32 BE

@@ -1,9 +1,22 @@
 """CLI integration: exit codes, artifacts, determinism, offline queries."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from conftest import fixture_path
 from routecheck import wire
 from routecheck.cli import main
 from routecheck.service import RunConfig, run_session
+
+
+def assert_same_tree(a, b):
+    files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    assert files_a and files_a == files_b
+    for rel in files_a:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
 def run_cli(capsys, *argv):
@@ -123,11 +136,34 @@ def test_run_determinism_byte_identical_artifacts(tmp_path, capsys):
         )
         assert code == 2
         outs.append(out)
-    files_a = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
-    files_b = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
-    assert files_a == files_b
-    for rel in files_a:
-        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+    assert_same_tree(*outs)
+
+
+def test_run_artifacts_independent_of_hash_seed(tmp_path):
+    """Two processes with different string-hash seeds write the same bytes."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hashseed{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        env.pop("RVAAS_SEED", None)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "routecheck.cli",
+                "run",
+                "--topology", fixture_path("joinattack.topo"),
+                "--scenario", fixture_path("joinattack.scn"),
+                "--seed", "11",
+                "--out", str(out),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        outs.append(out)
+    assert_same_tree(*outs)
 
 
 def test_seed_env_var_overrides_flag(tmp_path, capsys, monkeypatch):

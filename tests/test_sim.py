@@ -5,7 +5,7 @@ import random
 import pytest
 
 from routecheck.hspace import Ternary
-from routecheck.oracle import egress_oracle, random_network
+from routecheck.oracle import egress_oracle, random_network, random_rules
 from routecheck.sim import Network, Packet
 from routecheck.snapshots import snapshot_of
 from routecheck.topology import Action, FlowRule, load_topology
@@ -225,8 +225,68 @@ def test_packet_out_unknown_port():
 # -- cross-module oracle -----------------------------------------------------------
 
 
+def per_path_walk(topo, snap, switch, header, hop_limit):
+    """Reference walk: every simple path of (switch, header) states.
+
+    Enumerates each path within the hop limit, as the simulator once did,
+    and returns the egress (alias, header) pair of every state-to-access-
+    point edge those paths reach, sorted, plus the set of controller states.
+    Exponential in the worst case, so for small networks only.
+    """
+    edges, ctrl = set(), set()
+
+    def step(sw, h, visited):
+        if (sw, h) in visited or len(visited) >= hop_limit:
+            return
+        rule = next((r for r in snap.tables.get(sw, ()) if r.match.matches(h)), None)
+        if rule is None or rule.action.kind == "drop":
+            return
+        if rule.action.kind == "ctrl":
+            ctrl.add((sw, h))
+            return
+        h2 = rule.action.rewrite.apply(h) if rule.action.kind == "rewrite" else h
+        for port in rule.action.ports:
+            ap = topo.access_point_at(sw, port)
+            if ap is not None:
+                edges.add((sw, h, ap.alias, h2))
+            elif topo.peer(sw, port) is not None:
+                step(topo.peer(sw, port)[0], h2, visited | {(sw, h)})
+
+    step(switch, header, frozenset())
+    return sorted((alias, h2) for _, _, alias, h2 in edges), ctrl
+
+
+def assert_walk_matches_reference(topo, net, ap, h):
+    """One copy per state-to-AP edge and one packet-in per controller state."""
+    want_egress, want_ctrl = per_path_walk(topo, snapshot_of(net), ap.switch, h, net.hop_limit)
+    paths = net.forward(Packet(h), (ap.switch, ap.port))
+    got = sorted((p.egress.alias, p.header) for p in paths if p.outcome == "egress")
+    assert got == want_egress, f"ap={ap.alias} header={h:b} hop_limit={net.hop_limit}"
+    n_events = len(net.events)
+    net.inject(Packet(h), (ap.switch, ap.port))
+    pkt_ins = [(e.switch, e.packet.header) for e in net.events[n_events:]]
+    assert sorted(pkt_ins) == sorted(want_ctrl), f"ap={ap.alias} header={h:b} hop_limit={net.hop_limit}"
+
+
+# A diamond (both links of the ring lead to the same swB state) and a
+# rewrite loop (swA sets the top bit, swB clears it and sends it back),
+# each with copies to both clients on the way. In the loop, swB returns
+# other headers over both links, so swA's controller rule for 001x is
+# reached by two branches.
+DIAMOND_RULES = {"swA": [rule(5, "xxxx", "fwd:1,2,3")], "swB": [rule(5, "xxxx", "fwd:3")]}
+REWRITE_LOOP_RULES = {
+    "swA": [rule(9, "001x", "ctrl"), rule(5, "0xxx", "rewrite:1000/1xxx:1,3"), rule(1, "xxxx", "fwd:2")],
+    "swB": [rule(5, "1xxx", "rewrite:0000/1xxx:2,3"), rule(1, "xxxx", "fwd:1,2")],
+}
+
+
 def test_forward_egress_agrees_with_state_walk_oracle():
-    """forward() and the engine-side walk oracle agree on egress sets."""
+    """forward() and the engine-side walk oracle agree on egress sets.
+
+    The egress traces also carry exactly one (alias, header) copy per
+    state-to-access-point edge of a walk over the snapshot, with multicast
+    and rewrite loops included.
+    """
     for i in range(10):
         topo, net = random_network(f"sim-oracle-{i}", width=6, max_switches=4, max_rules=8)
         walk = egress_oracle(topo, snapshot_of(net))
@@ -236,3 +296,107 @@ def test_forward_egress_agrees_with_state_walk_oracle():
                 h = rng.getrandbits(topo.width)
                 got = {p.egress.alias for p in net.forward(Packet(h), (ap.switch, ap.port)) if p.outcome == "egress"}
                 assert got == set(walk(ap, h)), f"ap={ap.alias} header={h:06b}"
+                assert_walk_matches_reference(topo, net, ap, h)
+    for rules in (DIAMOND_RULES, REWRITE_LOOP_RULES):
+        topo, net = make_net(RING)
+        for sw, rs in rules.items():
+            for r in rs:
+                net.apply_flow_mod(sw, "add", r)
+        walk = egress_oracle(topo, snapshot_of(net))
+        for ap in topo.access_points:
+            for h in range(1 << topo.width):
+                paths = net.forward(Packet(h), (ap.switch, ap.port))
+                assert {p.egress.alias for p in paths if p.outcome == "egress"} == set(walk(ap, h))
+                assert_walk_matches_reference(topo, net, ap, h)
+
+
+def full_mesh(n):
+    """n switches, each linked to every other one, plus one client each.
+
+    Port k of switch i (k < n) leads to the k-th other switch; port n is
+    the access point of client c<i>.
+    """
+    lines = ["headerwidth 4"] + [f"switch s{i} ports {n}" for i in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            lines.append(f"link s{a}:{b} s{b}:{a + 1}")
+    lines += [f"access s{i}:{n} client c{i}" for i in range(n)]
+    return load_topology("\n".join(lines) + "\n")
+
+
+def test_flood_on_full_mesh_delivers_once_per_access_point():
+    """A flood rule on every switch of an 8-mesh: work is per state, not per path."""
+    topo = full_mesh(8)
+    net = Network(topo)
+    flood = "fwd:" + ",".join(str(p) for p in range(1, 9))
+    for sw in topo.switches():
+        net.apply_flow_mod(sw, "add", rule(5, "xxxx", flood))
+    paths = net.inject(Packet(0b0110), ("s0", "8"))
+    assert sorted(d.client for d in net.deliveries) == [f"c{i}" for i in range(8)]
+    assert len(paths) <= 64
+    assert {p.outcome for p in paths} == {"egress", "loop"}
+
+
+def test_hop_limit_counts_shortest_paths():
+    """A state the depth-first order first reaches too deep is still walked
+    when a shorter path reaches it: the limit cuts by shortest distance."""
+    doc = """
+headerwidth 4
+switch sA ports 3
+switch sB ports 2
+switch sC ports 3
+switch sD ports 2
+link sA:1 sB:1
+link sA:2 sC:1
+link sB:2 sC:2
+link sC:3 sD:1
+access sA:3 client alice
+access sD:2 client dave
+"""
+    topo = load_topology(doc)
+    for hop_limit, want in ((2, []), (3, ["dave"]), (4, ["dave"])):
+        net = Network(topo, hop_limit=hop_limit)
+        net.apply_flow_mod("sA", "add", rule(5, "xxxx", "fwd:1,2"))
+        net.apply_flow_mod("sB", "add", rule(5, "xxxx", "fwd:2"))
+        net.apply_flow_mod("sC", "add", rule(5, "xxxx", "fwd:3"))
+        net.apply_flow_mod("sD", "add", rule(5, "xxxx", "fwd:2"))
+        net.inject(Packet(0), ("sA", "3"))
+        assert [d.client for d in net.deliveries] == want, hop_limit
+        assert_walk_matches_reference(topo, net, topo.access_points[0], 0)
+
+
+def test_hop_limit_sets_match_per_path_walk():
+    """Small hop limits on random rules and partial floods over meshes: the
+    same deliveries and packet-ins as the per-path walk, one copy per edge
+    and per controller state."""
+    for i in range(12):
+        rng = random.Random(i)
+        topo = full_mesh(rng.randint(3, 5))
+        net = Network(topo)
+        for sw in topo.switches():
+            for r in random_rules(rng, topo, sw, 4):
+                net.apply_flow_mod(sw, "add", r)
+            ports = topo.ports_of(sw)
+            flood = Action("fwd", tuple(rng.sample(ports, rng.randint(1, len(ports)))))
+            net.apply_flow_mod(sw, "add", FlowRule(0, Ternary.parse("xxxx"), flood))
+        for hop_limit in (1, 2, 3, 5):
+            net.hop_limit = hop_limit
+            for ap in topo.access_points:
+                for h in range(1 << topo.width):
+                    assert_walk_matches_reference(topo, net, ap, h)
+
+
+def test_long_chain_walks_without_recursion():
+    """An honest 1,100-switch chain carries one packet end to end."""
+    n = 1100
+    lines = ["headerwidth 4"] + [f"switch s{i} ports 2" for i in range(n)]
+    lines += [f"link s{i}:2 s{i + 1}:1" for i in range(n - 1)]
+    lines += ["access s0:1 client alice", f"access s{n - 1}:2 client bob"]
+    topo = load_topology("\n".join(lines) + "\n")
+    net = Network(topo)
+    for sw in topo.switches():
+        net.apply_flow_mod(sw, "add", rule(5, "xxxx", "fwd:2"))
+    paths = net.inject(Packet(0b1001), ("s0", "1"))
+    assert [p.outcome for p in paths] == ["egress"]
+    assert len(paths[0].hops) == n
+    assert [d.client for d in net.deliveries] == ["bob"]
