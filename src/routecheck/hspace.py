@@ -230,14 +230,12 @@ class HeaderSpace:
 
     def __init__(self, width: int, terms: Sequence[Ternary] = ()):
         _require_width(width)
-        seen = []
-        for t in terms:
+        unique = tuple(dict.fromkeys(terms))  # first occurrences, in order
+        for t in unique:
             if t.width != width:
                 raise WidthMismatch(f"term width {t.width} in space of width {width}")
-            if t not in seen:
-                seen.append(t)
         self.width = width
-        self.terms = tuple(seen)
+        self.terms = unique
 
     @classmethod
     def empty(cls, width: int) -> "HeaderSpace":

@@ -142,52 +142,18 @@ def random_network(seed: str, width: int = 8, max_switches: int = 6, max_rules: 
 # -- the per-header oracle -------------------------------------------------
 
 
-def egress_oracle(topo: Topology, snap: Snapshot):
-    """Exact per-header egress sets by walking the (switch, header) graph.
+def _state_walk(topo: Topology, snap: Snapshot):
+    """Exact per-header behaviour by walking the (switch, header) graph.
 
-    Returns walk(access_point, header) -> frozenset of egress aliases.
-    Independent of the wildcard algebra: plain integer matching plus
-    graph search, with cycles handled by the visited set.
+    Returns walk(access_point, header) -> (frozenset of egress aliases,
+    frozenset of switches visited). Independent of the wildcard algebra:
+    plain integer matching plus graph search, with cycles handled by the
+    visited set.
     """
     tables = {sw: snap.tables.get(sw, ()) for sw in topo.switch_ports}
 
-    def winner(sw: str, header: int) -> FlowRule | None:
-        for rule in tables[sw]:
-            if rule.match.matches(header):
-                return rule
-        return None
-
-    def walk(ap: AccessPoint, header: int) -> frozenset[str]:
-        out: set[str] = set()
-        stack = [(ap.switch, header)]
-        seen: set[tuple[str, int]] = set()
-        while stack:
-            sw, h = stack.pop()
-            if (sw, h) in seen:
-                continue
-            seen.add((sw, h))
-            rule = winner(sw, h)
-            if rule is None or rule.action.kind in ("drop", "ctrl"):
-                continue
-            h2 = rule.action.rewrite.apply(h) if rule.action.kind == "rewrite" else h
-            for port in rule.action.ports:
-                egress = topo.access_point_at(sw, port)
-                if egress is not None:
-                    out.add(egress.alias)
-                    continue
-                peer = topo.peer(sw, port)
-                if peer is not None:
-                    stack.append((peer[0], h2))
-        return frozenset(out)
-
-    return walk
-
-
-def traversal_oracle(topo: Topology, snap: Snapshot):
-    """Like egress_oracle but returns the set of switches a header visits."""
-    tables = {sw: snap.tables.get(sw, ()) for sw in topo.switch_ports}
-
-    def walk(ap: AccessPoint, header: int) -> frozenset[str]:
+    def walk(ap: AccessPoint, header: int) -> tuple[frozenset[str], frozenset[str]]:
+        egress: set[str] = set()
         visited: set[str] = set()
         stack = [(ap.switch, header)]
         seen: set[tuple[str, int]] = set()
@@ -197,22 +163,33 @@ def traversal_oracle(topo: Topology, snap: Snapshot):
                 continue
             seen.add((sw, h))
             visited.add(sw)
-            rule = None
-            for r in tables[sw]:
-                if r.match.matches(h):
-                    rule = r
-                    break
+            rule = next((r for r in tables[sw] if r.match.matches(h)), None)
             if rule is None or rule.action.kind in ("drop", "ctrl"):
                 continue
             h2 = rule.action.rewrite.apply(h) if rule.action.kind == "rewrite" else h
             for port in rule.action.ports:
-                if topo.access_point_at(sw, port) is None:
-                    peer = topo.peer(sw, port)
-                    if peer is not None:
-                        stack.append((peer[0], h2))
-        return frozenset(visited)
+                out = topo.access_point_at(sw, port)
+                if out is not None:
+                    egress.add(out.alias)
+                    continue
+                peer = topo.peer(sw, port)
+                if peer is not None:
+                    stack.append((peer[0], h2))
+        return frozenset(egress), frozenset(visited)
 
     return walk
+
+
+def egress_oracle(topo: Topology, snap: Snapshot):
+    """walk(access_point, header) -> frozenset of the egress aliases it reaches."""
+    walk = _state_walk(topo, snap)
+    return lambda ap, header: walk(ap, header)[0]
+
+
+def traversal_oracle(topo: Topology, snap: Snapshot):
+    """walk(access_point, header) -> frozenset of the switches the header visits."""
+    walk = _state_walk(topo, snap)
+    return lambda ap, header: walk(ap, header)[1]
 
 
 # -- mutations (deliberate analysis bugs) -----------------------------------

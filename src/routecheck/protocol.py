@@ -12,14 +12,13 @@ the requested/received shortfall, which the querying client can see.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
 from .hspace import Ternary
 from .keys import KeyRegistry, SigningKey, VerifyKey, seal
 from .sim import Delivery, Network, Packet, SwitchEvent, magic_rule
-from .snapshots import GapDetected, SnapshotService
+from .snapshots import GapDetected, SnapshotService, poll_ticks
 from .topology import AccessPoint, Topology
 from . import verify, wire
 
@@ -175,9 +174,8 @@ class Controller:
             topo, history=history if history is not None else DEFAULT_HISTORY, window=self.window
         )
         self.rng = random.Random(f"{seed}:controller")
-        self._poll_rng = random.Random(f"{seed}:polls")
-        self._poll_rate = poll_rate
-        self._next_poll = self._poll_gap()
+        self._polls = poll_ticks(seed, poll_rate)
+        self._next_poll = next(self._polls)
         self.sessions: dict[bytes, Session] = {}
         self.outstanding: dict[bytes, tuple[bytes, AccessPoint]] = {}  # nonce_a -> (nonce_q, target)
         self.seen_nonces: dict[str, list[bytes]] = {}
@@ -187,11 +185,6 @@ class Controller:
         self.last_geo: dict[str, frozenset[str]] = {}
 
     # -- wiring ----------------------------------------------------------
-
-    def _poll_gap(self) -> int:
-        if self._poll_rate >= 1.0:
-            return 1
-        return 1 + int(math.log(1.0 - self._poll_rng.random()) / math.log(1.0 - self._poll_rate))
 
     def install_magic_rules(self, net: Network) -> None:
         """Install service-owned interception rules at access-point switches.
@@ -219,7 +212,7 @@ class Controller:
     def on_tick(self, tick: int, net: Network) -> None:
         while self._next_poll <= tick:
             self.service.poll_all(net)
-            self._next_poll += self._poll_gap()
+            self._next_poll = next(self._polls)
         for f in self.service.poll_findings:
             self.findings.append(
                 Finding(tick, "transient", f"poll_disagreement sw={f.switch} status={f.status} rule[{f.rule}]")
@@ -377,19 +370,6 @@ class Controller:
         self.reports_sent.append((tick, session.client, session.kind, frame, session.body))
         rp = session.request_point
         net.packet_out(rp.switch, rp.port, Packet(self.magic.value, frame))
-
-    # -- convenience (spec-level operation, one call) ----------------------
-
-    def run_isolation_protocol(self, query: ClientQuery, net: Network) -> None:
-        """Start the isolation session for an already-intercepted query.
-
-        The surrounding tick loop delivers challenges, collects replies
-        and triggers finalization at the deadline; the report then goes
-        out by packet-out at the request point.
-        """
-        if query.kind != "isolation":
-            raise ValueError("run_isolation_protocol handles isolation queries")
-        self._start_session(query, net.tick, net)
 
 
 def default_magic(width: int) -> Ternary:

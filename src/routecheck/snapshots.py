@@ -5,14 +5,25 @@ event stream and actively by polling ground truth at random ticks. Every
 view change appends an immutable snapshot to a bounded history; poll
 results are additionally retained for a tick window so short-lived rule
 changes can be detected and attributed.
+
+Each snapshot carries ``reach``, the memo in which ``verify`` keeps the
+flow tables and propagation results it derives from that snapshot. A new
+snapshot whose per-switch rule tuples are all the very same objects as
+its predecessor's (``FlowTable.rules`` returns one tuple until the table
+changes) shares the predecessor's memo: a poll that confirms the view or
+a packet-in leaves the content unchanged. A flowmod that changes a table,
+or a poll that corrects the view, gives the new snapshot a fresh memo.
+Snapshots built outside the service start with an empty memo.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 from .sim import Network, SwitchEvent
 from .topology import FlowRule, FlowTable, Topology
@@ -43,6 +54,7 @@ class Snapshot:
     tick: int
     tables: dict[str, tuple[FlowRule, ...]]
     provenance: dict[str, Provenance]
+    reach: dict = field(default_factory=dict, compare=False, repr=False)  # verify's memo
 
 
 @dataclass(frozen=True)
@@ -68,27 +80,24 @@ class TransientFinding:
         )
 
 
-def schedule_polls(seed: int | str, rate: float, horizon: int) -> list[int]:
-    """Poll ticks with memoryless (geometric) inter-arrival gaps, mean 1/rate.
+def poll_ticks(seed: int | str, rate: float) -> Iterator[int]:
+    """Endless poll ticks with memoryless (geometric) inter-arrival gaps, mean 1/rate.
 
     Deterministic per seed; the memoryless distribution maximizes the
     adversary's uncertainty about the next poll given the past.
     """
     if rate <= 0:
         raise ValueError(f"poll rate must be positive, got {rate}")
+    if rate >= 1.0:
+        return itertools.count(1)
     rng = random.Random(f"{seed}:polls")
-    out = []
-    t = 0
-    while True:
-        if rate >= 1.0:
-            gap = 1
-        else:
-            gap = 1 + int(math.log(1.0 - rng.random()) / math.log(1.0 - rate))
-        t += gap
-        if t > horizon:
-            break
-        out.append(t)
-    return out
+    scale = math.log(1.0 - rate)
+    return itertools.accumulate(1 + int(math.log(1.0 - rng.random()) / scale) for _ in itertools.count())
+
+
+def schedule_polls(seed: int | str, rate: float, horizon: int) -> list[int]:
+    """The ticks of ``poll_ticks`` up to and including ``horizon``."""
+    return list(itertools.takewhile(lambda t: t <= horizon, poll_ticks(seed, rate)))
 
 
 class SnapshotService:
@@ -111,11 +120,15 @@ class SnapshotService:
 
     def _append_snapshot(self) -> int:
         self._version += 1
+        tables = {sw: t.rules for sw, t in self._tables.items()}
+        prev = self.ring[-1] if self.ring else None
+        unchanged = prev is not None and all(rules is prev.tables[sw] for sw, rules in tables.items())
         snap = Snapshot(
             version=self._version,
             tick=self._tick,
-            tables={sw: t.rules for sw, t in self._tables.items()},
+            tables=tables,
             provenance=dict(self._provenance),
+            reach=prev.reach if unchanged else {},
         )
         self.ring.append(snap)
         return self._version

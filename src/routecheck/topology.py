@@ -129,6 +129,7 @@ class FlowTable:
         self._rules: list[FlowRule] = []
         self._order: list[tuple[int, int]] = []  # (-priority, insertion seq)
         self._next_seq = 0
+        self._frozen: tuple[FlowRule, ...] | None = None  # `rules`, until the next change
 
     def add(self, rule: FlowRule) -> None:
         key = (-rule.priority, self._next_seq)
@@ -136,6 +137,7 @@ class FlowTable:
         idx = bisect.bisect_left(self._order, key)
         self._order.insert(idx, key)
         self._rules.insert(idx, rule)
+        self._frozen = None
 
     def remove(self, rule: FlowRule) -> bool:
         """Remove the first stored rule equal to `rule`; False when absent."""
@@ -143,12 +145,16 @@ class FlowTable:
             if r == rule:
                 del self._rules[i]
                 del self._order[i]
+                self._frozen = None
                 return True
         return False
 
     @property
     def rules(self) -> tuple[FlowRule, ...]:
-        return tuple(self._rules)
+        """The rules in lookup order: the same tuple object until the table changes."""
+        if self._frozen is None:
+            self._frozen = tuple(self._rules)
+        return self._frozen
 
     def match_header(self, header: int) -> FlowRule | None:
         for r in self._rules:

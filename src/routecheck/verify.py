@@ -7,6 +7,15 @@ header space as currently carried alongside the space as originally sent,
 so results are reported in terms of what the client transmits even when
 rules rewrite headers along the way.
 
+Propagation results are memoised in ``Snapshot.reach``, keyed by
+(access point, header space), next to the snapshot's flow tables, which
+are built once per memo. Results are stored as immutable values (tuples,
+frozensets, frozen entries), so no caller can alter another query's
+answer. The snapshot service hands one memo to consecutive snapshots whose rule
+tuples are the very same objects (see ``snapshots``), so a query against
+an unchanged network reuses the reach computed for an earlier version;
+any table change starts a fresh memo.
+
 Client-facing renderings contain access-point aliases only, never switch
 or link identifiers.
 """
@@ -49,18 +58,26 @@ class TransferSummary:
     rows: list[tuple[str, str, HeaderSpace, HeaderSpace]]  # (ingress alias, egress alias, input, output)
 
 
+_TABLES = "tables"  # memo key of the snapshot's FlowTables
+
+
 def _tables_for(snap: Snapshot, topo: Topology) -> dict[str, FlowTable]:
-    out = {}
-    for sw in topo.switch_ports:
-        t = FlowTable(sw)
-        for rule in snap.tables.get(sw, ()):
-            t.add(rule)
-        out[sw] = t
+    out = snap.reach.get(_TABLES)
+    if out is None:
+        out = {}
+        for sw in topo.switch_ports:
+            t = FlowTable(sw)
+            for rule in snap.tables.get(sw, ()):
+                t.add(rule)
+            out[sw] = t
+        snap.reach[_TABLES] = out
     return out
 
 
-def _propagate(topo: Topology, snap: Snapshot, start: AccessPoint, space: HeaderSpace):
-    """Fixpoint propagation from one access point.
+def _propagate(
+    topo: Topology, snap: Snapshot, start: AccessPoint, space: HeaderSpace
+) -> tuple[tuple[ReachEntry, ...], frozenset[tuple[str, str]], frozenset[str]]:
+    """Fixpoint propagation from one access point, memoised in ``snap.reach``.
 
     Work items carry (switch, ingress port, current term, origin term,
     rewritten-bit mask). An item revisiting a (switch, port) contributes
@@ -69,6 +86,9 @@ def _propagate(topo: Topology, snap: Snapshot, start: AccessPoint, space: Header
     recorded. Constraints discovered by matches are mirrored onto the
     origin term at positions that have not been overwritten yet.
     """
+    key = (start, space)
+    if key in snap.reach:
+        return snap.reach[key]
     width = topo.width
     full_mask = (1 << width) - 1
     tables = _tables_for(snap, topo)
@@ -137,7 +157,8 @@ def _propagate(topo: Topology, snap: Snapshot, start: AccessPoint, space: Header
                 sent=HeaderSpace(width, sent).compact(),
             )
         )
-    return entries, loops, traversed
+    out = snap.reach[key] = (tuple(entries), frozenset(loops), frozenset(traversed))
+    return out
 
 
 def reachable_endpoints(topo: Topology, snap: Snapshot, from_ap: AccessPoint, space: HeaderSpace) -> ReachResult:
@@ -147,7 +168,7 @@ def reachable_endpoints(topo: Topology, snap: Snapshot, from_ap: AccessPoint, sp
     if space.is_empty():
         raise ValueError("reachability needs a non-empty header space")
     entries, loops, traversed = _propagate(topo, snap, from_ap, space)
-    return ReachResult(entries=entries, loops=loops, traversed=traversed)
+    return ReachResult(entries=list(entries), loops=set(loops), traversed=set(traversed))
 
 
 def reachable_sources(topo: Topology, snap: Snapshot, to_ap: AccessPoint) -> list[tuple[AccessPoint, HeaderSpace]]:

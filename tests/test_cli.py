@@ -1,9 +1,12 @@
 """CLI integration: exit codes, artifacts, determinism, offline queries."""
 
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from conftest import fixture_path
 from routecheck import wire
@@ -17,6 +20,15 @@ def assert_same_tree(a, b):
     assert files_a and files_a == files_b
     for rel in files_a:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def tree_digest(root):
+    """sha256 over every file of an artifact tree: relative path, then content hash."""
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()):
+        h.update(rel.encode() + b"\0")
+        h.update(hashlib.sha256((root / rel).read_bytes()).digest())
+    return h.hexdigest()
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +176,38 @@ def test_run_artifacts_independent_of_hash_seed(tmp_path):
         assert proc.returncode == 2, proc.stderr
         outs.append(out)
     assert_same_tree(*outs)
+
+
+# Artifact trees of `routecheck run --seed 7` on the five fixture runs. Any
+# change to these bytes is a behaviour change and must be deliberate.
+GOLDEN_DIGESTS = {
+    ("benign.topo", "benign.scn"):
+        "d12d8ffa7ca0d129b2528049b29f90d8bd16dea0fca559c493199de71a6acd18",
+    ("joinattack.topo", "joinattack.scn"):
+        "0318598dae8e905b8e9a35d28bc7b98a4601f0e6a9debf63a52082c0d53e4791",
+    ("geodivert.topo", "geodivert.scn"):
+        "6690bb925cd8f6f1891cb00308122b441a031e3a687b77dab5864e352ed04dcb",
+    ("benign.topo", "gap.scn"):
+        "22ba40c43223b7d62eb756804a8cd0561733ff148a656d2ed489890d4eaa9609",
+    ("benign.topo", "transient.scn"):
+        "3b65e3a455381d5e04b21c8a5d5e7ba0dec2745e31b95e3d9377ef3fad0b786a",
+}
+
+
+@pytest.mark.parametrize(("topology", "scenario"), list(GOLDEN_DIGESTS))
+def test_run_artifacts_match_golden_digests(tmp_path, capsys, monkeypatch, topology, scenario):
+    monkeypatch.delenv("RVAAS_SEED", raising=False)
+    out = tmp_path / "art"
+    code, _, err = run_cli(
+        capsys,
+        "run",
+        "--topology", fixture_path(topology),
+        "--scenario", fixture_path(scenario),
+        "--seed", "7",
+        "--out", str(out),
+    )
+    assert code in (0, 2), err
+    assert tree_digest(out) == GOLDEN_DIGESTS[(topology, scenario)]
 
 
 def test_seed_env_var_overrides_flag(tmp_path, capsys, monkeypatch):

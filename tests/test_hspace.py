@@ -220,6 +220,14 @@ def test_compact_preserves_denotation():
         assert denote(s.compact()) == denote(s)
 
 
+def test_duplicate_terms_dropped_first_occurrence_order_kept():
+    a, b, c = (Ternary.parse(t) for t in ("1x0", "0xx", "x11"))
+    assert HeaderSpace(3, [b, a, b, c, a, c]).terms == (b, a, c)
+    assert HeaderSpace(3, (a, a, a)).terms == (a,)
+    with pytest.raises(WidthMismatch):
+        HeaderSpace(3, [a, Ternary.parse("1x"), a])
+
+
 def test_width_mismatch_raises():
     a = HeaderSpace.of("1x")
     b = HeaderSpace.of("1xx")

@@ -15,6 +15,7 @@ from routecheck.protocol import (
 )
 from routecheck.scenario import parse_scenario, run_scenario
 from routecheck.sim import Network, Packet, SwitchEvent
+from routecheck.snapshots import schedule_polls
 from routecheck.topology import load_topology
 from routecheck import wire
 
@@ -167,6 +168,19 @@ BENIGN_RULES = (
 def run_with_controller(topo, net, controller, agents, text):
     script = parse_scenario(text, topo)
     return run_scenario(script, net, seed=5, controller=controller, agents=agents)
+
+
+@pytest.mark.parametrize(("seed", "rate"), [(5, 0.05), ("s", 0.3), (9, 0.01), (7, 1.0)])
+def test_controller_polls_at_schedule_polls_ticks(seed, rate):
+    topo, registry, _, magic, net, _, _ = setup()
+    controller = Controller(topo, registry, magic, seed=seed, poll_rate=rate)
+    polled = []
+    controller.service.poll_all = lambda net: polled.append(net.tick)
+    horizon = 600
+    for tick in range(1, horizon + 1):
+        net.tick = tick
+        controller.on_tick(tick, net)
+    assert polled == schedule_polls(seed, rate, horizon)
 
 
 def test_encoded_query_travels_in_band_to_exactly_one_packet_in():

@@ -5,9 +5,9 @@ import statistics
 
 import pytest
 
-from routecheck.hspace import Ternary
+from routecheck.hspace import HeaderSpace, Ternary
 from routecheck.scenario import Script, TransientSpec, run_scenario
-from routecheck.sim import Network
+from routecheck.sim import Network, Packet, SwitchEvent
 from routecheck.snapshots import (
     GapDetected,
     SnapshotService,
@@ -17,6 +17,7 @@ from routecheck.snapshots import (
     snapshot_of,
 )
 from routecheck.topology import Action, FlowRule, load_topology
+from routecheck.verify import reachable_endpoints
 
 DOC = """
 headerwidth 4
@@ -92,6 +93,41 @@ def test_version_monotone_under_interleaving():
 
 
 # -- polls ------------------------------------------------------------------
+
+
+def test_reach_memo_shared_only_while_tables_are_unchanged():
+    topo, net, svc = fresh()
+    alice = topo.ap_by_alias("alice:ap1")
+
+    def filled_memo():
+        snap = svc.current()
+        reachable_endpoints(topo, snap, alice, HeaderSpace.full(topo.width))
+        assert snap.reach
+        return snap.reach
+
+    r = rule(5, "1xxx", "fwd:1")
+    svc.ingest_event(net.apply_flow_mod("swA", "add", r))
+    memo = filled_memo()
+    version = svc.current().version
+    # a confirming poll and packet-in / port-status events leave the content as it was
+    svc.active_poll("swA", net)
+    svc.ingest_event(SwitchEvent(svc.last_seq("swB") + 1, net.tick, "swB", "packet_in", in_port="2", packet=Packet(0)))
+    svc.ingest_event(SwitchEvent(svc.last_seq("swB") + 1, net.tick, "swB", "port_status"))
+    svc.poll_all(net)
+    assert not svc.poll_findings
+    assert svc.current().version == version + 3
+    assert svc.current().reach is memo
+    # a flowmod add, a flowmod remove and a correcting poll each start a fresh memo
+    svc.ingest_event(net.apply_flow_mod("swA", "add", rule(3, "0xxx", "fwd:2")))
+    assert svc.current().reach is not memo and not svc.current().reach
+    memo = filled_memo()
+    svc.ingest_event(net.apply_flow_mod("swA", "remove", r))
+    assert svc.current().reach is not memo and not svc.current().reach
+    memo = filled_memo()
+    net.apply_flow_mod("swB", "add", rule(4, "xxxx", "fwd:1"))  # suppressed: never ingested
+    svc.active_poll("swB", net)
+    assert [f.status for f in svc.poll_findings] == ["appeared"]
+    assert svc.current().reach is not memo and not svc.current().reach
 
 
 def test_schedule_polls_rate_one_is_every_tick():

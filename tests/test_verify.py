@@ -6,8 +6,9 @@ import pytest
 
 from routecheck.hspace import HeaderSpace, Ternary
 from routecheck.oracle import check_case, random_network, traversal_oracle
+from routecheck.scenario import expand, parse_scenario
 from routecheck.sim import Network
-from routecheck.snapshots import snapshot_of
+from routecheck.snapshots import Snapshot, SnapshotService, snapshot_of
 from routecheck.topology import Action, FlowRule, load_topology
 from routecheck.verify import (
     geo_exposure,
@@ -384,3 +385,67 @@ def test_termination_bound_on_random_nets():
             for entry in result.entries:
                 assert not entry.arriving.is_empty()
                 assert entry.egress.alias  # egress points are access points
+
+
+# -- the per-snapshot reach memo ------------------------------------------------
+
+
+def test_isolation_sees_join_ingested_after_a_memoised_answer(fixtures):
+    topo = load_topology((fixtures / "joinattack.topo").read_text())
+    script = parse_scenario((fixtures / "joinattack.scn").read_text(), topo)
+    flowmods = [d for d in expand(script, topo, random.Random(0), 50) if d.kind == "flowmod"]
+    net = Network(topo)
+    svc = SnapshotService(topo)
+    alice = ap_of(topo, "alice:ap1")
+
+    def ingest(directives):
+        for d in directives:
+            svc.ingest_event(net.apply_flow_mod(d.switch, d.op, d.rule))
+
+    ingest(d for d in flowmods if d.tick < 20)
+    _, before = isolation_candidates(topo, svc.current(), alice, "alice")
+    svc.poll_all(net)  # confirms the view, so the answer above stays memoised
+    ingest(d for d in flowmods if d.tick >= 20)
+    _, after = isolation_candidates(topo, svc.current(), alice, "alice")
+    assert before == set()
+    assert {ap.alias for ap in after} == {"mallory:ap1"}
+
+
+def _all_answers(topo, snap):
+    full = HeaderSpace.full(topo.width)
+    out = []
+    for ap in topo.access_points:
+        out.append(reachable_endpoints(topo, snap, ap, full))
+        out.append(reachable_sources(topo, snap, ap))
+        out.append(isolation_candidates(topo, snap, ap, ap.client))
+    for client in sorted({ap.client for ap in topo.access_points}):
+        out.append(geo_exposure(topo, snap, client))
+        out.append(transfer_summary(topo, snap, client))
+    return out
+
+
+def test_service_snapshots_answer_like_fresh_snapshots():
+    """Memos shared across versions give the same answers as a cold snapshot."""
+    queried = 0
+    for i in range(25):
+        topo, truth = random_network(f"memo-{i}", width=6, max_switches=4, max_rules=8)
+        rng = random.Random(i)
+        changes = [(sw, r) for sw in topo.switches() for r in truth.tables[sw].rules]
+        rng.shuffle(changes)
+        net = Network(topo)
+        svc = SnapshotService(topo)
+        added = []
+        for sw, r in changes:
+            svc.ingest_event(net.apply_flow_mod(sw, "add", r))
+            added.append((sw, r))
+            if rng.random() < 0.2:
+                sw_gone, r_gone = added.pop(rng.randrange(len(added)))
+                svc.ingest_event(net.apply_flow_mod(sw_gone, "remove", r_gone))
+            if rng.random() < 0.3:
+                svc.poll_all(net)
+            if rng.random() < 0.5:
+                snap = svc.current()
+                cold = Snapshot(snap.version, snap.tick, dict(snap.tables), snap.provenance)
+                assert _all_answers(topo, snap) == _all_answers(topo, cold)
+                queried += 1
+    assert queried > 20
