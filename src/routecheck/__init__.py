@@ -12,11 +12,6 @@ from .hspace import (
     Rewrite,
     Ternary,
     WidthMismatch,
-    hs_apply_rewrite,
-    hs_difference,
-    hs_intersect,
-    hs_member,
-    hs_union,
 )
 from .topology import (
     AccessPoint,
@@ -28,7 +23,6 @@ from .topology import (
     TopologyError,
     classify_ports,
     load_topology,
-    table_lookup,
 )
 from .sim import Delivery, Network, Packet, SwitchEvent, TraceHop, TracePath
 from .scenario import ScenarioError, Script, parse_scenario, run_scenario

@@ -39,8 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_run)
     p_run.add_argument("--poll-rate", type=float, default=0.05, help="active poll rate per tick")
     p_run.add_argument("--timeout", type=int, default=8, help="auth reply timeout in ticks")
-    p_run.add_argument("--history", type=int, default=256, help="snapshot ring size")
-    p_run.add_argument("--window", type=int, default=1024, help="history retention window in ticks")
+    p_run.add_argument("--window", type=int, default=1024, help="transient detection window in ticks")
     p_run.add_argument("--out", default=None, help="artifact output directory")
 
     p_query = sub.add_parser("query", help="answer a client query from a snapshot dump")
@@ -89,7 +88,6 @@ def cmd_run(args) -> int:
         poll_rate=args.poll_rate,
         magic=args.magic,
         width=args.width,
-        history=args.history,
         window=args.window,
         timeout=args.timeout,
         out_dir=args.out,

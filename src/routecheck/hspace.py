@@ -330,24 +330,3 @@ class HeaderSpace:
     def __repr__(self) -> str:
         return f"HeaderSpace({self})"
 
-
-def hs_member(header: int, space: HeaderSpace, width: int | None = None) -> bool:
-    if width is not None and width != space.width:
-        raise WidthMismatch(f"header width {width} vs space width {space.width}")
-    return space.member(header)
-
-
-def hs_union(a: HeaderSpace, b: HeaderSpace) -> HeaderSpace:
-    return a.union(b)
-
-
-def hs_intersect(a: HeaderSpace, b: HeaderSpace) -> HeaderSpace:
-    return a.intersect(b)
-
-
-def hs_difference(a: HeaderSpace, b: HeaderSpace) -> HeaderSpace:
-    return a.difference(b)
-
-
-def hs_apply_rewrite(s: HeaderSpace, r: Rewrite) -> HeaderSpace:
-    return s.apply_rewrite(r)

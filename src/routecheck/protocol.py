@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .hspace import Ternary
 from .keys import KeyRegistry, SigningKey, VerifyKey, seal
 from .sim import Delivery, Network, Packet, SwitchEvent, magic_rule
-from .snapshots import GapDetected, SnapshotService, poll_ticks
+from .snapshots import DEFAULT_WINDOW, GapDetected, SnapshotService, poll_ticks
 from .topology import AccessPoint, Topology
 from . import verify, wire
 
@@ -129,6 +129,8 @@ class ClientAgent:
         return packet, point
 
     def on_delivery(self, delivery: Delivery, tick: int, send_later) -> None:
+        if not self.magic.matches(delivery.packet.header):
+            return  # data traffic: every challenge and report comes with the magic header
         try:
             msg = wire.parse_frame(delivery.packet.payload)
         except wire.WireError:
@@ -160,19 +162,13 @@ class Controller:
         seed: int | str = 0,
         timeout: int = DEFAULT_TIMEOUT,
         poll_rate: float = DEFAULT_POLL_RATE,
-        history: int | None = None,
-        window: int | None = None,
+        window: int = DEFAULT_WINDOW,
     ):
-        from .snapshots import DEFAULT_HISTORY, DEFAULT_WINDOW
-
         self.topo = topo
         self.registry = registry
         self.magic = magic
         self.timeout = timeout
-        self.window = window if window is not None else DEFAULT_WINDOW
-        self.service = SnapshotService(
-            topo, history=history if history is not None else DEFAULT_HISTORY, window=self.window
-        )
+        self.service = SnapshotService(topo, window=window)
         self.rng = random.Random(f"{seed}:controller")
         self._polls = poll_ticks(seed, poll_rate)
         self._next_poll = next(self._polls)
@@ -224,7 +220,7 @@ class Controller:
 
     def finish(self, net: Network) -> None:
         """End-of-run sweep: report rules that came and went within the window."""
-        for f in self.service.detect_transients(self.window):
+        for f in self.service.detect_transients():
             self.findings.append(Finding(net.tick, "transient", f.line()))
 
     # -- the protocol proper ----------------------------------------------

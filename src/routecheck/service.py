@@ -31,7 +31,6 @@ class RunConfig:
     poll_rate: float = 0.05
     magic: str | None = None
     width: int | None = None
-    history: int = 256
     window: int = 1024
     timeout: int = 8
     out_dir: str | None = None
@@ -83,7 +82,6 @@ def run_session(config: RunConfig, write: bool = True) -> RunResult:
         seed=config.seed,
         timeout=config.timeout,
         poll_rate=config.poll_rate,
-        history=config.history,
         window=config.window,
     )
     controller.install_magic_rules(net)

@@ -2,9 +2,12 @@
 
 The controller builds its network view passively from the per-switch
 event stream and actively by polling ground truth at random ticks. Every
-view change appends an immutable snapshot to a bounded history; poll
-results are additionally retained for a tick window so short-lived rule
-changes can be detected and attributed.
+view change makes a new immutable snapshot version. Each (switch, rule)
+presence change is logged when it happens, by a flowmod that adds the
+first copy of a rule or removes the last one, or by a poll that corrects
+the view; the log and the poll results are kept for a tick window, so a
+short-lived rule is detected and attributed however many versions came
+after it.
 
 Each snapshot carries ``reach``, the memo in which ``verify`` keeps the
 flow tables and propagation results it derives from that snapshot. A new
@@ -21,14 +24,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .sim import Network, SwitchEvent
 from .topology import FlowRule, FlowTable, Topology
 
-DEFAULT_HISTORY = 256
 DEFAULT_WINDOW = 1024
 
 
@@ -103,16 +105,19 @@ def schedule_polls(seed: int | str, rate: float, horizon: int) -> list[int]:
 class SnapshotService:
     """Single-writer view builder; snapshots it hands out are immutable."""
 
-    def __init__(self, topo: Topology, history: int = DEFAULT_HISTORY, window: int = DEFAULT_WINDOW):
+    def __init__(self, topo: Topology, window: int = DEFAULT_WINDOW):
         self.topo = topo
         self.window = window
         self._tables: dict[str, FlowTable] = {sw: FlowTable(sw) for sw in topo.switch_ports}
+        self._copies: dict[str, Counter[FlowRule]] = {sw: Counter() for sw in topo.switch_ports}
         self._last_seq: dict[str, int] = {sw: 0 for sw in topo.switch_ports}
         self._provenance: dict[str, Provenance] = {sw: Provenance("passive", 0) for sw in topo.switch_ports}
         self._version = 0
         self._tick = 0
-        self.ring: deque[Snapshot] = deque(maxlen=history)
-        self.polls: list[PollRecord] = []
+        self._current: Snapshot | None = None
+        # (tick, switch, rule, present, tick of the snapshot before the change)
+        self.changes: deque[tuple[int, str, FlowRule, bool, int]] = deque()
+        self.polls: deque[PollRecord] = deque()
         self.poll_findings: list[TransientFinding] = []
         self._append_snapshot()
 
@@ -121,21 +126,23 @@ class SnapshotService:
     def _append_snapshot(self) -> int:
         self._version += 1
         tables = {sw: t.rules for sw, t in self._tables.items()}
-        prev = self.ring[-1] if self.ring else None
+        prev = self._current
         unchanged = prev is not None and all(rules is prev.tables[sw] for sw, rules in tables.items())
-        snap = Snapshot(
+        self._current = Snapshot(
             version=self._version,
             tick=self._tick,
             tables=tables,
             provenance=dict(self._provenance),
             reach=prev.reach if unchanged else {},
         )
-        self.ring.append(snap)
         return self._version
 
-    def _prune_polls(self) -> None:
+    def _record(self, switch: str, rule: FlowRule, present: bool) -> None:
+        """Log a presence change that the next snapshot makes."""
+        self.changes.append((self._tick, switch, rule, present, self._current.tick))
         cutoff = self._tick - self.window
-        self.polls = [p for p in self.polls if p.tick >= cutoff]
+        while self.changes and self.changes[0][0] < cutoff:
+            self.changes.popleft()
 
     # -- operations ------------------------------------------------------
 
@@ -156,10 +163,17 @@ class SnapshotService:
         self._tick = max(self._tick, event.tick)
         self._provenance[sw] = Provenance("passive", event.seq)
         if event.kind == "flowmod":
+            rule, copies = event.rule, self._copies[sw]
             if event.op == "add":
-                self._tables[sw].add(event.rule)
-            elif not event.noop:
-                self._tables[sw].remove(event.rule)
+                self._tables[sw].add(rule)
+                copies[rule] += 1
+                if copies[rule] == 1:
+                    self._record(sw, rule, True)
+            elif not event.noop and self._tables[sw].remove(rule):
+                copies[rule] -= 1
+                if not copies[rule]:
+                    del copies[rule]
+                    self._record(sw, rule, False)
             return self._append_snapshot()
         # packet_in / port_status advance the sequence but not the view
         return self._version
@@ -182,22 +196,25 @@ class SnapshotService:
         tick = net.tick
         self._tick = max(self._tick, tick)
         passive = self._tables[switch].rules
-        truth_set = set(truth)
-        passive_set = set(passive)
-        for rule in truth:
-            if rule not in passive_set:
-                self.poll_findings.append(TransientFinding(switch, rule, tick, tick, 1, "appeared"))
-        for rule in passive:
-            if rule not in truth_set:
-                self.poll_findings.append(TransientFinding(switch, rule, tick, tick, 0, "vanished"))
         if truth != passive:
+            truth_set, passive_set = set(truth), set(passive)
+            appeared = [rule for rule in truth if rule not in passive_set]
+            vanished = [rule for rule in passive if rule not in truth_set]
+            self.poll_findings += [TransientFinding(switch, r, tick, tick, 1, "appeared") for r in appeared]
+            self.poll_findings += [TransientFinding(switch, r, tick, tick, 0, "vanished") for r in vanished]
+            for rule in dict.fromkeys(appeared):
+                self._record(switch, rule, True)
+            for rule in dict.fromkeys(vanished):
+                self._record(switch, rule, False)
             table = FlowTable(switch)
             for rule in truth:
                 table.add(rule)
             self._tables[switch] = table
+            self._copies[switch] = Counter(truth)
         self._provenance[switch] = Provenance("polled", tick)
         self.polls.append(PollRecord(tick, switch, truth))
-        self._prune_polls()
+        while self.polls and self.polls[0].tick < self._tick - self.window:
+            self.polls.popleft()
         return self._append_snapshot()
 
     def poll_all(self, net: Network) -> int:
@@ -207,7 +224,7 @@ class SnapshotService:
         return version
 
     def current(self) -> Snapshot:
-        return self.ring[-1]
+        return self._current
 
     def last_seq(self, switch: str) -> int:
         return self._last_seq[switch]
@@ -215,44 +232,41 @@ class SnapshotService:
     def detect_transients(self, window: int | None = None) -> list[TransientFinding]:
         """Report rules that both appeared and disappeared within the window.
 
-        Rules that stay once installed (or were always there) are stable
-        and not reported. A single appear/vanish episode that ends absent
-        is "vanished"; anything with more state changes is "flapping".
+        Reads the change log: a rule that changed presence at least twice
+        in the window is reported. Rules that stay once installed (or were
+        always there) are stable and not reported. A single appear/vanish
+        episode that ends absent is "vanished"; anything with more state
+        changes is "flapping". ``first_seen`` is the first appearance, or
+        the window start for a rule present when the window opened;
+        ``last_seen`` is the current snapshot's tick for a rule still
+        present, else the tick of the last snapshot that held it.
         ``present_in`` counts the in-window polls of that switch that
-        observed the rule.
+        observed the rule. A window wider than the service's own sees no
+        further back than the service keeps.
         """
         w = self.window if window is None else window
         cutoff = self._tick - w
-        snaps = [s for s in self.ring if s.tick >= cutoff]
-        if not snaps:
-            return []
+        per_rule: dict[tuple[str, FlowRule], list[tuple[int, int]]] = {}  # (tick, previous snapshot's tick)
+        for tick, sw, rule, _, prev_tick in self.changes:
+            if tick >= cutoff:
+                per_rule.setdefault((sw, rule), []).append((tick, prev_tick))
         findings: list[TransientFinding] = []
-        for sw in sorted(self.topo.switch_ports):
-            universe: list[FlowRule] = []
-            for s in snaps:
-                for rule in s.tables[sw]:
-                    if rule not in universe:
-                        universe.append(rule)
-            for rule in universe:
-                timeline = [rule in s.tables[sw] for s in snaps]
-                changes = sum(1 for a, b in zip(timeline, timeline[1:]) if a != b)
-                if changes < 2:
-                    continue
-                ticks_present = [s.tick for s, p in zip(snaps, timeline) if p]
-                polls_seen = sum(
-                    1 for p in self.polls if p.switch == sw and p.tick >= cutoff and rule in p.rules
+        for (sw, rule), ticks in sorted(per_rule.items(), key=lambda item: item[0][0]):
+            if len(ticks) < 2:
+                continue
+            at_end = rule in self._copies[sw]
+            at_start = at_end != (len(ticks) % 2 == 1)
+            polls_seen = sum(1 for p in self.polls if p.switch == sw and p.tick >= cutoff and rule in p.rules)
+            findings.append(
+                TransientFinding(
+                    switch=sw,
+                    rule=rule,
+                    first_seen=max(cutoff, 0) if at_start else ticks[0][0],
+                    last_seen=self._current.tick if at_end else ticks[-1][1],
+                    present_in=polls_seen,
+                    status="vanished" if not (at_end or at_start) and len(ticks) == 2 else "flapping",
                 )
-                status = "vanished" if (not timeline[-1] and changes == 2 and not timeline[0]) else "flapping"
-                findings.append(
-                    TransientFinding(
-                        switch=sw,
-                        rule=rule,
-                        first_seen=min(ticks_present),
-                        last_seen=max(ticks_present),
-                        present_in=polls_seen,
-                        status=status,
-                    )
-                )
+            )
         return findings
 
 

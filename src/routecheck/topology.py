@@ -185,17 +185,6 @@ class FlowTable:
             out.append((None, residual))
         return out
 
-    def copy(self) -> "FlowTable":
-        t = FlowTable(self.owner)
-        t._rules = list(self._rules)
-        t._order = list(self._order)
-        t._next_seq = self._next_seq
-        return t
-
-
-def table_lookup(table: FlowTable, space: HeaderSpace) -> list[tuple[FlowRule | None, HeaderSpace]]:
-    return table.lookup(space)
-
 
 @dataclass(frozen=True)
 class Topology:

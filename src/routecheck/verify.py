@@ -40,7 +40,6 @@ class ReachEntry:
 @dataclass
 class ReachResult:
     entries: list[ReachEntry]
-    loops: set[tuple[str, str]] = field(default_factory=set)
     traversed: set[str] = field(default_factory=set)
 
     def egress_aliases(self) -> list[str]:
@@ -76,15 +75,15 @@ def _tables_for(snap: Snapshot, topo: Topology) -> dict[str, FlowTable]:
 
 def _propagate(
     topo: Topology, snap: Snapshot, start: AccessPoint, space: HeaderSpace
-) -> tuple[tuple[ReachEntry, ...], frozenset[tuple[str, str]], frozenset[str]]:
+) -> tuple[tuple[ReachEntry, ...], frozenset[str]]:
     """Fixpoint propagation from one access point, memoised in ``snap.reach``.
 
     Work items carry (switch, ingress port, current term, origin term,
     rewritten-bit mask). An item revisiting a (switch, port) contributes
     only the part of its current space not already propagated there for
-    the same origin lane, which guarantees termination; every cut is
-    recorded. Constraints discovered by matches are mirrored onto the
-    origin term at positions that have not been overwritten yet.
+    the same origin lane, which guarantees termination. Constraints
+    discovered by matches are mirrored onto the origin term at positions
+    that have not been overwritten yet.
     """
     key = (start, space)
     if key in snap.reach:
@@ -94,7 +93,6 @@ def _propagate(
     tables = _tables_for(snap, topo)
 
     by_egress: dict[AccessPoint, tuple[list[Ternary], list[Ternary]]] = {}
-    loops: set[tuple[str, str]] = set()
     traversed: set[str] = set()
     visited: dict[tuple[str, str], dict[tuple[Ternary, int], HeaderSpace]] = {}
     work: deque[tuple[str, str, Ternary, Ternary, int]] = deque()
@@ -108,8 +106,6 @@ def _propagate(
             residual = cur_space
         else:
             residual = cur_space.difference(seen)
-            if residual != cur_space:
-                loops.add((sw, port))
         if residual.is_empty():
             return
         lanes[lane] = residual if seen is None else seen.union(residual)
@@ -157,7 +153,7 @@ def _propagate(
                 sent=HeaderSpace(width, sent).compact(),
             )
         )
-    out = snap.reach[key] = (tuple(entries), frozenset(loops), frozenset(traversed))
+    out = snap.reach[key] = (tuple(entries), frozenset(traversed))
     return out
 
 
@@ -167,8 +163,8 @@ def reachable_endpoints(topo: Topology, snap: Snapshot, from_ap: AccessPoint, sp
         raise ValueError(f"{from_ap.switch}:{from_ap.port} is not a registered access point")
     if space.is_empty():
         raise ValueError("reachability needs a non-empty header space")
-    entries, loops, traversed = _propagate(topo, snap, from_ap, space)
-    return ReachResult(entries=list(entries), loops=set(loops), traversed=set(traversed))
+    entries, traversed = _propagate(topo, snap, from_ap, space)
+    return ReachResult(entries=list(entries), traversed=set(traversed))
 
 
 def reachable_sources(topo: Topology, snap: Snapshot, to_ap: AccessPoint) -> list[tuple[AccessPoint, HeaderSpace]]:
@@ -221,7 +217,7 @@ def geo_exposure(topo: Topology, snap: Snapshot, client: str) -> GeoReport:
     full = HeaderSpace.full(topo.width)
     traversed: set[str] = set()
     for ap in aps:
-        _, _, seen = _propagate(topo, snap, ap, full)
+        _, seen = _propagate(topo, snap, ap, full)
         traversed |= seen
     regions: set[str] = set()
     witnesses: dict[str, str] = {}

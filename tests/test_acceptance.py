@@ -150,10 +150,12 @@ def test_acceptance_4_geo_diversion_detection():
     assert ok
     # the same holds at engine level on pre/post snapshots
     topo = result.topo
-    history = list(result.controller.service.ring)
-    pre_snaps = [s for s in history if s.tick < 10]
-    direct_pre = geo_exposure(topo, pre_snaps[-1], "alice").regions
-    direct_post = geo_exposure(topo, history[-1], "alice").regions
+    replay = SnapshotService(topo)
+    for ev in result.net.events:
+        if ev.tick < 10:
+            replay.ingest_event(ev)
+    direct_pre = geo_exposure(topo, replay.current(), "alice").regions
+    direct_post = geo_exposure(topo, result.final_snapshot(), "alice").regions
     assert direct_post - direct_pre == {"offshore"}
 
 
@@ -178,7 +180,7 @@ def _transient_run(duty: float, n_polls: int, seed: str, rate: float = 0.08, per
     spec = TransientSpec(tick=0, switch="swX", rule=TRANSIENT_RULE, duty=duty, period=period)
     pattern = transient_pattern(spec, horizon, rng)
     net = Network(topo)
-    svc = SnapshotService(topo, history=512, window=horizon + 1)
+    svc = SnapshotService(topo, window=horizon + 1)
     poll_set = set(polls)
     installed = False
     for t in range(horizon + 1):
@@ -340,7 +342,7 @@ def test_acceptance_8_snapshot_fidelity_and_gap_detection():
             )
         )
         events = result.net.events
-        svc = SnapshotService(result.topo, history=4096, window=1 << 20)
+        svc = SnapshotService(result.topo, window=1 << 20)
         for ev in events:
             svc.ingest_event(ev)
         if svc.current().tables == result.net.snapshot_tables():
@@ -355,7 +357,7 @@ def test_acceptance_8_snapshot_fidelity_and_gap_detection():
         ]
         for i in droppable[:10]:
             gap_cases += 1
-            svc2 = SnapshotService(result.topo, history=4096, window=1 << 20)
+            svc2 = SnapshotService(result.topo, window=1 << 20)
             try:
                 for j, ev in enumerate(events):
                     if j != i:

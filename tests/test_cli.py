@@ -106,6 +106,19 @@ def test_transient_run_flags_flapping_rule(tmp_path, capsys):
     assert "kind=transient" in out
 
 
+def test_flap_followed_by_many_versions_is_still_reported(tmp_path, capsys):
+    """A rule flaps at ticks 5-8, then 300 benign flowmods make 300 more
+    snapshot versions; the flap is still reported."""
+    flap = "prio=50 match=10xxxxxxxxxxxxxx action=fwd:3"
+    lines = [f"@{t} flowmod {op} swB {flap}" for t, op in zip(range(5, 9), ("add", "remove") * 2)]
+    lines += [f"@{10 + i // 10} flowmod add swC prio=1 match={i:016b} action=drop" for i in range(300)]
+    scn = tmp_path / "flap.scn"
+    scn.write_text("\n".join(lines) + "\nhorizon 50\n")
+    code, out, err = run_cli(capsys, "run", "--topology", fixture_path("joinattack.topo"), "--scenario", str(scn))
+    assert code == 2, err
+    assert f"sw=swB status=flapping first_seen=5 last_seen=7 polls=0 rule[{flap}]" in out
+    assert "findings=1 " in out
+
 def test_malformed_topology_exits_one(capsys):
     code, _, err = run_cli(
         capsys,

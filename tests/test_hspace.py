@@ -15,11 +15,6 @@ from routecheck.hspace import (
     Rewrite,
     Ternary,
     WidthMismatch,
-    hs_apply_rewrite,
-    hs_difference,
-    hs_intersect,
-    hs_member,
-    hs_union,
 )
 
 L = 8
@@ -70,20 +65,15 @@ def test_parse_rejects_bad_characters():
 
 def test_member_wildcard_match():
     s = HeaderSpace.of("1x")
-    assert hs_member(0b10, s) is True
-    assert hs_member(0b01, s) is False
-
-
-def test_member_width_check():
-    with pytest.raises(WidthMismatch):
-        hs_member(0b10, HeaderSpace.of("1x"), width=4)
+    assert s.member(0b10) is True
+    assert s.member(0b01) is False
 
 
 def test_member_union_is_or():
     rng = random.Random(101)
     for _ in range(50):
         a, b = random_space(rng), random_space(rng)
-        u = hs_union(a, b)
+        u = a.union(b)
         for h in ALL:
             assert u.member(h) == (a.member(h) or b.member(h))
 
@@ -93,8 +83,8 @@ def test_member_union_is_or():
 
 def test_union_identity_and_cover():
     s = HeaderSpace.of("1x")
-    assert denote(hs_union(s, HeaderSpace.empty(2))) == denote(s)
-    both = hs_union(HeaderSpace.of("0x"), HeaderSpace.of("1x"))
+    assert denote(s.union(HeaderSpace.empty(2))) == denote(s)
+    both = HeaderSpace.of("0x").union(HeaderSpace.of("1x"))
     assert denote(both) == frozenset(range(4))
 
 
@@ -102,22 +92,22 @@ def test_union_term_count_bound():
     rng = random.Random(7)
     for _ in range(50):
         a, b = random_space(rng), random_space(rng)
-        assert len(hs_union(a, b).terms) <= len(a.terms) + len(b.terms)
+        assert len(a.union(b).terms) <= len(a.terms) + len(b.terms)
 
 
 # -- intersection -------------------------------------------------------------
 
 
 def test_intersect_basics():
-    assert denote(hs_intersect(HeaderSpace.of("xx"), HeaderSpace.of("1x"))) == denote(HeaderSpace.of("1x"))
-    assert hs_intersect(HeaderSpace.of("10"), HeaderSpace.of("01")).is_empty()
+    assert denote(HeaderSpace.of("xx").intersect(HeaderSpace.of("1x"))) == denote(HeaderSpace.of("1x"))
+    assert HeaderSpace.of("10").intersect(HeaderSpace.of("01")).is_empty()
 
 
 def test_intersect_is_and():
     rng = random.Random(55)
     for _ in range(50):
         a, b = random_space(rng), random_space(rng)
-        i = hs_intersect(a, b)
+        i = a.intersect(b)
         for h in ALL:
             assert i.member(h) == (a.member(h) and b.member(h))
 
@@ -127,15 +117,15 @@ def test_intersect_is_and():
 
 def test_difference_basics():
     s = HeaderSpace.of("1x")
-    assert denote(hs_difference(s, HeaderSpace.empty(2))) == denote(s)
-    assert hs_difference(HeaderSpace.of("xx"), HeaderSpace.of("xx")).is_empty()
+    assert denote(s.difference(HeaderSpace.empty(2))) == denote(s)
+    assert HeaderSpace.of("xx").difference(HeaderSpace.of("xx")).is_empty()
 
 
 def test_difference_is_and_not():
     rng = random.Random(99)
     for _ in range(50):
         a, b = random_space(rng), random_space(rng)
-        d = hs_difference(a, b)
+        d = a.difference(b)
         for h in ALL:
             assert d.member(h) == (a.member(h) and not b.member(h))
 
@@ -144,7 +134,7 @@ def test_difference_disjoint_from_subtrahend():
     rng = random.Random(3)
     for _ in range(50):
         a, b = random_space(rng), random_space(rng)
-        assert hs_intersect(hs_difference(a, b), b).is_empty()
+        assert a.difference(b).intersect(b).is_empty()
 
 
 def test_difference_term_growth_bound():
@@ -153,7 +143,7 @@ def test_difference_term_growth_bound():
     for _ in range(200):
         a = random_space(rng, allow_empty=False)
         b = random_space(rng, allow_empty=False)
-        d = hs_difference(a, b)
+        d = a.difference(b)
         assert len(d.terms) <= max(len(a.terms), len(a.terms) * L * len(b.terms))
 
 
@@ -162,9 +152,9 @@ def test_difference_term_growth_bound():
 
 def test_rewrite_examples():
     s = HeaderSpace.of("xx")
-    out = hs_apply_rewrite(s, Rewrite.parse("10/1x"))
+    out = s.apply_rewrite(Rewrite.parse("10/1x"))
     assert denote(out) == denote(HeaderSpace.of("1x"))
-    unchanged = hs_apply_rewrite(s, Rewrite(2, 0, 0))
+    unchanged = s.apply_rewrite(Rewrite(2, 0, 0))
     assert denote(unchanged) == denote(s)
 
 
@@ -175,7 +165,7 @@ def test_rewrite_matches_per_header_image():
         mask = rng.getrandbits(L)
         value = rng.getrandbits(L)
         rw = Rewrite(L, mask, value)
-        image = denote(hs_apply_rewrite(s, rw))
+        image = denote(s.apply_rewrite(rw))
         expected = frozenset(rw.apply(h) for h in denote(s))
         assert image == expected
 
@@ -186,7 +176,7 @@ def test_rewrite_monotone():
         s2 = random_space(rng, allow_empty=False)
         s1 = HeaderSpace(L, s2.terms[: max(1, len(s2.terms) // 2)])
         rw = Rewrite(L, rng.getrandbits(L), rng.getrandbits(L))
-        assert denote(hs_apply_rewrite(s1, rw)) <= denote(hs_apply_rewrite(s2, rw))
+        assert denote(s1.apply_rewrite(rw)) <= denote(s2.apply_rewrite(rw))
 
 
 # -- algebraic identities ----------------------------------------------------------
@@ -198,19 +188,19 @@ def test_identities_by_enumeration():
     empty = HeaderSpace.empty(L)
     for _ in range(30):
         s = random_space(rng)
-        assert denote(hs_union(s, empty)) == denote(s)
-        assert denote(hs_intersect(s, full)) == denote(s)
-        assert denote(hs_difference(s, empty)) == denote(s)
+        assert denote(s.union(empty)) == denote(s)
+        assert denote(s.intersect(full)) == denote(s)
+        assert denote(s.difference(empty)) == denote(s)
 
 
 def test_commutativity_associativity():
     rng = random.Random(37)
     for _ in range(30):
         a, b, c = random_space(rng), random_space(rng), random_space(rng)
-        assert denote(hs_union(a, b)) == denote(hs_union(b, a))
-        assert denote(hs_intersect(a, b)) == denote(hs_intersect(b, a))
-        assert denote(hs_union(hs_union(a, b), c)) == denote(hs_union(a, hs_union(b, c)))
-        assert denote(hs_intersect(hs_intersect(a, b), c)) == denote(hs_intersect(a, hs_intersect(b, c)))
+        assert denote(a.union(b)) == denote(b.union(a))
+        assert denote(a.intersect(b)) == denote(b.intersect(a))
+        assert denote(a.union(b).union(c)) == denote(a.union(b.union(c)))
+        assert denote(a.intersect(b).intersect(c)) == denote(a.intersect(b.intersect(c)))
 
 
 def test_compact_preserves_denotation():
@@ -231,11 +221,11 @@ def test_duplicate_terms_dropped_first_occurrence_order_kept():
 def test_width_mismatch_raises():
     a = HeaderSpace.of("1x")
     b = HeaderSpace.of("1xx")
-    for op in (hs_union, hs_intersect, hs_difference):
+    for op in (HeaderSpace.union, HeaderSpace.intersect, HeaderSpace.difference):
         with pytest.raises(WidthMismatch):
             op(a, b)
     with pytest.raises(WidthMismatch):
-        hs_apply_rewrite(a, Rewrite(3, 1, 1))
+        a.apply_rewrite(Rewrite(3, 1, 1))
 
 
 def test_width_zero_rejected():

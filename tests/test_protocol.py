@@ -14,7 +14,7 @@ from routecheck.protocol import (
     verify_report,
 )
 from routecheck.scenario import parse_scenario, run_scenario
-from routecheck.sim import Network, Packet, SwitchEvent
+from routecheck.sim import Delivery, Network, Packet, SwitchEvent
 from routecheck.snapshots import schedule_polls
 from routecheck.topology import load_topology
 from routecheck import wire
@@ -190,6 +190,19 @@ def test_encoded_query_travels_in_band_to_exactly_one_packet_in():
     assert len(queries) == 1
     assert queries[0].switch == "swA" and queries[0].in_port == "2"
 
+
+def test_data_delivery_is_not_parsed_as_a_frame(monkeypatch):
+    """Only magic-header deliveries can carry a challenge or a report."""
+    topo, registry, signing, magic, net, controller, agents = setup()
+    parsed = []
+    parse_frame = wire.parse_frame
+    monkeypatch.setattr(wire, "parse_frame", lambda raw: parsed.append(raw) or parse_frame(raw))
+    header = 0b00010001
+    assert not magic.matches(header)
+    payload = wire.frame_challenge(b"\x01" * wire.NONCE_LEN, "alice:ap1")
+    sent = []
+    agents["alice"].on_delivery(Delivery(1, "alice", "swA", "2", Packet(header, payload)), 1, lambda *a: sent.append(a))
+    assert parsed == [] and sent == [] and agents["alice"].reports == []
 
 def test_isolation_session_counts_and_verification():
     topo, registry, signing, magic, net, controller, agents = setup()

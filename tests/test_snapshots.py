@@ -1,4 +1,4 @@
-"""Snapshot service: passive ingestion, polls, history, transient detection."""
+"""Snapshot service: passive ingestion, polls, the change log, transient detection."""
 
 import random
 import statistics
@@ -11,6 +11,7 @@ from routecheck.sim import Network, Packet, SwitchEvent
 from routecheck.snapshots import (
     GapDetected,
     SnapshotService,
+    TransientFinding,
     export_snapshot,
     parse_snapshot_dump,
     schedule_polls,
@@ -303,6 +304,107 @@ def test_many_polls_observe_duty_cycle_fraction():
     assert len(findings) == 1
     assert findings[0].status == "flapping"
     assert 15 <= findings[0].present_in <= 45  # ~30 of 100 polls
+
+
+def test_rule_present_when_the_window_opens_is_first_seen_at_window_start():
+    topo, net, svc = fresh()
+    r = rule(5, "1xxx", "drop")
+    svc.ingest_event(net.apply_flow_mod("swA", "add", r))
+    for tick, op in ((20, "remove"), (25, "add")):
+        net.tick = tick
+        svc.ingest_event(net.apply_flow_mod("swA", op, r))
+    net.tick = 30
+    svc.active_poll("swA", net)
+    [f] = svc.detect_transients(window=20)
+    assert (f.status, f.first_seen, f.last_seen, f.present_in) == ("flapping", 10, 30, 1)
+    [f] = svc.detect_transients(window=100)
+    assert (f.status, f.first_seen, f.last_seen) == ("flapping", 0, 30)
+
+
+def test_change_log_and_polls_are_pruned_by_tick():
+    topo = load_topology(DOC)
+    net = Network(topo)
+    svc = SnapshotService(topo, window=10)
+    r = rule(5, "1xxx", "drop")
+    for tick in range(100):
+        net.tick = tick
+        svc.ingest_event(net.apply_flow_mod("swA", "add" if tick % 2 else "remove", r))
+        svc.active_poll("swB", net)
+    assert [c[0] for c in svc.changes] == list(range(89, 100))
+    assert [p.tick for p in svc.polls] == list(range(89, 100))
+    [f] = svc.detect_transients()
+    assert (f.first_seen, f.last_seen, f.present_in) == (89, 99, 0)
+
+
+def ring_scan(snaps, polls, switches, now, window):
+    """Reference: transient detection as a scan over every snapshot in the window."""
+    cutoff = now - window
+    snaps = [s for s in snaps if s.tick >= cutoff]
+    if not snaps:
+        return []
+    findings: list[TransientFinding] = []
+    for sw in sorted(switches):
+        universe: list[FlowRule] = []
+        for s in snaps:
+            for rule in s.tables[sw]:
+                if rule not in universe:
+                    universe.append(rule)
+        for rule in universe:
+            timeline = [rule in s.tables[sw] for s in snaps]
+            changes = sum(1 for a, b in zip(timeline, timeline[1:]) if a != b)
+            if changes < 2:
+                continue
+            ticks_present = [s.tick for s, p in zip(snaps, timeline) if p]
+            polls_seen = sum(
+                1 for p in polls if p.switch == sw and p.tick >= cutoff and rule in p.rules
+            )
+            status = "vanished" if (not timeline[-1] and changes == 2 and not timeline[0]) else "flapping"
+            findings.append(
+                TransientFinding(
+                    switch=sw,
+                    rule=rule,
+                    first_seen=min(ticks_present),
+                    last_seen=max(ticks_present),
+                    present_in=polls_seen,
+                    status=status,
+                )
+            )
+    return findings
+
+
+def test_change_log_detection_equals_scan_over_every_snapshot():
+    """Random streams inside the window: duplicate adds, no-op removes,
+    suppressed events (gaps), packet-ins and correcting polls."""
+    pool = [rule(p, m, "drop") for p in (1, 5) for m in ("xxxx", "1xxx", "01xx")]
+    for seed in range(300):
+        rng = random.Random(seed)
+        topo, net, svc = fresh()
+        snaps = [svc.current()]
+        now = 0
+        for _ in range(rng.randint(1, 80)):
+            net.tick += rng.choice((0, 0, 1, 3))
+            sw = rng.choice(["swA", "swB"])
+            roll = rng.random()
+            if roll < 0.15:
+                svc.active_poll(sw, net)
+            elif roll < 0.2:
+                ev = SwitchEvent(svc.last_seq(sw) + 1, net.tick, sw, "packet_in", in_port="2", packet=Packet(0))
+                svc.ingest_event(ev)
+            else:
+                ev = net.apply_flow_mod(sw, rng.choice(("add", "remove")), rng.choice(pool))
+                if rng.random() < 0.1:
+                    continue  # suppressed: the service never sees it
+                try:
+                    svc.ingest_event(ev)
+                except GapDetected:
+                    svc.resync(sw, ev.seq - 1)
+                    svc.ingest_event(ev)
+            now = net.tick
+            if svc.current() is not snaps[-1]:
+                snaps.append(svc.current())
+            if rng.random() < 0.1:
+                assert svc.detect_transients() == ring_scan(snaps, svc.polls, topo.switch_ports, now, svc.window)
+        assert svc.detect_transients() == ring_scan(snaps, svc.polls, topo.switch_ports, now, svc.window), seed
 
 
 # -- export / import ------------------------------------------------------------

@@ -12,7 +12,6 @@ from routecheck.topology import (
     TopologyError,
     classify_ports,
     load_topology,
-    table_lookup,
 )
 
 SMALLEST = """
@@ -148,7 +147,7 @@ def rule(prio, match, action):
 def test_lookup_single_rule_covers_space():
     t = FlowTable("swA")
     t.add(rule(5, "xx", "fwd:1"))
-    pairs = table_lookup(t, HeaderSpace.full(2))
+    pairs = t.lookup(HeaderSpace.full(2))
     assert len(pairs) == 1
     got_rule, space = pairs[0]
     assert got_rule.priority == 5
@@ -159,7 +158,7 @@ def test_lookup_priority_shadowing():
     t = FlowTable("swA")
     t.add(rule(9, "1x", "drop"))
     t.add(rule(1, "xx", "fwd:1"))
-    pairs = table_lookup(t, HeaderSpace.full(2))
+    pairs = t.lookup(HeaderSpace.full(2))
     assert [p[0].action.kind for p in pairs] == ["drop", "fwd"]
     assert pairs[0][1].denote() == frozenset({0b10, 0b11})
     assert pairs[1][1].denote() == frozenset({0b00, 0b01})
@@ -168,7 +167,7 @@ def test_lookup_priority_shadowing():
 def test_lookup_reports_residual_as_implicit_drop():
     t = FlowTable("swA")
     t.add(rule(5, "11", "fwd:1"))
-    pairs = table_lookup(t, HeaderSpace.full(2))
+    pairs = t.lookup(HeaderSpace.full(2))
     assert pairs[-1][0] is None
     assert pairs[-1][1].denote() == frozenset({0b00, 0b01, 0b10})
 
@@ -222,8 +221,8 @@ def test_lookup_deterministic():
     t = FlowTable("swA")
     t.add(rule(3, "1x", "fwd:1"))
     t.add(rule(3, "x1", "drop"))
-    a = table_lookup(t, HeaderSpace.full(2))
-    b = table_lookup(t, HeaderSpace.full(2))
+    a = t.lookup(HeaderSpace.full(2))
+    b = t.lookup(HeaderSpace.full(2))
     assert a == b
 
 

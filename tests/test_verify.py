@@ -107,8 +107,7 @@ access swB:3 client bob
     net.apply_flow_mod("swA", "add", rule(5, "xxxx", "fwd:1"))
     net.apply_flow_mod("swB", "add", rule(5, "xxxx", "fwd:2"))
     result = reachable_endpoints(topo, snapshot_of(net), ap_of(topo, "alice:ap1"), HeaderSpace.full(4))
-    assert result.entries == []
-    assert result.loops  # propagation was cut somewhere on the ring
+    assert result.entries == []  # propagation terminates on the ring
 
 
 def test_reachable_sources_on_bidirectional_line():
