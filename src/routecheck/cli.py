@@ -13,9 +13,10 @@ import sys
 from pathlib import Path
 
 from .oracle import MUTATIONS, run_cases
-from .scenario import ScenarioError, parse_scenario
+from .protocol import DEFAULT_POLL_RATE, DEFAULT_TIMEOUT
+from .scenario import QUERY_KINDS, ScenarioError, parse_scenario
 from .service import RunConfig, apply_width_override, run_session
-from .snapshots import export_snapshot, parse_snapshot_dump
+from .snapshots import DEFAULT_WINDOW, export_snapshot, parse_snapshot_dump
 from .topology import TopologyError, load_topology
 from . import verify
 
@@ -37,22 +38,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a scenario with the verification controller attached")
     _add_common(p_run)
-    p_run.add_argument("--poll-rate", type=float, default=0.05, help="active poll rate per tick")
-    p_run.add_argument("--timeout", type=int, default=8, help="auth reply timeout in ticks")
-    p_run.add_argument("--window", type=int, default=1024, help="transient detection window in ticks")
+    p_run.add_argument("--poll-rate", type=float, default=DEFAULT_POLL_RATE, help="active poll rate per tick")
+    p_run.add_argument("--timeout", type=int, default=DEFAULT_TIMEOUT, help="auth reply timeout in ticks")
+    p_run.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="transient detection window in ticks")
     p_run.add_argument("--out", default=None, help="artifact output directory")
 
     p_query = sub.add_parser("query", help="answer a client query from a snapshot dump")
     p_query.add_argument("--topology", required=True)
     p_query.add_argument("--snapshot", required=True, help="snapshot dump path")
-    p_query.add_argument("--kind", required=True, choices=["isolation", "sources", "geo", "summary"])
+    p_query.add_argument("--kind", required=True, choices=QUERY_KINDS)
     p_query.add_argument("--client", required=True)
     p_query.add_argument("--width", type=int, default=None)
 
     p_snap = sub.add_parser("snapshot", help="snapshot tooling")
     p_snap.add_argument("action", choices=["dump"])
     _add_common(p_snap)
-    p_snap.add_argument("--poll-rate", type=float, default=0.05)
+    p_snap.add_argument("--poll-rate", type=float, default=DEFAULT_POLL_RATE)
     p_snap.add_argument("--out", default=None, help="write the dump here instead of stdout")
 
     p_oracle = sub.add_parser("oracle", help="engine-vs-simulation equivalence over random networks")
@@ -106,18 +107,7 @@ def cmd_query(args) -> int:
     aps = topo.client_aps(args.client)
     if not aps:
         raise TopologyError(f"unknown client {args.client!r}")
-    point = aps[0]
-    if args.kind == "isolation":
-        own, foreign = verify.isolation_candidates(topo, snap, point, args.client)
-        body = verify.render_isolation(args.client, point.alias, own, foreign)
-    elif args.kind == "sources":
-        sources = verify.reachable_sources(topo, snap, point)
-        body = verify.render_sources(args.client, point.alias, sources)
-    elif args.kind == "geo":
-        body = verify.render_geo(args.client, verify.geo_exposure(topo, snap, args.client))
-    else:
-        body = verify.render_summary(args.client, verify.transfer_summary(topo, snap, args.client))
-    print(body)
+    print(verify.answer(topo, snap, args.kind, aps[0]).body)
     return 0
 
 

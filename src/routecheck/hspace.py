@@ -116,9 +116,6 @@ class Ternary:
                     h |= 1 << pos
             yield h
 
-    def care_count(self) -> int:
-        return bin(self.care).count("1")
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Ternary)
@@ -294,9 +291,6 @@ class HeaderSpace:
             if not terms:
                 break
         return HeaderSpace(self.width, terms).compact()
-
-    def apply_rewrite(self, rw: Rewrite) -> "HeaderSpace":
-        return HeaderSpace(self.width, [t.rewrite(rw) for t in self.terms])
 
     def compact(self) -> "HeaderSpace":
         """Drop terms subsumed by another term; denotation is unchanged."""

@@ -212,7 +212,7 @@ def mutate_snapshot(snap: Snapshot, mutation: str) -> Snapshot:
             tables[sw] = tuple(fixed)
         else:  # drop-top-rule
             tables[sw] = rules[1:] if rules else rules
-    return Snapshot(version=snap.version, tick=snap.tick, tables=tables, provenance=snap.provenance)
+    return Snapshot(version=snap.version, tick=snap.tick, tables=tables)
 
 
 # -- case runner -------------------------------------------------------------

@@ -8,6 +8,11 @@ until a timeout, then returns a signed report (carrying how many
 challenges were sent and how many verified replies came back) to the
 request point. Endpoints that never answer, or answer badly, show up as
 the requested/received shortfall, which the querying client can see.
+Every other kind is answered at once. The answer comes from
+``verify.answer``, the same path as ``routecheck query``. An answer too
+large for a report field (``wire.MAX_STR`` bytes) is replaced by a signed
+report of the same kind whose body is ``kind=``, ``client=`` and an
+``error=`` line giving the body's size and the limit; the run goes on.
 """
 
 from __future__ import annotations
@@ -282,49 +287,36 @@ class Controller:
             self.rejects.append((event.tick, f"unexpected in-band msgtype {msg.msgtype}"))
 
     def _start_session(self, query: ClientQuery, tick: int, net: Network) -> None:
-        snap = self.service.current()
+        answer = verify.answer(self.topo, self.service.current(), query.kind, query.request_point)
         session = Session(
             nonce=query.nonce,
             client=query.client,
             kind=query.kind,
             request_point=query.request_point,
-            body="",
+            body=answer.body,
             deadline=tick,
         )
         if query.kind == "isolation":
-            own, foreign = verify.isolation_candidates(self.topo, snap, query.request_point, query.client)
-            session.body = verify.render_isolation(query.client, query.request_point.alias, own, foreign)
-            if foreign:
-                aliases = ",".join(sorted(ap.alias for ap in foreign))
-                self.findings.append(Finding(tick, "isolation", f"client={query.client} foreign={aliases}"))
-            candidates = sorted(own | foreign, key=lambda ap: ap.alias)
-            session.requested = len(candidates)
+            if answer.foreign:
+                detail = f"client={query.client} foreign={','.join(answer.foreign)}"
+                self.findings.append(Finding(tick, "isolation", detail))
+            session.requested = len(answer.candidates)
             session.deadline = tick + self.timeout
-            for ap in candidates:
+            for ap in answer.candidates:
                 nonce_a = self.rng.randbytes(wire.NONCE_LEN)
                 session.challenges[nonce_a] = ap
                 self.outstanding[nonce_a] = (query.nonce, ap)
                 challenge = Packet(self.magic.value, wire.frame_challenge(nonce_a, ap.alias))
                 net.packet_out(ap.switch, ap.port, challenge)
             self.sessions[query.nonce] = session
-        elif query.kind == "sources":
-            sources = verify.reachable_sources(self.topo, snap, query.request_point)
-            session.body = verify.render_sources(query.client, query.request_point.alias, sources)
-            self._finalize(session, tick, net)
-        elif query.kind == "geo":
-            report = verify.geo_exposure(self.topo, snap, query.client)
-            session.body = verify.render_geo(query.client, report)
-            regions = frozenset(report.regions)
+            return
+        if query.kind == "geo":
             prev = self.last_geo.get(query.client)
-            if prev is not None and regions - prev:
-                grown = ",".join(sorted(regions - prev))
+            if prev is not None and answer.regions - prev:
+                grown = ",".join(sorted(answer.regions - prev))
                 self.findings.append(Finding(tick, "geo", f"client={query.client} new_regions={grown}"))
-            self.last_geo[query.client] = regions
-            self._finalize(session, tick, net)
-        else:  # summary
-            summary = verify.transfer_summary(self.topo, snap, query.client)
-            session.body = verify.render_summary(query.client, summary)
-            self._finalize(session, tick, net)
+            self.last_geo[query.client] = answer.regions
+        self._finalize(session, tick, net)
 
     def _handle_reply(self, msg: wire.Message, tick: int) -> None:
         entry = self.outstanding.get(msg.nonce)
@@ -356,9 +348,13 @@ class Controller:
         params = [("body", session.body)]
         if session.kind == "isolation":
             params.append(("verified", ",".join(sorted(session.verified)) or "-"))
-        unsigned = wire.report_unsigned(
-            session.kind, session.nonce, session.requested, len(session.verified), params
-        )
+        counts = (session.requested, len(session.verified))
+        try:
+            unsigned = wire.report_unsigned(session.kind, session.nonce, *counts, params)
+        except wire.WireError as e:  # the answer does not fit a report: say so, signed
+            size = len(session.body.encode("utf-8"))
+            session.body = f"kind={session.kind}\nclient={session.client}\nerror=body of {size} bytes not sent: {e}"
+            unsigned = wire.report_unsigned(session.kind, session.nonce, *counts, [("body", session.body)])
         frame = wire.frame_report(unsigned, self.registry.controller_signing.sign(unsigned))
         self.sessions.pop(session.nonce, None)
         for nonce_a in list(session.challenges):

@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 from .hspace import Ternary
 from .sim import Network, Packet
 from .topology import Action, FlowRule, Topology
+from .wire import KIND_CODES
 
-QUERY_KINDS = ("isolation", "sources", "geo", "summary")
+QUERY_KINDS = tuple(KIND_CODES)
 DEFAULT_ATTACK_PRIORITY = 100
 SETTLE_TICKS = 12
 

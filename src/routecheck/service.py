@@ -15,10 +15,10 @@ from pathlib import Path
 
 from .hspace import Ternary
 from .keys import KeyRegistry
-from .protocol import Controller, Finding, build_agents, default_magic
+from .protocol import DEFAULT_POLL_RATE, DEFAULT_TIMEOUT, Controller, Finding, build_agents, default_magic
 from .scenario import Script, parse_scenario, run_scenario
 from .sim import Network
-from .snapshots import Snapshot, export_snapshot, snapshot_of
+from .snapshots import DEFAULT_WINDOW, Snapshot, export_snapshot, snapshot_of
 from .topology import Topology, load_topology
 from . import wire
 
@@ -28,13 +28,12 @@ class RunConfig:
     topology_path: str
     scenario_path: str
     seed: int = 0
-    poll_rate: float = 0.05
+    poll_rate: float = DEFAULT_POLL_RATE
     magic: str | None = None
     width: int | None = None
-    window: int = 1024
-    timeout: int = 8
+    window: int = DEFAULT_WINDOW
+    timeout: int = DEFAULT_TIMEOUT
     out_dir: str | None = None
-    hop_limit: int | None = None
 
 
 @dataclass
@@ -74,7 +73,7 @@ def load_run_inputs(config: RunConfig) -> tuple[Topology, Script, Ternary]:
 def run_session(config: RunConfig, write: bool = True) -> RunResult:
     topo, script, magic = load_run_inputs(config)
     registry, client_signing = KeyRegistry.provision(topo, config.seed)
-    net = Network(topo, hop_limit=config.hop_limit)
+    net = Network(topo)
     controller = Controller(
         topo,
         registry,

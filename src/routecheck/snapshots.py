@@ -2,12 +2,13 @@
 
 The controller builds its network view passively from the per-switch
 event stream and actively by polling ground truth at random ticks. Every
-view change makes a new immutable snapshot version. Each (switch, rule)
-presence change is logged when it happens, by a flowmod that adds the
-first copy of a rule or removes the last one, or by a poll that corrects
-the view; the log and the poll results are kept for a tick window, so a
-short-lived rule is detected and attributed however many versions came
-after it.
+view change makes a new immutable snapshot version, which holds its
+number, its tick and the per-switch rule tuples, and no record of whether
+a table came from an event or a poll. Each (switch, rule) presence change
+is logged when it happens, by a flowmod that adds the first copy of a
+rule or removes the last one, or by a poll that corrects the view; the
+log and the poll results are kept for a tick window, so a short-lived
+rule is detected and attributed however many versions came after it.
 
 Each snapshot carries ``reach``, the memo in which ``verify`` keeps the
 flow tables and propagation results it derives from that snapshot. A new
@@ -45,17 +46,10 @@ class GapDetected(Exception):
 
 
 @dataclass(frozen=True)
-class Provenance:
-    kind: str  # "passive" | "polled"
-    ref: int  # passive: last event seq; polled: poll tick
-
-
-@dataclass(frozen=True)
 class Snapshot:
     version: int
     tick: int
     tables: dict[str, tuple[FlowRule, ...]]
-    provenance: dict[str, Provenance]
     reach: dict = field(default_factory=dict, compare=False, repr=False)  # verify's memo
 
 
@@ -111,7 +105,6 @@ class SnapshotService:
         self._tables: dict[str, FlowTable] = {sw: FlowTable(sw) for sw in topo.switch_ports}
         self._copies: dict[str, Counter[FlowRule]] = {sw: Counter() for sw in topo.switch_ports}
         self._last_seq: dict[str, int] = {sw: 0 for sw in topo.switch_ports}
-        self._provenance: dict[str, Provenance] = {sw: Provenance("passive", 0) for sw in topo.switch_ports}
         self._version = 0
         self._tick = 0
         self._current: Snapshot | None = None
@@ -132,7 +125,6 @@ class SnapshotService:
             version=self._version,
             tick=self._tick,
             tables=tables,
-            provenance=dict(self._provenance),
             reach=prev.reach if unchanged else {},
         )
         return self._version
@@ -161,7 +153,6 @@ class SnapshotService:
             raise GapDetected(sw, expected, event.seq)
         self._last_seq[sw] = event.seq
         self._tick = max(self._tick, event.tick)
-        self._provenance[sw] = Provenance("passive", event.seq)
         if event.kind == "flowmod":
             rule, copies = event.rule, self._copies[sw]
             if event.op == "add":
@@ -211,7 +202,6 @@ class SnapshotService:
                 table.add(rule)
             self._tables[switch] = table
             self._copies[switch] = Counter(truth)
-        self._provenance[switch] = Provenance("polled", tick)
         self.polls.append(PollRecord(tick, switch, truth))
         while self.polls and self.polls[0].tick < self._tick - self.window:
             self.polls.popleft()
@@ -229,7 +219,7 @@ class SnapshotService:
     def last_seq(self, switch: str) -> int:
         return self._last_seq[switch]
 
-    def detect_transients(self, window: int | None = None) -> list[TransientFinding]:
+    def detect_transients(self) -> list[TransientFinding]:
         """Report rules that both appeared and disappeared within the window.
 
         Reads the change log: a rule that changed presence at least twice
@@ -241,11 +231,9 @@ class SnapshotService:
         ``last_seen`` is the current snapshot's tick for a rule still
         present, else the tick of the last snapshot that held it.
         ``present_in`` counts the in-window polls of that switch that
-        observed the rule. A window wider than the service's own sees no
-        further back than the service keeps.
+        observed the rule. The window is the service's own.
         """
-        w = self.window if window is None else window
-        cutoff = self._tick - w
+        cutoff = self._tick - self.window
         per_rule: dict[tuple[str, FlowRule], list[tuple[int, int]]] = {}  # (tick, previous snapshot's tick)
         for tick, sw, rule, _, prev_tick in self.changes:
             if tick >= cutoff:
@@ -304,19 +292,9 @@ def parse_snapshot_dump(text: str, topo: Topology) -> Snapshot:
             tables[switch].add(rule)
         else:
             raise ValueError(f"line {lineno}: unexpected snapshot line {line!r}")
-    return Snapshot(
-        version=version,
-        tick=tick,
-        tables={sw: t.rules for sw, t in tables.items()},
-        provenance={sw: Provenance("passive", 0) for sw in topo.switch_ports},
-    )
+    return Snapshot(version=version, tick=tick, tables={sw: t.rules for sw, t in tables.items()})
 
 
 def snapshot_of(net: Network, version: int = 0) -> Snapshot:
     """A snapshot taken directly from simulator state (test/tool helper)."""
-    return Snapshot(
-        version=version,
-        tick=net.tick,
-        tables=net.snapshot_tables(),
-        provenance={sw: Provenance("polled", net.tick) for sw in net.topo.switch_ports},
-    )
+    return Snapshot(version=version, tick=net.tick, tables=net.snapshot_tables())

@@ -231,16 +231,6 @@ class Topology:
     def client_aps(self, client: str) -> list[AccessPoint]:
         return [ap for ap in self.access_points if ap.client == client]
 
-    def alias_of(self, switch: str, port: str) -> str | None:
-        ap = self.access_point_at(switch, port)
-        return ap.alias if ap else None
-
-    def ap_by_alias(self, alias: str) -> AccessPoint | None:
-        for ap in self.access_points:
-            if ap.alias == alias:
-                return ap
-        return None
-
     def region_of(self, switch: str) -> str | None:
         return self.locations.get(switch)
 

@@ -16,14 +16,16 @@ tuples are the very same objects (see ``snapshots``), so a query against
 an unchanged network reuses the reach computed for an earlier version;
 any table change starts a fresh memo.
 
-Client-facing renderings contain access-point aliases only, never switch
-or link identifiers.
+``answer`` is the one dispatcher from a query kind to its answer: the
+controller's in-band sessions and the ``routecheck query`` command both
+call it. Client-facing renderings contain access-point aliases only,
+never switch or link identifiers.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .hspace import HeaderSpace, Ternary
 from .snapshots import Snapshot
@@ -40,10 +42,6 @@ class ReachEntry:
 @dataclass
 class ReachResult:
     entries: list[ReachEntry]
-    traversed: set[str] = field(default_factory=set)
-
-    def egress_aliases(self) -> list[str]:
-        return sorted(e.egress.alias for e in self.entries)
 
 
 @dataclass
@@ -163,8 +161,8 @@ def reachable_endpoints(topo: Topology, snap: Snapshot, from_ap: AccessPoint, sp
         raise ValueError(f"{from_ap.switch}:{from_ap.port} is not a registered access point")
     if space.is_empty():
         raise ValueError("reachability needs a non-empty header space")
-    entries, traversed = _propagate(topo, snap, from_ap, space)
-    return ReachResult(entries=list(entries), traversed=set(traversed))
+    entries, _ = _propagate(topo, snap, from_ap, space)
+    return ReachResult(entries=list(entries))
 
 
 def reachable_sources(topo: Topology, snap: Snapshot, to_ap: AccessPoint) -> list[tuple[AccessPoint, HeaderSpace]]:
@@ -251,13 +249,6 @@ def transfer_summary(topo: Topology, snap: Snapshot, client: str) -> TransferSum
 # -- client-facing text renderings ---------------------------------------
 
 
-def render_reach(result: ReachResult) -> str:
-    lines = []
-    for entry in result.entries:
-        lines.append(f"egress={entry.egress.alias} sent={entry.sent} arrives={entry.arriving}")
-    return "\n".join(lines)
-
-
 def render_isolation(client: str, request_alias: str, own: set[AccessPoint], foreign: set[AccessPoint]) -> str:
     own_s = ",".join(sorted(ap.alias for ap in own)) or "-"
     foreign_s = ",".join(sorted(ap.alias for ap in foreign)) or "-"
@@ -284,3 +275,34 @@ def render_summary(client: str, summary: TransferSummary) -> str:
     for ingress, egress, sent, arriving in summary.rows:
         lines.append(f"row ingress={ingress} egress={egress} sent={sent} arrives={arriving}")
     return "\n".join(lines)
+
+
+# -- the one query dispatcher ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class Answer:
+    body: str  # the client-facing text
+    candidates: tuple[AccessPoint, ...] = ()  # isolation: access points to challenge, by alias
+    foreign: tuple[str, ...] = ()  # isolation: sorted aliases of other clients' candidates
+    regions: frozenset[str] = frozenset()  # geo: regions on the client's routes
+
+
+def answer(topo: Topology, snap: Snapshot, kind: str, point: AccessPoint) -> Answer:
+    """Answer a query of one kind asked by ``point``'s client at ``point``."""
+    client = point.client
+    if kind == "isolation":
+        own, foreign = isolation_candidates(topo, snap, point, client)
+        return Answer(
+            render_isolation(client, point.alias, own, foreign),
+            candidates=tuple(sorted(own | foreign, key=lambda ap: ap.alias)),
+            foreign=tuple(sorted(ap.alias for ap in foreign)),
+        )
+    if kind == "sources":
+        return Answer(render_sources(client, point.alias, reachable_sources(topo, snap, point)))
+    if kind == "geo":
+        report = geo_exposure(topo, snap, client)
+        return Answer(render_geo(client, report), regions=frozenset(report.regions))
+    if kind == "summary":
+        return Answer(render_summary(client, transfer_summary(topo, snap, client)))
+    raise ValueError(f"unknown query kind {kind!r}")

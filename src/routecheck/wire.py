@@ -1,7 +1,8 @@
 """Byte layouts of the in-band protocol messages.
 
 Both ends of every exchange live in this repository and must agree
-bit-exactly; the layouts are fixed here.
+bit-exactly; the layouts are fixed here. A length-prefixed string holds at
+most ``MAX_STR`` (65,535) bytes.
 
 Outer frame (packet payload)::
 
@@ -53,6 +54,7 @@ KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
 
 NONCE_LEN = 16
 MAX_QUERY_PAYLOAD = 1024
+MAX_STR = 0xFFFF  # bytes in one length-prefixed string
 
 
 class WireError(ValueError):
@@ -61,8 +63,8 @@ class WireError(ValueError):
 
 def _pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise WireError("string too long")
+    if len(raw) > MAX_STR:
+        raise WireError(f"string of {len(raw)} bytes exceeds the {MAX_STR}-byte limit")
     return struct.pack(">H", len(raw)) + raw
 
 

@@ -11,6 +11,7 @@ import pytest
 from conftest import fixture_path
 from routecheck import wire
 from routecheck.cli import main
+from routecheck.scenario import QUERY_KINDS
 from routecheck.service import RunConfig, run_session
 
 
@@ -118,6 +119,34 @@ def test_flap_followed_by_many_versions_is_still_reported(tmp_path, capsys):
     assert code == 2, err
     assert f"sw=swB status=flapping first_seen=5 last_seen=7 polls=0 rule[{flap}]" in out
     assert "findings=1 " in out
+
+
+def test_oversized_report_becomes_a_signed_error_report(tmp_path, capsys):
+    """40 access points on one switch make a summary body far larger than a
+    report field holds; the run sends a signed error report and goes on."""
+    n = 40
+    topo = tmp_path / "wide.topo"
+    topo.write_text(f"headerwidth 16\nswitch sw ports {n}\n" + "".join(f"access sw:{p} client alice\n" for p in range(1, n + 1)))
+    scn = tmp_path / "wide.scn"
+    scn.write_text(
+        "".join(f"@0 flowmod add sw prio=10 match=xxxxxxxxxx{p:06b} action=fwd:{p}\n" for p in range(1, n + 1))
+        + "@5 query client=alice kind=summary\n@6 query client=alice kind=geo\nhorizon 20\n"
+    )
+    art = tmp_path / "art"
+    code, out, err = run_cli(capsys, "run", "--topology", str(topo), "--scenario", str(scn), "--out", str(art))
+    assert code == 0, err
+    assert "findings=0 reports=2 exit=0" in out
+    report = wire.parse_frame((art / "reports" / "000_alice_summary.bin").read_bytes()).report
+    lines = report.param("body").split("\n")
+    assert lines[:2] == ["kind=summary", "client=alice"] and len(lines) == 3
+    size = int(lines[2].split(" bytes")[0].rsplit(" ", 1)[1])
+    assert lines[2].startswith("error=") and size > 65535 and "65535" in lines[2]
+    assert (art / "reports" / "000_alice_summary.txt").read_text().startswith(report.param("body") + "\n")
+    assert (art / "client_reports.log").read_text().splitlines() == [
+        "t=5 client=alice kind=summary verified=ok requested=0 received=0",
+        "t=6 client=alice kind=geo verified=ok requested=0 received=0",
+    ]
+
 
 def test_malformed_topology_exits_one(capsys):
     code, _, err = run_cli(
@@ -249,25 +278,30 @@ def test_seed_env_var_overrides_flag(tmp_path, capsys, monkeypatch):
     assert (out1 / "reports").exists()
 
 
-def test_snapshot_dump_and_query_match_inband_body(tmp_path, capsys):
+@pytest.mark.parametrize(
+    ("topology", "scenario", "kind"),
+    [("benign.topo", "benign.scn", kind) for kind in QUERY_KINDS] + [("joinattack.topo", "joinattack.scn", "isolation")],
+)
+def test_snapshot_dump_and_query_match_inband_body(tmp_path, capsys, topology, scenario, kind):
+    """The last in-band report of a kind equals ``routecheck query`` on the
+    final snapshot. benign.scn's tables stop changing at tick 0; joinattack.scn's
+    second isolation query runs on the post-attack snapshot, the final one."""
     art = tmp_path / "art"
     config = RunConfig(
-        topology_path=fixture_path("joinattack.topo"),
-        scenario_path=fixture_path("joinattack.scn"),
+        topology_path=fixture_path(topology),
+        scenario_path=fixture_path(scenario),
         seed=4,
         out_dir=str(art),
     )
     result = run_session(config)
-    # the second isolation report was computed on the post-attack snapshot,
-    # which is also the final one
-    frames = [f for (_, _, kind, f, _) in result.controller.reports_sent if kind == "isolation"]
+    frames = [f for (_, _, k, f, _) in result.controller.reports_sent if k == kind]
     inband_body = wire.parse_frame(frames[-1]).report.param("body")
 
     code, out, _ = run_cli(
         capsys,
         "snapshot", "dump",
-        "--topology", fixture_path("joinattack.topo"),
-        "--scenario", fixture_path("joinattack.scn"),
+        "--topology", fixture_path(topology),
+        "--scenario", fixture_path(scenario),
         "--seed", "4",
         "--out", str(tmp_path / "dump.txt"),
     )
@@ -277,9 +311,9 @@ def test_snapshot_dump_and_query_match_inband_body(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
         "query",
-        "--topology", fixture_path("joinattack.topo"),
+        "--topology", fixture_path(topology),
         "--snapshot", str(tmp_path / "dump.txt"),
-        "--kind", "isolation",
+        "--kind", kind,
         "--client", "alice",
     )
     assert code == 0

@@ -34,9 +34,9 @@ def rule(prio, match, action):
     return FlowRule(prio, Ternary.parse(match), Action.parse(action))
 
 
-def fresh():
+def fresh(**service_args):
     topo = load_topology(DOC)
-    return topo, Network(topo), SnapshotService(topo)
+    return topo, Network(topo), SnapshotService(topo, **service_args)
 
 
 def test_ingest_add_builds_table():
@@ -47,7 +47,6 @@ def test_ingest_add_builds_table():
     snap = svc.current()
     assert snap.version == v
     assert snap.tables["swA"] == (r,)
-    assert snap.provenance["swA"].kind == "passive"
 
 
 def test_ingest_seq_gap_raises():
@@ -98,7 +97,7 @@ def test_version_monotone_under_interleaving():
 
 def test_reach_memo_shared_only_while_tables_are_unchanged():
     topo, net, svc = fresh()
-    alice = topo.ap_by_alias("alice:ap1")
+    alice = next(ap for ap in topo.access_points if ap.alias == "alice:ap1")
 
     def filled_memo():
         snap = svc.current()
@@ -160,7 +159,6 @@ def test_poll_agreeing_with_passive_view_has_no_finding():
     svc.ingest_event(ev)
     svc.active_poll("swA", net)
     assert svc.poll_findings == []
-    assert svc.current().provenance["swA"].kind == "polled"
 
 
 def test_poll_equals_simulator_truth():
@@ -189,16 +187,16 @@ def test_poll_discrepancy_raises_findings_and_corrects_view():
 
 
 def test_static_tables_yield_no_transients():
-    topo, net, svc = fresh()
+    topo, net, svc = fresh(window=100)
     for i in range(3):
         net.apply_flow_mod("swA", "add", rule(i, "xxxx", "drop"))
     for ev in net.events:
         svc.ingest_event(ev)
-    assert svc.detect_transients(window=100) == []
+    assert svc.detect_transients() == []
 
 
 def test_add_then_remove_is_reported():
-    topo, net, svc = fresh()
+    topo, net, svc = fresh(window=10)
     r = rule(5, "1xxx", "drop")
     net.tick = 1
     e1 = net.apply_flow_mod("swA", "add", r)
@@ -206,7 +204,7 @@ def test_add_then_remove_is_reported():
     e2 = net.apply_flow_mod("swA", "remove", r)
     svc.ingest_event(e1)
     svc.ingest_event(e2)
-    findings = svc.detect_transients(window=10)
+    findings = svc.detect_transients()
     assert len(findings) == 1
     f = findings[0]
     assert f.status in ("vanished", "flapping")
@@ -215,10 +213,10 @@ def test_add_then_remove_is_reported():
 
 
 def test_rule_that_appears_and_stays_is_not_a_finding():
-    topo, net, svc = fresh()
+    topo, net, svc = fresh(window=10)
     net.tick = 1
     svc.ingest_event(net.apply_flow_mod("swA", "add", rule(5, "1xxx", "drop")))
-    assert svc.detect_transients(window=10) == []
+    assert svc.detect_transients() == []
 
 
 def test_duty_cycle_scenario_matches_tick_truth():
@@ -283,10 +281,10 @@ def test_many_polls_observe_duty_cycle_fraction():
 
     topo = load_topology(DOC)
     net = Network(topo)
-    svc = SnapshotService(topo, window=4000)
     r = rule(5, "1xxx", "drop")
     spec = TransientSpec(tick=0, switch="swA", rule=r, duty=0.3, period=10)
     polls = schedule_polls("duty-obs", 0.05, 100000)[:100]
+    svc = SnapshotService(topo, window=polls[-1] + 1)
     pattern = transient_pattern(spec, polls[-1], random.Random("duty-obs:pat"))
     installed = False
     poll_set = set(polls)
@@ -300,24 +298,27 @@ def test_many_polls_observe_duty_cycle_fraction():
             installed = False
         if t in poll_set:
             svc.active_poll("swA", net)
-    findings = [f for f in svc.detect_transients(window=polls[-1] + 1) if f.rule == r]
+    findings = [f for f in svc.detect_transients() if f.rule == r]
     assert len(findings) == 1
     assert findings[0].status == "flapping"
     assert 15 <= findings[0].present_in <= 45  # ~30 of 100 polls
 
 
 def test_rule_present_when_the_window_opens_is_first_seen_at_window_start():
-    topo, net, svc = fresh()
-    r = rule(5, "1xxx", "drop")
-    svc.ingest_event(net.apply_flow_mod("swA", "add", r))
-    for tick, op in ((20, "remove"), (25, "add")):
-        net.tick = tick
-        svc.ingest_event(net.apply_flow_mod("swA", op, r))
-    net.tick = 30
-    svc.active_poll("swA", net)
-    [f] = svc.detect_transients(window=20)
+    def transients(window):
+        topo, net, svc = fresh(window=window)
+        r = rule(5, "1xxx", "drop")
+        svc.ingest_event(net.apply_flow_mod("swA", "add", r))
+        for tick, op in ((20, "remove"), (25, "add")):
+            net.tick = tick
+            svc.ingest_event(net.apply_flow_mod("swA", op, r))
+        net.tick = 30
+        svc.active_poll("swA", net)
+        return svc.detect_transients()
+
+    [f] = transients(20)
     assert (f.status, f.first_seen, f.last_seen, f.present_in) == ("flapping", 10, 30, 1)
-    [f] = svc.detect_transients(window=100)
+    [f] = transients(100)
     assert (f.status, f.first_seen, f.last_seen) == ("flapping", 0, 30)
 
 

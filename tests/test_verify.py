@@ -42,8 +42,7 @@ def line_net():
 
 
 def ap_of(topo, alias):
-    ap = topo.ap_by_alias(alias)
-    assert ap is not None
+    [ap] = [ap for ap in topo.access_points if ap.alias == alias]
     return ap
 
 
@@ -59,7 +58,7 @@ def test_single_rule_line_reaches_peer_with_full_space():
     net.apply_flow_mod("swB", "add", rule(5, "xxxx", "fwd:2"))
     s0 = HeaderSpace.full(4)
     result = reachable_endpoints(topo, snapshot_of(net), ap_of(topo, "alice:ap1"), s0)
-    assert result.egress_aliases() == ["bob:ap1"]
+    assert [e.egress.alias for e in result.entries] == ["bob:ap1"]
     entry = result.entries[0]
     assert entry.arriving.denote() == s0.denote()
     assert entry.sent.denote() == s0.denote()
@@ -77,7 +76,7 @@ def test_rewrite_reports_sent_space_not_arriving():
     net.apply_flow_mod("swA", "add", rule(5, "0xxx", "rewrite:1000/1xxx:1"))
     net.apply_flow_mod("swB", "add", rule(5, "1xxx", "fwd:2"))
     result = reachable_endpoints(topo, snapshot_of(net), ap_of(topo, "alice:ap1"), HeaderSpace.full(4))
-    assert result.egress_aliases() == ["bob:ap1"]
+    assert [e.egress.alias for e in result.entries] == ["bob:ap1"]
     entry = result.entries[0]
     assert entry.sent.denote() == HeaderSpace.of("0xxx").denote()
     assert entry.arriving.denote() == HeaderSpace.of("1xxx").denote()
@@ -444,7 +443,7 @@ def test_service_snapshots_answer_like_fresh_snapshots():
                 svc.poll_all(net)
             if rng.random() < 0.5:
                 snap = svc.current()
-                cold = Snapshot(snap.version, snap.tick, dict(snap.tables), snap.provenance)
+                cold = Snapshot(snap.version, snap.tick, dict(snap.tables))
                 assert _all_answers(topo, snap) == _all_answers(topo, cold)
                 queried += 1
     assert queried > 20
