@@ -2,7 +2,9 @@
 
 Subcommands: run, query, snapshot dump, oracle, scenario check. Exit
 codes: 0 clean, 1 config/usage errors, 2 security findings (run) or
-oracle mismatches.
+oracle mismatches, 141 (128 + SIGPIPE, the status a shell gives a
+process killed by a closed pipe) when the reader of stdout went away, as
+in ``routecheck query ... | head -1``; that exit prints nothing to stderr.
 """
 
 from __future__ import annotations
@@ -157,23 +159,32 @@ def cmd_scenario(args) -> int:
     return 0
 
 
+COMMANDS = {
+    "run": cmd_run,
+    "query": cmd_query,
+    "snapshot": cmd_snapshot,
+    "oracle": cmd_oracle,
+    "scenario": cmd_scenario,
+}
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "query":
-            return cmd_query(args)
-        if args.command == "snapshot":
-            return cmd_snapshot(args)
-        if args.command == "oracle":
-            return cmd_oracle(args)
-        if args.command == "scenario":
-            return cmd_scenario(args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered to the null device
+        # so the flush at exit stays quiet too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (TopologyError, ScenarioError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

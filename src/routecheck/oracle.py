@@ -196,6 +196,12 @@ def traversal_oracle(topo: Topology, snap: Snapshot):
 
 
 def mutate_snapshot(snap: Snapshot, mutation: str) -> Snapshot:
+    """A copy of `snap` with one analysis bug planted in its rule tuples.
+
+    The engine trusts snapshot tuple order as lookup order, so
+    ``ignore-priority`` (each tuple reversed) makes it match rules lowest
+    priority first.
+    """
     if mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}; choose from {', '.join(MUTATIONS)}")
     tables = {}

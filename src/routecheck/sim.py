@@ -97,7 +97,7 @@ class Network:
 
     def __init__(self, topo: Topology, hop_limit: int | None = None):
         self.topo = topo
-        self.tables: dict[str, FlowTable] = {sw: FlowTable(sw) for sw in topo.switch_ports}
+        self.tables: dict[str, FlowTable] = {sw: FlowTable() for sw in topo.switch_ports}
         self.hop_limit = hop_limit if hop_limit is not None else HOP_LIMIT_FACTOR * len(topo.switch_ports)
         self.tick = 0
         self.events: list[SwitchEvent] = []
@@ -121,12 +121,9 @@ class Network:
         for p in rule.action.ports:
             if p not in self.topo.switch_ports[switch]:
                 raise ValueError(f"switch {switch} has no port {p}")
-        noop = False
-        if op == "add":
-            self.tables[switch].add(rule)
-        else:
-            noop = not self.tables[switch].remove(rule)
-        return self._emit(switch, kind="flowmod", op=op, rule=rule, noop=noop)
+        old = self.tables[switch]
+        new = self.tables[switch] = old.add(rule) if op == "add" else old.remove(rule)
+        return self._emit(switch, kind="flowmod", op=op, rule=rule, noop=new is old)
 
     def forward(self, packet: Packet, at: tuple[str, str]) -> list[TracePath]:
         """Predict where a packet injected at an access point goes (no side effects)."""

@@ -10,14 +10,17 @@ rule or removes the last one, or by a poll that corrects the view; the
 log and the poll results are kept for a tick window, so a short-lived
 rule is detected and attributed however many versions came after it.
 
-Each snapshot carries ``reach``, the memo in which ``verify`` keeps the
-flow tables and propagation results it derives from that snapshot. A new
-snapshot whose per-switch rule tuples are all the very same objects as
-its predecessor's (``FlowTable.rules`` returns one tuple until the table
-changes) shares the predecessor's memo: a poll that confirms the view or
-a packet-in leaves the content unchanged. A flowmod that changes a table,
-or a poll that corrects the view, gives the new snapshot a fresh memo.
-Snapshots built outside the service start with an empty memo.
+The view holds one immutable ``FlowTable`` per switch, and a change
+rebinds it to a new table. Each snapshot carries ``reach``, the memo in
+which ``verify`` keeps the propagation results it derives from that
+snapshot. A new snapshot whose per-switch rule tuples are all the very
+same objects as its predecessor's (an unchanged table is the same value,
+so its ``rules`` is the same tuple) shares the predecessor's memo: a poll
+that confirms the view, a removal of an absent rule or a packet-in
+leaves the content unchanged. A flowmod that changes a table, or a poll
+that corrects the view by adopting the polled table, gives the new
+snapshot a fresh memo. Snapshots built outside the service start with an
+empty memo.
 """
 
 from __future__ import annotations
@@ -47,10 +50,17 @@ class GapDetected(Exception):
 
 @dataclass(frozen=True)
 class Snapshot:
+    """One view version: per-switch rule tuples, each in lookup order.
+
+    ``verify`` trusts that order (descending priority, earlier insertion
+    first among equals) and does not re-sort a tuple.
+    """
+
     version: int
     tick: int
     tables: dict[str, tuple[FlowRule, ...]]
-    reach: dict = field(default_factory=dict, compare=False, repr=False)  # verify's memo
+    # verify's memo: (access point, header space) -> propagation result
+    reach: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -102,7 +112,7 @@ class SnapshotService:
     def __init__(self, topo: Topology, window: int = DEFAULT_WINDOW):
         self.topo = topo
         self.window = window
-        self._tables: dict[str, FlowTable] = {sw: FlowTable(sw) for sw in topo.switch_ports}
+        self._tables: dict[str, FlowTable] = {sw: FlowTable() for sw in topo.switch_ports}
         self._copies: dict[str, Counter[FlowRule]] = {sw: Counter() for sw in topo.switch_ports}
         self._last_seq: dict[str, int] = {sw: 0 for sw in topo.switch_ports}
         self._version = 0
@@ -154,13 +164,14 @@ class SnapshotService:
         self._last_seq[sw] = event.seq
         self._tick = max(self._tick, event.tick)
         if event.kind == "flowmod":
-            rule, copies = event.rule, self._copies[sw]
+            rule, copies, old = event.rule, self._copies[sw], self._tables[sw]
             if event.op == "add":
-                self._tables[sw].add(rule)
+                self._tables[sw] = old.add(rule)
                 copies[rule] += 1
                 if copies[rule] == 1:
                     self._record(sw, rule, True)
-            elif not event.noop and self._tables[sw].remove(rule):
+            elif not event.noop and (new := old.remove(rule)) is not old:
+                self._tables[sw] = new
                 copies[rule] -= 1
                 if not copies[rule]:
                     del copies[rule]
@@ -183,7 +194,8 @@ class SnapshotService:
         """
         if switch not in self._tables:
             raise ValueError(f"unknown switch {switch}")
-        truth = net.tables[switch].rules
+        polled = net.tables[switch]
+        truth = polled.rules
         tick = net.tick
         self._tick = max(self._tick, tick)
         passive = self._tables[switch].rules
@@ -197,10 +209,7 @@ class SnapshotService:
                 self._record(switch, rule, True)
             for rule in dict.fromkeys(vanished):
                 self._record(switch, rule, False)
-            table = FlowTable(switch)
-            for rule in truth:
-                table.add(rule)
-            self._tables[switch] = table
+            self._tables[switch] = polled
             self._copies[switch] = Counter(truth)
         self.polls.append(PollRecord(tick, switch, truth))
         while self.polls and self.polls[0].tick < self._tick - self.window:
@@ -275,7 +284,7 @@ def parse_snapshot_dump(text: str, topo: Topology) -> Snapshot:
 
     version = 0
     tick = 0
-    tables: dict[str, FlowTable] = {sw: FlowTable(sw) for sw in topo.switch_ports}
+    tables: dict[str, FlowTable] = {sw: FlowTable() for sw in topo.switch_ports}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -289,7 +298,7 @@ def parse_snapshot_dump(text: str, topo: Topology) -> Snapshot:
             op, switch, rule = _parse_flowmod(toks[1:], topo, lineno)
             if op != "add":
                 raise ValueError(f"line {lineno}: snapshot dumps contain only add lines")
-            tables[switch].add(rule)
+            tables[switch] = tables[switch].add(rule)
         else:
             raise ValueError(f"line {lineno}: unexpected snapshot line {line!r}")
     return Snapshot(version=version, tick=tick, tables={sw: t.rules for sw, t in tables.items()})

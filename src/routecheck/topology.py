@@ -117,47 +117,33 @@ class FlowRule:
         return f"prio={self.priority} match={self.match} action={self.action}"
 
 
+@dataclass(frozen=True)
 class FlowTable:
-    """Prioritized match-action rules of one switch.
+    """Prioritized match-action rules of one switch, as an immutable value.
 
-    Rules are kept in lookup order: descending priority, insertion order
-    breaking ties (earlier wins).
+    ``rules`` is in lookup order: descending priority, insertion order
+    breaking ties (earlier wins). The constructor trusts the order it is
+    given; ``add`` and ``remove`` return new tables and leave this one as
+    it is.
     """
 
-    def __init__(self, owner: str):
-        self.owner = owner
-        self._rules: list[FlowRule] = []
-        self._order: list[tuple[int, int]] = []  # (-priority, insertion seq)
-        self._next_seq = 0
-        self._frozen: tuple[FlowRule, ...] | None = None  # `rules`, until the next change
+    rules: tuple[FlowRule, ...] = ()
 
-    def add(self, rule: FlowRule) -> None:
-        key = (-rule.priority, self._next_seq)
-        self._next_seq += 1
-        idx = bisect.bisect_left(self._order, key)
-        self._order.insert(idx, key)
-        self._rules.insert(idx, rule)
-        self._frozen = None
+    def add(self, rule: FlowRule) -> "FlowTable":
+        """A table with `rule` after every rule of equal or higher priority."""
+        i = bisect.bisect_right(self.rules, -rule.priority, key=lambda r: -r.priority)
+        return FlowTable(self.rules[:i] + (rule,) + self.rules[i:])
 
-    def remove(self, rule: FlowRule) -> bool:
-        """Remove the first stored rule equal to `rule`; False when absent."""
-        for i, r in enumerate(self._rules):
-            if r == rule:
-                del self._rules[i]
-                del self._order[i]
-                self._frozen = None
-                return True
-        return False
-
-    @property
-    def rules(self) -> tuple[FlowRule, ...]:
-        """The rules in lookup order: the same tuple object until the table changes."""
-        if self._frozen is None:
-            self._frozen = tuple(self._rules)
-        return self._frozen
+    def remove(self, rule: FlowRule) -> "FlowTable":
+        """A table without the first rule equal to `rule`; this very table when absent."""
+        try:
+            i = self.rules.index(rule)
+        except ValueError:
+            return self
+        return FlowTable(self.rules[:i] + self.rules[i + 1:])
 
     def match_header(self, header: int) -> FlowRule | None:
-        for r in self._rules:
+        for r in self.rules:
             if r.match.matches(header):
                 return r
         return None
@@ -172,7 +158,7 @@ class FlowTable:
         """
         out: list[tuple[FlowRule | None, HeaderSpace]] = []
         residual = space
-        for rule in self._rules:
+        for rule in self.rules:
             if residual.is_empty():
                 break
             match_space = HeaderSpace(space.width, [rule.match])

@@ -7,11 +7,12 @@ header space as currently carried alongside the space as originally sent,
 so results are reported in terms of what the client transmits even when
 rules rewrite headers along the way.
 
-Propagation results are memoised in ``Snapshot.reach``, keyed by
-(access point, header space), next to the snapshot's flow tables, which
-are built once per memo. Results are stored as immutable values (tuples,
-frozensets, frozen entries), so no caller can alter another query's
-answer. The snapshot service hands one memo to consecutive snapshots whose rule
+Propagation reads each snapshot rule tuple as a ``FlowTable`` value,
+in the order the tuple gives: the engine trusts that it is lookup order.
+Results are memoised in ``Snapshot.reach``, keyed by (access point,
+header space), and stored as immutable values (tuples, frozensets,
+frozen entries), so no caller can alter another query's answer. The
+snapshot service hands one memo to consecutive snapshots whose rule
 tuples are the very same objects (see ``snapshots``), so a query against
 an unchanged network reuses the reach computed for an earlier version;
 any table change starts a fresh memo.
@@ -55,22 +56,6 @@ class TransferSummary:
     rows: list[tuple[str, str, HeaderSpace, HeaderSpace]]  # (ingress alias, egress alias, input, output)
 
 
-_TABLES = "tables"  # memo key of the snapshot's FlowTables
-
-
-def _tables_for(snap: Snapshot, topo: Topology) -> dict[str, FlowTable]:
-    out = snap.reach.get(_TABLES)
-    if out is None:
-        out = {}
-        for sw in topo.switch_ports:
-            t = FlowTable(sw)
-            for rule in snap.tables.get(sw, ()):
-                t.add(rule)
-            out[sw] = t
-        snap.reach[_TABLES] = out
-    return out
-
-
 def _propagate(
     topo: Topology, snap: Snapshot, start: AccessPoint, space: HeaderSpace
 ) -> tuple[tuple[ReachEntry, ...], frozenset[str]]:
@@ -88,7 +73,7 @@ def _propagate(
         return snap.reach[key]
     width = topo.width
     full_mask = (1 << width) - 1
-    tables = _tables_for(snap, topo)
+    tables = {sw: FlowTable(snap.tables.get(sw, ())) for sw in topo.switch_ports}
 
     by_egress: dict[AccessPoint, tuple[list[Ternary], list[Ternary]]] = {}
     traversed: set[str] = set()

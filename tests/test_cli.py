@@ -320,6 +320,36 @@ def test_snapshot_dump_and_query_match_inband_body(tmp_path, capsys, topology, s
     assert out.rstrip("\n") == inband_body
 
 
+def test_query_into_a_closed_pipe_exits_quietly(tmp_path):
+    """A reader that went away (``routecheck query ... | head -1``) is not a
+    configuration error: nothing on stderr, and exit 128 + SIGPIPE."""
+    dump = tmp_path / "dump.txt"
+    dump.write_text("version=1 tick=0\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes a byte
+    try:
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "routecheck.cli",
+                "query",
+                "--topology", fixture_path("benign.topo"),
+                "--snapshot", str(dump),
+                "--kind", "summary",
+                "--client", "alice",
+            ],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
+
+
 def test_query_sources_consistent_with_isolation(tmp_path, capsys):
     dump = tmp_path / "dump.txt"
     run_cli(

@@ -9,8 +9,10 @@ from routecheck.oracle import (
     random_network,
     run_cases,
 )
+from routecheck.hspace import Ternary
+from routecheck.sim import Network
 from routecheck.snapshots import snapshot_of
-from routecheck.topology import classify_ports
+from routecheck.topology import Action, FlowRule, classify_ports, load_topology
 
 
 def test_generator_produces_valid_desk_scale_nets():
@@ -41,6 +43,19 @@ def test_each_mutation_is_caught(mutation):
     """Every deliberate analysis bug must produce at least one mismatch."""
     cases = run_cases(count=15, seed=31, width=6, max_switches=5, max_rules=10, mutation=mutation)
     assert any(not c.ok for c in cases), f"mutation {mutation} went unnoticed"
+
+
+def test_ignore_priority_is_caught_without_priority_ties():
+    """Reversing a tie-free table must change the engine's answer: the engine
+    reads snapshot tuples in the order given and must not re-sort them."""
+    topo = load_topology(
+        "headerwidth 2\nswitch swA ports 2\naccess swA:1 client alice\naccess swA:2 client bob\n"
+    )
+    net = Network(topo)
+    net.apply_flow_mod("swA", "add", FlowRule(9, Ternary.parse("1x"), Action.parse("drop")))
+    net.apply_flow_mod("swA", "add", FlowRule(1, Ternary.parse("xx"), Action.parse("fwd:2")))
+    assert check_case(topo, net) == []
+    assert check_case(topo, net, mutation="ignore-priority")
 
 
 def test_mutation_rejects_unknown_name():

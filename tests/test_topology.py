@@ -145,8 +145,8 @@ def rule(prio, match, action):
 
 
 def test_lookup_single_rule_covers_space():
-    t = FlowTable("swA")
-    t.add(rule(5, "xx", "fwd:1"))
+    t = FlowTable()
+    t = t.add(rule(5, "xx", "fwd:1"))
     pairs = t.lookup(HeaderSpace.full(2))
     assert len(pairs) == 1
     got_rule, space = pairs[0]
@@ -155,9 +155,9 @@ def test_lookup_single_rule_covers_space():
 
 
 def test_lookup_priority_shadowing():
-    t = FlowTable("swA")
-    t.add(rule(9, "1x", "drop"))
-    t.add(rule(1, "xx", "fwd:1"))
+    t = FlowTable()
+    t = t.add(rule(9, "1x", "drop"))
+    t = t.add(rule(1, "xx", "fwd:1"))
     pairs = t.lookup(HeaderSpace.full(2))
     assert [p[0].action.kind for p in pairs] == ["drop", "fwd"]
     assert pairs[0][1].denote() == frozenset({0b10, 0b11})
@@ -165,30 +165,71 @@ def test_lookup_priority_shadowing():
 
 
 def test_lookup_reports_residual_as_implicit_drop():
-    t = FlowTable("swA")
-    t.add(rule(5, "11", "fwd:1"))
+    t = FlowTable()
+    t = t.add(rule(5, "11", "fwd:1"))
     pairs = t.lookup(HeaderSpace.full(2))
     assert pairs[-1][0] is None
     assert pairs[-1][1].denote() == frozenset({0b00, 0b01, 0b10})
 
 
 def test_lookup_tie_break_is_insertion_order():
-    t = FlowTable("swA")
+    t = FlowTable()
     first = rule(5, "xx", "fwd:1")
     second = rule(5, "xx", "drop")
-    t.add(first)
-    t.add(second)
+    t = t.add(first)
+    t = t.add(second)
     assert t.rules[0] == first
     assert t.match_header(0) == first
 
 
 def test_remove_matches_rule_identity():
-    t = FlowTable("swA")
+    t = FlowTable()
     r = rule(5, "1x", "fwd:1")
-    t.add(r)
-    assert t.remove(rule(5, "1x", "fwd:1")) is True
+    t = t.add(r)
+    t = t.remove(rule(5, "1x", "fwd:1"))
     assert t.rules == ()
-    assert t.remove(r) is False
+    assert t.remove(r) is t
+
+
+def test_add_and_remove_leave_the_original_table_unchanged():
+    r = rule(5, "1x", "fwd:1")
+    empty = FlowTable()
+    one = empty.add(r)
+    assert empty.rules == () and one.rules == (r,)
+    two = one.add(rule(5, "x1", "drop"))
+    assert one.rules == (r,) and len(two.rules) == 2
+    assert two.remove(r).rules == (rule(5, "x1", "drop"),)
+    assert two.rules[0] == r and len(two.rules) == 2
+
+
+def test_remove_of_an_absent_rule_returns_the_same_table():
+    t = FlowTable().add(rule(5, "1x", "fwd:1"))
+    assert t.remove(rule(4, "1x", "fwd:1")) is t
+    assert FlowTable().remove(rule(5, "1x", "fwd:1")).rules == ()
+
+
+def test_add_remove_sequences_match_a_stable_sort_reference():
+    """Lookup order equals the inserted rules stably sorted by descending
+    priority, over sequences with duplicate rules and priority ties."""
+    rng = random.Random(23)
+    pool = [rule(p, m, a) for p in (1, 2, 3) for m in ("1x", "x0") for a in ("fwd:1", "drop")]
+    for _ in range(200):
+        t = FlowTable()
+        inserted = []  # still-present rules in insertion order
+        for _ in range(rng.randint(1, 25)):
+            r = rng.choice(pool)
+            if rng.random() < 0.6:
+                t = t.add(r)
+                inserted.append(r)
+            else:
+                before = t
+                t = t.remove(r)
+                if r in inserted:
+                    inserted.remove(r)
+                    assert t is not before
+                else:
+                    assert t is before
+            assert t.rules == tuple(sorted(inserted, key=lambda x: -x.priority))
 
 
 def test_lookup_winner_matches_enumeration():
@@ -196,13 +237,13 @@ def test_lookup_winner_matches_enumeration():
     rng = random.Random(11)
     width = 8
     for _ in range(30):
-        t = FlowTable("swA")
+        t = FlowTable()
         rules = []
         for _ in range(rng.randint(1, 10)):
             care = rng.getrandbits(width)
             value = rng.getrandbits(width)
             r = FlowRule(rng.randint(0, 5), Ternary(width, care, value), Action.parse("fwd:1"))
-            t.add(r)
+            t = t.add(r)
             rules.append(r)
         pairs = t.lookup(HeaderSpace.full(width))
         winner_by_header = {}
@@ -218,9 +259,9 @@ def test_lookup_winner_matches_enumeration():
 
 
 def test_lookup_deterministic():
-    t = FlowTable("swA")
-    t.add(rule(3, "1x", "fwd:1"))
-    t.add(rule(3, "x1", "drop"))
+    t = FlowTable()
+    t = t.add(rule(3, "1x", "fwd:1"))
+    t = t.add(rule(3, "x1", "drop"))
     a = t.lookup(HeaderSpace.full(2))
     b = t.lookup(HeaderSpace.full(2))
     assert a == b

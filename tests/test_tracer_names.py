@@ -43,4 +43,5 @@ def test_tracer_wraps_every_target_and_restores_them():
     calls = {name: calls for name, (calls, _) in tracer.self_times()[0].items()}
     assert calls["verify.reachable_sources"] == 1
     assert calls["verify.reachable_endpoints"] == len(topo.access_points) - 1
+    assert calls["topology.lookup"] > 0
     assert {name: getattr(verify, name) for name in originals} == originals
