@@ -50,6 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--snapshot", required=True, help="snapshot dump path")
     p_query.add_argument("--kind", required=True, choices=QUERY_KINDS)
     p_query.add_argument("--client", required=True)
+    p_query.add_argument("--at", default=None, metavar="SWITCH:PORT",
+                         help="the client's access point to answer at (default: its first)")
     p_query.add_argument("--width", type=int, default=None)
 
     p_snap = sub.add_parser("snapshot", help="snapshot tooling")
@@ -109,7 +111,13 @@ def cmd_query(args) -> int:
     aps = topo.client_aps(args.client)
     if not aps:
         raise TopologyError(f"unknown client {args.client!r}")
-    print(verify.answer(topo, snap, args.kind, aps[0]).body)
+    point = aps[0]
+    if args.at is not None:
+        switch, _, port = args.at.partition(":")
+        point = topo.access_point_at(switch, port)
+        if point is None or point.client != args.client:
+            raise TopologyError(f"{args.at} is not an access point of {args.client}")
+    print(verify.answer(topo, snap, args.kind, point).body)
     return 0
 
 

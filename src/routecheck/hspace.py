@@ -73,11 +73,6 @@ class Ternary:
             return None
         return Ternary(self.width, self.care | other.care, self.value | other.value)
 
-    def subsumes(self, other: "Ternary") -> bool:
-        """True when every header matching `other` also matches self."""
-        _same_width(self, other)
-        return (other.care & self.care) == self.care and (other.value & self.care) == self.value
-
     def minus(self, other: "Ternary") -> "list[Ternary]":
         """Set difference self - other as a list of disjoint-from-other terms.
 
@@ -293,14 +288,46 @@ class HeaderSpace:
         return HeaderSpace(self.width, terms).compact()
 
     def compact(self) -> "HeaderSpace":
-        """Drop terms subsumed by another term; denotation is unchanged."""
-        kept: list[Ternary] = []
-        for t in self.terms:
-            if any(k.subsumes(t) for k in kept):
-                continue
-            kept = [k for k in kept if not t.subsumes(k)]
-            kept.append(t)
-        return HeaderSpace(self.width, kept)
+        """The terms that no other term strictly subsumes, in first-occurrence order.
+
+        Denotation is unchanged. Term k subsumes t when t fixes every
+        position that k fixes, to the same value. Instead of comparing
+        every pair, an index maps each fixed position to two masks over
+        term indices, the terms fixing it to 0 and those fixing it to 1;
+        the terms that k subsumes are the AND of the masks at k's fixed
+        positions, and a term is dropped when some other term's AND holds
+        it.
+        """
+        terms = self.terms
+        n = len(terms)
+        if n < 2:
+            return self
+        zeros: dict[int, int] = {}  # position bit -> terms fixing it to 0
+        ones: dict[int, int] = {}  # position bit -> terms fixing it to 1
+        fixed_at: list[list[tuple[dict[int, int], int]]] = []  # per term: (zeros or ones, position) it fixes
+        for j, t in enumerate(terms):
+            index_bit = 1 << j
+            care, value = t.care, t.value
+            keys = []
+            while care:
+                pos = care & -care
+                care ^= pos
+                fixed = ones if value & pos else zeros
+                fixed[pos] = fixed.get(pos, 0) | index_bit
+                keys.append((fixed, pos))
+            fixed_at.append(keys)
+        everyone = (1 << n) - 1
+        dropped = 0
+        for j, keys in enumerate(fixed_at):
+            subsumed = everyone ^ (1 << j)
+            for fixed, pos in keys:
+                subsumed &= fixed[pos]
+                if not subsumed:
+                    break
+            dropped |= subsumed
+        if not dropped:
+            return self
+        return HeaderSpace(self.width, [t for j, t in enumerate(terms) if not dropped >> j & 1])
 
     def denote(self) -> frozenset[int]:
         """The concrete header set; only sensible at small widths."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .hspace import HeaderSpace, Rewrite, Ternary
 from .sim import Network
 from .snapshots import Snapshot, snapshot_of
-from .topology import AccessPoint, Action, FlowRule, Topology, load_topology
+from .topology import AccessPoint, Action, FlowRule, FlowTable, Topology, load_topology
 from .verify import reachable_endpoints
 
 MUTATIONS = ("ignore-priority", "ignore-rewrite", "drop-top-rule")
@@ -150,7 +150,7 @@ def _state_walk(topo: Topology, snap: Snapshot):
     plain integer matching plus graph search, with cycles handled by the
     visited set.
     """
-    tables = {sw: snap.tables.get(sw, ()) for sw in topo.switch_ports}
+    tables = {sw: snap.tables[sw].rules for sw in topo.switch_ports}
 
     def walk(ap: AccessPoint, header: int) -> tuple[frozenset[str], frozenset[str]]:
         egress: set[str] = set()
@@ -196,18 +196,19 @@ def traversal_oracle(topo: Topology, snap: Snapshot):
 
 
 def mutate_snapshot(snap: Snapshot, mutation: str) -> Snapshot:
-    """A copy of `snap` with one analysis bug planted in its rule tuples.
+    """A copy of `snap` with one analysis bug planted in its flow tables.
 
-    The engine trusts snapshot tuple order as lookup order, so
-    ``ignore-priority`` (each tuple reversed) makes it match rules lowest
-    priority first.
+    The engine trusts a table's rule order as lookup order, so
+    ``ignore-priority`` (each table's rules reversed) makes it match rules
+    lowest priority first.
     """
     if mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}; choose from {', '.join(MUTATIONS)}")
     tables = {}
-    for sw, rules in snap.tables.items():
+    for sw, table in snap.tables.items():
+        rules = table.rules
         if mutation == "ignore-priority":
-            tables[sw] = tuple(reversed(rules))
+            tables[sw] = FlowTable(tuple(reversed(rules)))
         elif mutation == "ignore-rewrite":
             fixed = []
             for r in rules:
@@ -215,9 +216,9 @@ def mutate_snapshot(snap: Snapshot, mutation: str) -> Snapshot:
                     fixed.append(FlowRule(r.priority, r.match, Action("fwd", r.action.ports)))
                 else:
                     fixed.append(r)
-            tables[sw] = tuple(fixed)
+            tables[sw] = FlowTable(tuple(fixed))
         else:  # drop-top-rule
-            tables[sw] = rules[1:] if rules else rules
+            tables[sw] = FlowTable(rules[1:])
     return Snapshot(version=snap.version, tick=snap.tick, tables=tables)
 
 

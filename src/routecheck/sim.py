@@ -156,8 +156,8 @@ class Network:
             self._run_live(packet, peer[0], peer[1])
         return self.deliveries[n_before:]
 
-    def snapshot_tables(self) -> dict[str, tuple[FlowRule, ...]]:
-        return {sw: t.rules for sw, t in self.tables.items()}
+    def snapshot_tables(self) -> dict[str, FlowTable]:
+        return dict(self.tables)
 
     # -- packet walk ---------------------------------------------------
 

@@ -11,16 +11,22 @@ log and the poll results are kept for a tick window, so a short-lived
 rule is detected and attributed however many versions came after it.
 
 The view holds one immutable ``FlowTable`` per switch, and a change
-rebinds it to a new table. Each snapshot carries ``reach``, the memo in
-which ``verify`` keeps the propagation results it derives from that
-snapshot. A new snapshot whose per-switch rule tuples are all the very
-same objects as its predecessor's (an unchanged table is the same value,
-so its ``rules`` is the same tuple) shares the predecessor's memo: a poll
-that confirms the view, a removal of an absent rule or a packet-in
-leaves the content unchanged. A flowmod that changes a table, or a poll
-that corrects the view by adopting the polled table, gives the new
-snapshot a fresh memo. Snapshots built outside the service start with an
-empty memo.
+rebinds it to a new table; a snapshot holds those table values
+themselves, and two memos ride on them.
+
+- Each table memoises its own lookup splits (see ``topology``). A switch
+  whose table no flowmod or poll replaced keeps the same value, so its
+  splits carry over to every later version, whatever changed elsewhere.
+- Each snapshot carries ``reach``, the memo in which ``verify`` keeps the
+  propagation results it derives from that snapshot. A new snapshot whose
+  per-switch tables are all the very same values as its predecessor's
+  shares the predecessor's memo: a poll that confirms the view, a removal
+  of an absent rule or a packet-in leaves the content unchanged. A
+  flowmod that changes a table, or a poll that corrects the view by
+  adopting the polled table, gives the new snapshot a fresh memo.
+
+Snapshots built outside the service start with an empty reach memo; their
+tables bring whatever splits they already hold.
 """
 
 from __future__ import annotations
@@ -50,15 +56,16 @@ class GapDetected(Exception):
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One view version: per-switch rule tuples, each in lookup order.
+    """One view version: the per-switch ``FlowTable`` values.
 
-    ``verify`` trusts that order (descending priority, earlier insertion
-    first among equals) and does not re-sort a tuple.
+    ``verify`` trusts each table's rule order as lookup order (descending
+    priority, earlier insertion first among equals) and does not re-sort
+    it.
     """
 
     version: int
     tick: int
-    tables: dict[str, tuple[FlowRule, ...]]
+    tables: dict[str, FlowTable]
     # verify's memo: (access point, header space) -> propagation result
     reach: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -128,9 +135,9 @@ class SnapshotService:
 
     def _append_snapshot(self) -> int:
         self._version += 1
-        tables = {sw: t.rules for sw, t in self._tables.items()}
+        tables = dict(self._tables)
         prev = self._current
-        unchanged = prev is not None and all(rules is prev.tables[sw] for sw, rules in tables.items())
+        unchanged = prev is not None and all(table is prev.tables[sw] for sw, table in tables.items())
         self._current = Snapshot(
             version=self._version,
             tick=self._tick,
@@ -274,7 +281,7 @@ def export_snapshot(snap: Snapshot) -> str:
     """Dump a snapshot as text; rule lines reuse the flowmod grammar."""
     lines = [f"version={snap.version} tick={snap.tick}"]
     for sw in sorted(snap.tables):
-        for rule in snap.tables[sw]:
+        for rule in snap.tables[sw].rules:
             lines.append(f"flowmod add {sw} prio={rule.priority} match={rule.match} action={rule.action}")
     return "\n".join(lines) + "\n"
 
@@ -301,7 +308,7 @@ def parse_snapshot_dump(text: str, topo: Topology) -> Snapshot:
             tables[switch] = tables[switch].add(rule)
         else:
             raise ValueError(f"line {lineno}: unexpected snapshot line {line!r}")
-    return Snapshot(version=version, tick=tick, tables={sw: t.rules for sw, t in tables.items()})
+    return Snapshot(version=version, tick=tick, tables=tables)
 
 
 def snapshot_of(net: Network, version: int = 0) -> Snapshot:

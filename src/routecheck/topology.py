@@ -16,6 +16,13 @@ client, never both and never neither. ``field`` names a bit range of the
 header (0 = most significant bit, inclusive bounds). ``nokey`` marks a
 client that is physically attached but not enrolled with the verification
 service (it holds no key).
+
+A ``FlowTable`` is an immutable value that memoises its own lookups: the
+split of a header space by winning rule is computed once per (table
+value, space) and lives as long as the table does. Anyone holding the
+same value shares the memo, as the snapshots of a controller's view do
+for every switch that a change left alone; ``add`` and ``remove`` make a
+new value with an empty memo. No module-level cache exists.
 """
 
 from __future__ import annotations
@@ -124,10 +131,14 @@ class FlowTable:
     ``rules`` is in lookup order: descending priority, insertion order
     breaking ties (earlier wins). The constructor trusts the order it is
     given; ``add`` and ``remove`` return new tables and leave this one as
-    it is.
+    it is. It memoises its ``lookup`` results by input space, and the
+    tables that ``add`` and ``remove`` make start with an empty memo.
     """
 
     rules: tuple[FlowRule, ...] = ()
+    _splits: dict[HeaderSpace, tuple[tuple[FlowRule | None, HeaderSpace], ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def add(self, rule: FlowRule) -> "FlowTable":
         """A table with `rule` after every rule of equal or higher priority."""
@@ -148,14 +159,18 @@ class FlowTable:
                 return r
         return None
 
-    def lookup(self, space: HeaderSpace) -> list[tuple[FlowRule | None, HeaderSpace]]:
+    def lookup(self, space: HeaderSpace) -> tuple[tuple[FlowRule | None, HeaderSpace], ...]:
         """Split `space` by winning rule, in lookup order.
 
         Each pair carries the sub-space a rule wins after priority
         shadowing; a trailing (None, residual) pair reports the unmatched
         remainder, which is implicitly dropped. Empty sub-spaces are
-        omitted.
+        omitted. A repeated lookup of an equal space returns the memoised
+        split.
         """
+        split = self._splits.get(space)
+        if split is not None:
+            return split
         out: list[tuple[FlowRule | None, HeaderSpace]] = []
         residual = space
         for rule in self.rules:
@@ -169,7 +184,8 @@ class FlowTable:
             residual = residual.difference(match_space)
         if not residual.is_empty():
             out.append((None, residual))
-        return out
+        split = self._splits[space] = tuple(out)
+        return split
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,21 @@ header space as currently carried alongside the space as originally sent,
 so results are reported in terms of what the client transmits even when
 rules rewrite headers along the way.
 
-Propagation reads each snapshot rule tuple as a ``FlowTable`` value,
-in the order the tuple gives: the engine trusts that it is lookup order.
-Results are memoised in ``Snapshot.reach``, keyed by (access point,
-header space), and stored as immutable values (tuples, frozensets,
-frozen entries), so no caller can alter another query's answer. The
-snapshot service hands one memo to consecutive snapshots whose rule
-tuples are the very same objects (see ``snapshots``), so a query against
-an unchanged network reuses the reach computed for an earlier version;
-any table change starts a fresh memo.
+Propagation splits each work item's space with the snapshot's own
+``FlowTable`` values, trusting their rule order as lookup order. Work is
+memoised at two grains, and both memos hold immutable values (tuples,
+frozensets, frozen entries), so no caller can alter another query's
+answer:
+
+- each table memoises its splits by input space (see ``topology``), so
+  the work items that reach an unchanged switch again, from another
+  access point or in a later snapshot version, reuse its splits;
+- results are memoised in ``Snapshot.reach``, keyed by (access point,
+  header space). The snapshot service hands one reach memo to
+  consecutive snapshots whose tables are the very same values (see
+  ``snapshots``), so a query against an unchanged network reuses the
+  reach computed for an earlier version; any table change starts a fresh
+  reach memo.
 
 ``answer`` is the one dispatcher from a query kind to its answer: the
 controller's in-band sessions and the ``routecheck query`` command both
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 from .hspace import HeaderSpace, Ternary
 from .snapshots import Snapshot
-from .topology import AccessPoint, FlowTable, Topology
+from .topology import AccessPoint, Topology
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,6 @@ def _propagate(
         return snap.reach[key]
     width = topo.width
     full_mask = (1 << width) - 1
-    tables = {sw: FlowTable(snap.tables.get(sw, ())) for sw in topo.switch_ports}
 
     by_egress: dict[AccessPoint, tuple[list[Ternary], list[Ternary]]] = {}
     traversed: set[str] = set()
@@ -102,7 +107,7 @@ def _propagate(
     while work:
         sw, port, cur, orig, rwmask = work.popleft()
         traversed.add(sw)
-        for rule, sub in tables[sw].lookup(HeaderSpace(width, [cur])):
+        for rule, sub in snap.tables[sw].lookup(HeaderSpace(width, [cur])):
             if rule is None or rule.action.kind in ("drop", "ctrl"):
                 continue
             for st in sub.terms:

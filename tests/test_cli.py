@@ -350,6 +350,30 @@ def test_query_into_a_closed_pipe_exits_quietly(tmp_path):
     assert proc.returncode == 141
 
 
+def test_query_at_names_the_access_point_of_an_inband_answer(tmp_path, capsys):
+    """An in-band sources query asked at alice's second access point signs
+    the body that ``routecheck query --at`` prints on the run's final
+    snapshot; an access point of another client is refused."""
+    scn = tmp_path / "at.scn"
+    scn.write_text(Path(fixture_path("benign.scn")).read_text() + "@12 query client=alice kind=sources at=swB:2\n")
+    art = tmp_path / "art"
+    result = run_session(RunConfig(topology_path=fixture_path("benign.topo"), scenario_path=str(scn), seed=4,
+                                   out_dir=str(art)))
+    frames = [f for (_, _, k, f, _) in result.controller.reports_sent if k == "sources"]
+    inband_body = wire.parse_frame(frames[-1]).report.param("body")
+    assert "point=alice:ap2" in inband_body.splitlines()
+
+    query = ("query", "--topology", fixture_path("benign.topo"), "--snapshot", str(art / "snapshot_final.txt"),
+             "--kind", "sources", "--client", "alice")
+    code, out, _ = run_cli(capsys, *query, "--at", "swB:2")
+    assert code == 0
+    assert out.rstrip("\n") == inband_body
+    for wrong in ("swC:2", "swB:1", "swB", "nowhere:2"):
+        code, out, err = run_cli(capsys, *query, "--at", wrong)
+        assert code == 1 and out == ""
+        assert err == f"error: {wrong} is not an access point of alice\n"
+
+
 def test_query_sources_consistent_with_isolation(tmp_path, capsys):
     dump = tmp_path / "dump.txt"
     run_cli(

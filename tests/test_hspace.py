@@ -278,3 +278,56 @@ def test_prop_rewrite_image(s, mask, value):
     expected = {rw.apply(h) for h in range(32) if s.member(h)}
     got = {h for h in range(32) if image.member(h)}
     assert got == expected
+
+
+# -- compact against the pairwise scan it replaced, at product widths ----------------
+
+
+def reference_compact(space: HeaderSpace) -> HeaderSpace:
+    """The pairwise scan that ``HeaderSpace.compact`` replaced, verbatim
+    but for ``Ternary.subsumes``, which is inlined here."""
+
+    def subsumes(k, t):
+        return (t.care & k.care) == k.care and (t.value & k.care) == k.value
+
+    kept = []
+    for t in space.terms:
+        if any(subsumes(k, t) for k in kept):
+            continue
+        kept = [k for k in kept if not subsumes(t, k)]
+        kept.append(t)
+    return HeaderSpace(space.width, kept)
+
+
+@st.composite
+def covers(draw):
+    """A shuffled cover at width 1-32: base terms, terms nested inside them
+    (more positions fixed, the base's values kept), and unrelated terms
+    that overlap them or not."""
+    width = draw(st.integers(1, 32))
+    bits = st.integers(0, (1 << width) - 1)
+
+    def term():
+        return Ternary(width, draw(bits) & draw(bits), draw(bits))
+
+    bases = [term() for _ in range(draw(st.integers(0, 5)))]
+    terms = list(bases)
+    for base in bases:
+        for _ in range(draw(st.integers(0, 4))):
+            terms.append(Ternary(width, base.care | draw(bits), base.value | (draw(bits) & ~base.care)))
+    terms += [term() for _ in range(draw(st.integers(0, 6)))]
+    return HeaderSpace(width, draw(st.permutations(terms)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(covers())
+def test_prop_compact_equals_the_pairwise_scan(space):
+    assert space.compact().terms == reference_compact(space).terms
+
+
+def test_compact_keeps_first_occurrences_of_the_unsubsumed_terms():
+    s = HeaderSpace.of("10x", "1xx", "0x1", "011", "1x0", "x11")
+    assert str(s.compact()) == "1xx,0x1,x11"
+    assert HeaderSpace.of("xxx", "101").compact().terms == (Ternary.parse("xxx"),)
+    disjoint = HeaderSpace.of("1x", "01")
+    assert disjoint.compact() == disjoint

@@ -238,7 +238,7 @@ def per_path_walk(topo, snap, switch, header, hop_limit):
     def step(sw, h, visited):
         if (sw, h) in visited or len(visited) >= hop_limit:
             return
-        rule = next((r for r in snap.tables.get(sw, ()) if r.match.matches(h)), None)
+        rule = next((r for r in snap.tables[sw].rules if r.match.matches(h)), None)
         if rule is None or rule.action.kind == "drop":
             return
         if rule.action.kind == "ctrl":

@@ -46,7 +46,7 @@ def test_ingest_add_builds_table():
     v = svc.ingest_event(ev)
     snap = svc.current()
     assert snap.version == v
-    assert snap.tables["swA"] == (r,)
+    assert snap.tables["swA"].rules == (r,)
 
 
 def test_ingest_seq_gap_raises():
@@ -130,6 +130,39 @@ def test_reach_memo_shared_only_while_tables_are_unchanged():
     assert svc.current().reach is not memo and not svc.current().reach
 
 
+def test_flowmod_on_one_switch_keeps_every_other_table_value_and_its_splits():
+    topo = load_topology(
+        """
+        headerwidth 4
+        switch swA ports 2
+        switch swB ports 3
+        switch swC ports 2
+        link swA:1 swB:1
+        link swB:3 swC:1
+        access swA:2 client alice
+        access swB:2 client bob
+        access swC:2 client carol
+        """
+    )
+    net, svc = Network(topo), SnapshotService(topo)
+    for sw, action in (("swA", "fwd:1"), ("swB", "fwd:3"), ("swC", "fwd:2")):
+        svc.ingest_event(net.apply_flow_mod(sw, "add", rule(5, "1xxx", action)))
+    before = svc.current()
+    alice = topo.client_aps("alice")[0]
+    assert reachable_endpoints(topo, before, alice, HeaderSpace.full(4)).entries
+    assert all(before.tables[sw]._splits for sw in topo.switches())
+    for changed in topo.switches():
+        prev = svc.current()
+        svc.ingest_event(net.apply_flow_mod(changed, "add", rule(1, "0xxx", "drop")))
+        after = svc.current()
+        assert after.version == prev.version + 1
+        assert after.tables[changed] is not prev.tables[changed]
+        assert after.tables[changed]._splits == {}
+        for sw in topo.switches():
+            if sw != changed:
+                assert after.tables[sw] is prev.tables[sw]
+
+
 def test_schedule_polls_rate_one_is_every_tick():
     assert schedule_polls(7, 1.0, 10) == list(range(1, 11))
 
@@ -167,7 +200,7 @@ def test_poll_equals_simulator_truth():
         net.apply_flow_mod("swB", "add", rule(i, "xxxx", "drop"))
         svc.ingest_event(net.events[-1])
     svc.active_poll("swB", net)
-    assert svc.current().tables["swB"] == net.tables["swB"].rules
+    assert svc.current().tables["swB"].rules == net.tables["swB"].rules
 
 
 def test_poll_discrepancy_raises_findings_and_corrects_view():
@@ -180,7 +213,7 @@ def test_poll_discrepancy_raises_findings_and_corrects_view():
     svc.active_poll("swA", net)
     statuses = {(f.status, f.rule.priority) for f in svc.poll_findings}
     assert ("appeared", 7) in statuses
-    assert svc.current().tables["swA"] == net.tables["swA"].rules
+    assert svc.current().tables["swA"].rules == net.tables["swA"].rules
 
 
 # -- transient detection -------------------------------------------------------
@@ -347,11 +380,11 @@ def ring_scan(snaps, polls, switches, now, window):
     for sw in sorted(switches):
         universe: list[FlowRule] = []
         for s in snaps:
-            for rule in s.tables[sw]:
+            for rule in s.tables[sw].rules:
                 if rule not in universe:
                     universe.append(rule)
         for rule in universe:
-            timeline = [rule in s.tables[sw] for s in snaps]
+            timeline = [rule in s.tables[sw].rules for s in snaps]
             changes = sum(1 for a, b in zip(timeline, timeline[1:]) if a != b)
             if changes < 2:
                 continue

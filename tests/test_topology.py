@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routecheck.hspace import HeaderSpace, Ternary
 from routecheck.topology import (
@@ -265,6 +267,72 @@ def test_lookup_deterministic():
     a = t.lookup(HeaderSpace.full(2))
     b = t.lookup(HeaderSpace.full(2))
     assert a == b
+
+
+def test_repeated_lookup_is_memoised_and_new_tables_start_empty():
+    t = FlowTable().add(rule(3, "1x", "fwd:1")).add(rule(3, "x1", "drop"))
+    first = t.lookup(HeaderSpace.full(2))
+    again = t.lookup(HeaderSpace.full(2))  # an equal space, not the same object
+    assert again == first and again is first
+    assert t.lookup(HeaderSpace.of("0x")) != first
+    assert t._splits
+    assert t.add(rule(1, "xx", "drop"))._splits == {}
+    assert t.remove(rule(3, "1x", "fwd:1"))._splits == {}
+    assert FlowTable(t.rules)._splits == {}
+    assert FlowTable(t.rules) == t
+
+
+@st.composite
+def tables_and_spaces(draw, width):
+    """A table of up to 8 rules with priority ties and overlapping matches,
+    and the space to split: the full space or a cover of up to 3 terms."""
+    bits = st.integers(0, (1 << width) - 1)
+
+    def term():
+        return Ternary(width, draw(bits) & draw(bits) & draw(bits), draw(bits))
+
+    t = FlowTable()
+    for _ in range(draw(st.integers(0, 8))):
+        t = t.add(FlowRule(draw(st.integers(0, 3)), term(), Action.parse(draw(st.sampled_from(["fwd:1", "drop"])))))
+    if draw(st.booleans()):
+        space = HeaderSpace.full(width)
+    else:
+        space = HeaderSpace(width, [term() for _ in range(draw(st.integers(1, 3)))])
+    return t, space, draw(st.lists(bits, min_size=20, max_size=20))
+
+
+def corner_headers(term: Ternary) -> set[int]:
+    """Both corners of a term (wildcards all 0, all 1) and, for each fixed
+    position, the low corner with that bit flipped: just outside the term."""
+    full = (1 << term.width) - 1
+    low, high = term.value, term.value | (full & ~term.care)
+    flips = {low ^ (1 << i) for i in range(term.width) if term.care >> i & 1}
+    return {low, high} | flips
+
+
+@pytest.mark.parametrize("width", [16, 32])
+def test_lookup_law_on_sampled_headers_at_product_widths(width):
+    """On every rule-match corner, every input-term corner and random
+    headers, the pieces are pairwise disjoint and each header of the input
+    space lands in the piece of ``match_header``'s winner."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tables_and_spaces(width))
+    def law(case):
+        t, space, randoms = case
+        pieces = t.lookup(space)
+        headers = set(randoms)
+        for term in [r.match for r in t.rules] + list(space.terms):
+            headers |= corner_headers(term)
+        for h in headers:
+            holders = [got_rule for got_rule, sub in pieces if sub.member(h)]
+            assert len(holders) <= 1  # pairwise disjoint
+            if space.member(h):
+                assert holders == [t.match_header(h)]
+            else:
+                assert holders == []
+
+    law()
 
 
 def test_action_parse_roundtrip():

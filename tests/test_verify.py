@@ -9,7 +9,7 @@ from routecheck.oracle import check_case, random_network, traversal_oracle
 from routecheck.scenario import expand, parse_scenario
 from routecheck.sim import Network
 from routecheck.snapshots import Snapshot, SnapshotService, snapshot_of
-from routecheck.topology import Action, FlowRule, load_topology
+from routecheck.topology import Action, FlowRule, FlowTable, load_topology
 from routecheck.verify import (
     geo_exposure,
     isolation_candidates,
@@ -443,7 +443,7 @@ def test_service_snapshots_answer_like_fresh_snapshots():
                 svc.poll_all(net)
             if rng.random() < 0.5:
                 snap = svc.current()
-                cold = Snapshot(snap.version, snap.tick, dict(snap.tables))
+                cold = Snapshot(snap.version, snap.tick, {sw: FlowTable(t.rules) for sw, t in snap.tables.items()})
                 assert _all_answers(topo, snap) == _all_answers(topo, cold)
                 queried += 1
     assert queried > 20
