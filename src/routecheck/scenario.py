@@ -106,29 +106,74 @@ def _kv(tokens: list[str], lineno: int) -> dict[str, str]:
     return out
 
 
-def _parse_flowmod(tokens: list[str], topo: Topology, lineno: int) -> tuple[str, str, FlowRule]:
+def _number(kind: type, text: str, what: str, lineno: int):
+    """``kind(text)``; a ScenarioError naming the line when it is no number."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ScenarioError(f"line {lineno}: {what} must be a number, got {text!r}") from None
+
+
+def _match(text: str, topo: Topology, lineno: int) -> Ternary:
+    try:
+        match = Ternary.parse(text)
+    except ValueError as e:
+        raise ScenarioError(f"line {lineno}: {e}") from None
+    if match.width != topo.width:
+        raise ScenarioError(f"line {lineno}: match width {match.width} != header width {topo.width}")
+    return match
+
+
+def _client(kv: dict[str, str], topo: Topology, lineno: int) -> str:
+    client = kv.get("client", "")
+    if client not in {ap.client for ap in topo.access_points}:
+        raise ScenarioError(f"line {lineno}: unknown client {client!r}")
+    return client
+
+
+def _attack_match(kv: dict[str, str], topo: Topology, lineno: int) -> tuple[Ternary, int]:
+    """The ``match=`` (default: every header) and ``prio=`` of a join or divert line."""
+    match = _match(kv["match"], topo, lineno) if "match" in kv else Ternary.wildcard(topo.width)
+    prio = _number(int, kv.get("prio", str(DEFAULT_ATTACK_PRIORITY)), "prio=", lineno)
+    if prio < 0:
+        raise ScenarioError(f"line {lineno}: priority must be non-negative, got {prio}")
+    return match, prio
+
+
+def _parse_flowmod(
+    tokens: list[str], topo: Topology, lineno: int, parsed: dict[tuple[str, ...], FlowRule]
+) -> tuple[str, str, FlowRule]:
+    """Parse ``<op> <sw> prio= match= action=``.
+
+    ``parsed`` maps the tokens after the op to the rule already parsed
+    from them, and gains each new rule that parses, so repeated rule text
+    is parsed once and yields the same object; the op is checked on every
+    line.
+    """
     if len(tokens) < 5:
         raise ScenarioError(f"line {lineno}: flowmod needs op, switch and rule fields")
     op, switch = tokens[0], tokens[1]
     if op not in ("add", "remove"):
         raise ScenarioError(f"line {lineno}: flowmod op must be add or remove")
+    rule_tokens = tuple(tokens[1:])
+    if rule_tokens in parsed:
+        return op, switch, parsed[rule_tokens]
     if switch not in topo.switch_ports:
         raise ScenarioError(f"line {lineno}: unknown switch {switch}")
     kv = _kv(tokens[2:], lineno)
     for key in ("prio", "match", "action"):
         if key not in kv:
             raise ScenarioError(f"line {lineno}: flowmod missing {key}=")
+    match = _match(kv["match"], topo, lineno)
     try:
-        match = Ternary.parse(kv["match"])
         action = Action.parse(kv["action"])
         rule = FlowRule(priority=int(kv["prio"]), match=match, action=action)
     except ValueError as e:
         raise ScenarioError(f"line {lineno}: {e}") from None
-    if match.width != topo.width:
-        raise ScenarioError(f"line {lineno}: match width {match.width} != header width {topo.width}")
     for p in action.ports:
         if p not in topo.switch_ports[switch]:
             raise ScenarioError(f"line {lineno}: switch {switch} has no port {p}")
+    parsed[rule_tokens] = rule
     return op, switch, rule
 
 
@@ -143,6 +188,7 @@ def _endpoint(text: str, topo: Topology, lineno: int) -> tuple[str, str]:
 
 def parse_scenario(text: str, topo: Topology) -> Script:
     script = Script()
+    parsed: dict[tuple[str, ...], FlowRule] = {}  # see _parse_flowmod
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -151,7 +197,7 @@ def parse_scenario(text: str, topo: Topology) -> Script:
         if toks[0] == "horizon":
             if len(toks) != 2:
                 raise ScenarioError(f"line {lineno}: horizon takes one argument")
-            script.horizon_hint = int(toks[1])
+            script.horizon_hint = _number(int, toks[1], "horizon", lineno)
             continue
         if not toks[0].startswith("@"):
             raise ScenarioError(f"line {lineno}: directives start with @<tick>")
@@ -167,7 +213,7 @@ def parse_scenario(text: str, topo: Topology) -> Script:
         kw = body[0]
 
         if kw == "flowmod":
-            op, switch, rule = _parse_flowmod(body[1:], topo, lineno)
+            op, switch, rule = _parse_flowmod(body[1:], topo, lineno, parsed)
             script.directives.append(Directive(tick, "flowmod", op=op, switch=switch, rule=rule))
         elif kw == "inject":
             if len(body) != 3:
@@ -182,10 +228,8 @@ def parse_scenario(text: str, topo: Topology) -> Script:
             script.directives.append(Directive(tick, "inject", switch=sw, port=port, header=int(bits, 2)))
         elif kw == "query":
             kv = _kv(body[1:], lineno)
-            client = kv.get("client", "")
+            client = _client(kv, topo, lineno)
             kind = kv.get("kind", "")
-            if client not in {ap.client for ap in topo.access_points}:
-                raise ScenarioError(f"line {lineno}: unknown client {client!r}")
             if kind not in QUERY_KINDS:
                 raise ScenarioError(f"line {lineno}: query kind must be one of {', '.join(QUERY_KINDS)}")
             sw = port = ""
@@ -203,27 +247,21 @@ def parse_scenario(text: str, topo: Topology) -> Script:
             template = body[1]
             if template == "join":
                 kv = _kv(body[2:], lineno)
-                client = kv.get("client", "")
-                if client not in {ap.client for ap in topo.access_points}:
-                    raise ScenarioError(f"line {lineno}: unknown client {client!r}")
+                client = _client(kv, topo, lineno)
                 if "hidden" not in kv:
                     raise ScenarioError(f"line {lineno}: join needs hidden=<sw>:<port>")
                 hidden = _endpoint(kv["hidden"], topo, lineno)
                 if topo.access_point_at(*hidden) is None:
                     raise ScenarioError(f"line {lineno}: hidden point {kv['hidden']} is not an access point")
-                match = Ternary.parse(kv["match"]) if "match" in kv else Ternary.wildcard(topo.width)
-                prio = int(kv.get("prio", DEFAULT_ATTACK_PRIORITY))
+                match, prio = _attack_match(kv, topo, lineno)
                 script.joins.append(JoinSpec(tick, client, hidden, match, prio))
             elif template == "divert":
                 kv = _kv(body[2:], lineno)
-                client = kv.get("client", "")
-                if client not in {ap.client for ap in topo.access_points}:
-                    raise ScenarioError(f"line {lineno}: unknown client {client!r}")
+                client = _client(kv, topo, lineno)
                 via = kv.get("via", "")
                 if via not in set(topo.locations.values()):
                     raise ScenarioError(f"line {lineno}: no switch located in region {via!r}")
-                match = Ternary.parse(kv["match"]) if "match" in kv else Ternary.wildcard(topo.width)
-                prio = int(kv.get("prio", DEFAULT_ATTACK_PRIORITY))
+                match, prio = _attack_match(kv, topo, lineno)
                 script.diverts.append(DivertSpec(tick, client, via, match, prio))
             elif template == "transient":
                 if len(body) < 3 or body[2] != "flowmod":
@@ -239,11 +277,11 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                         core.append(tok)
                 if "f" not in extras or "period" not in extras:
                     raise ScenarioError(f"line {lineno}: transient needs f= and period=")
-                op, switch, rule = _parse_flowmod(core, topo, lineno)
+                op, switch, rule = _parse_flowmod(core, topo, lineno, parsed)
                 if op != "add":
                     raise ScenarioError(f"line {lineno}: transient template installs rules (op must be add)")
-                duty = float(extras["f"])
-                period = int(extras["period"])
+                duty = _number(float, extras["f"], "f=", lineno)
+                period = _number(int, extras["period"], "period=", lineno)
                 if not (0.0 < duty < 1.0):
                     raise ScenarioError(f"line {lineno}: duty cycle must satisfy 0 < f < 1")
                 if period < 2:
@@ -254,7 +292,7 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                 sw = kv.get("sw", "")
                 if sw not in topo.switch_ports:
                     raise ScenarioError(f"line {lineno}: unknown switch {sw!r}")
-                count = int(kv.get("count", "1"))
+                count = _number(int, kv.get("count", "1"), "count=", lineno)
                 if count < 1:
                     raise ScenarioError(f"line {lineno}: suppress count must be positive")
                 script.directives.append(Directive(tick, "suppress", switch=sw, count=count))

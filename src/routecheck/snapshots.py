@@ -2,13 +2,16 @@
 
 The controller builds its network view passively from the per-switch
 event stream and actively by polling ground truth at random ticks. Every
-view change makes a new immutable snapshot version, which holds its
-number, its tick and the per-switch rule tuples, and no record of whether
-a table came from an event or a poll. Each (switch, rule) presence change
-is logged when it happens, by a flowmod that adds the first copy of a
-rule or removes the last one, or by a poll that corrects the view; the
-log and the poll results are kept for a tick window, so a short-lived
-rule is detected and attributed however many versions came after it.
+view change (each flowmod event and each polled switch) is numbered as a
+new version, with the tick at which it was made; the immutable snapshot
+of a version, which holds its number, its tick and the per-switch tables,
+and no record of whether a table came from an event or a poll, is built
+only when ``current()`` is read, so versions nobody reads cost a counter
+increment. Each (switch, rule) presence change is logged when it
+happens, by a flowmod that adds the first copy of a rule or removes the
+last one, or by a poll that corrects the view; the log and the poll
+results are kept for a tick window, so a short-lived rule is detected and
+attributed however many versions came after it.
 
 The view holds one immutable ``FlowTable`` per switch, and a change
 rebinds it to a new table; a snapshot holds those table values
@@ -18,12 +21,14 @@ themselves, and two memos ride on them.
   whose table no flowmod or poll replaced keeps the same value, so its
   splits carry over to every later version, whatever changed elsewhere.
 - Each snapshot carries ``reach``, the memo in which ``verify`` keeps the
-  propagation results it derives from that snapshot. A new snapshot whose
-  per-switch tables are all the very same values as its predecessor's
-  shares the predecessor's memo: a poll that confirms the view, a removal
-  of an absent rule or a packet-in leaves the content unchanged. A
-  flowmod that changes a table, or a poll that corrects the view by
-  adopting the polled table, gives the new snapshot a fresh memo.
+  propagation results it derives from that snapshot. A newly built
+  snapshot whose per-switch tables are all the very same values as those
+  of the last snapshot built shares that snapshot's memo: a poll that
+  confirms the view, a removal of an absent rule or a packet-in leaves
+  the content unchanged. A flowmod that changes a table, or a poll that
+  corrects the view by adopting the polled table, gives the next snapshot
+  built a fresh memo. Sharing is sound because the memo is a function of
+  the table values.
 
 Snapshots built outside the service start with an empty reach memo; their
 tables bring whatever splits they already hold.
@@ -124,31 +129,24 @@ class SnapshotService:
         self._last_seq: dict[str, int] = {sw: 0 for sw in topo.switch_ports}
         self._version = 0
         self._tick = 0
-        self._current: Snapshot | None = None
-        # (tick, switch, rule, present, tick of the snapshot before the change)
+        self._version_tick = 0  # tick of the latest version
+        self._built: Snapshot | None = None  # the last snapshot current() built
+        # (tick, switch, rule, present, tick of the version before the change)
         self.changes: deque[tuple[int, str, FlowRule, bool, int]] = deque()
         self.polls: deque[PollRecord] = deque()
         self.poll_findings: list[TransientFinding] = []
-        self._append_snapshot()
+        self._new_version()
 
     # -- internals -----------------------------------------------------
 
-    def _append_snapshot(self) -> int:
+    def _new_version(self) -> int:
         self._version += 1
-        tables = dict(self._tables)
-        prev = self._current
-        unchanged = prev is not None and all(table is prev.tables[sw] for sw, table in tables.items())
-        self._current = Snapshot(
-            version=self._version,
-            tick=self._tick,
-            tables=tables,
-            reach=prev.reach if unchanged else {},
-        )
+        self._version_tick = self._tick
         return self._version
 
     def _record(self, switch: str, rule: FlowRule, present: bool) -> None:
-        """Log a presence change that the next snapshot makes."""
-        self.changes.append((self._tick, switch, rule, present, self._current.tick))
+        """Log a presence change that the next version makes."""
+        self.changes.append((self._tick, switch, rule, present, self._version_tick))
         cutoff = self._tick - self.window
         while self.changes and self.changes[0][0] < cutoff:
             self.changes.popleft()
@@ -156,7 +154,7 @@ class SnapshotService:
     # -- operations ------------------------------------------------------
 
     def ingest_event(self, event: SwitchEvent) -> int:
-        """Fold one switch event into the view; returns the snapshot version.
+        """Fold one switch event into the view; returns the latest version.
 
         A sequence gap raises GapDetected: a missed update is itself a
         security signal and is never silently repaired here. Callers that
@@ -183,7 +181,7 @@ class SnapshotService:
                 if not copies[rule]:
                     del copies[rule]
                     self._record(sw, rule, False)
-            return self._append_snapshot()
+            return self._new_version()
         # packet_in / port_status advance the sequence but not the view
         return self._version
 
@@ -221,7 +219,7 @@ class SnapshotService:
         self.polls.append(PollRecord(tick, switch, truth))
         while self.polls and self.polls[0].tick < self._tick - self.window:
             self.polls.popleft()
-        return self._append_snapshot()
+        return self._new_version()
 
     def poll_all(self, net: Network) -> int:
         version = self._version
@@ -230,7 +228,17 @@ class SnapshotService:
         return version
 
     def current(self) -> Snapshot:
-        return self._current
+        """The snapshot of the latest version, built on this first read of it.
+
+        It shares the reach memo of the last snapshot built before it when
+        every per-switch table is the very same value.
+        """
+        prev = self._built
+        if prev is None or prev.version != self._version:
+            tables = dict(self._tables)
+            unchanged = prev is not None and all(table is prev.tables[sw] for sw, table in tables.items())
+            self._built = Snapshot(self._version, self._version_tick, tables, prev.reach if unchanged else {})
+        return self._built
 
     def last_seq(self, switch: str) -> int:
         return self._last_seq[switch]
@@ -244,13 +252,13 @@ class SnapshotService:
         episode that ends absent is "vanished"; anything with more state
         changes is "flapping". ``first_seen`` is the first appearance, or
         the window start for a rule present when the window opened;
-        ``last_seen`` is the current snapshot's tick for a rule still
-        present, else the tick of the last snapshot that held it.
+        ``last_seen`` is the latest version's tick for a rule still
+        present, else the tick of the last version that held it.
         ``present_in`` counts the in-window polls of that switch that
         observed the rule. The window is the service's own.
         """
         cutoff = self._tick - self.window
-        per_rule: dict[tuple[str, FlowRule], list[tuple[int, int]]] = {}  # (tick, previous snapshot's tick)
+        per_rule: dict[tuple[str, FlowRule], list[tuple[int, int]]] = {}  # (tick, previous version's tick)
         for tick, sw, rule, _, prev_tick in self.changes:
             if tick >= cutoff:
                 per_rule.setdefault((sw, rule), []).append((tick, prev_tick))
@@ -266,7 +274,7 @@ class SnapshotService:
                     switch=sw,
                     rule=rule,
                     first_seen=max(cutoff, 0) if at_start else ticks[0][0],
-                    last_seen=self._current.tick if at_end else ticks[-1][1],
+                    last_seen=self._version_tick if at_end else ticks[-1][1],
                     present_in=polls_seen,
                     status="vanished" if not (at_end or at_start) and len(ticks) == 2 else "flapping",
                 )
@@ -292,6 +300,7 @@ def parse_snapshot_dump(text: str, topo: Topology) -> Snapshot:
     version = 0
     tick = 0
     tables: dict[str, FlowTable] = {sw: FlowTable() for sw in topo.switch_ports}
+    parsed: dict[tuple[str, ...], FlowRule] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -302,7 +311,7 @@ def parse_snapshot_dump(text: str, topo: Topology) -> Snapshot:
             version = int(kv.get("version", "0"))
             tick = int(kv.get("tick", "0"))
         elif toks[0] == "flowmod":
-            op, switch, rule = _parse_flowmod(toks[1:], topo, lineno)
+            op, switch, rule = _parse_flowmod(toks[1:], topo, lineno, parsed)
             if op != "add":
                 raise ValueError(f"line {lineno}: snapshot dumps contain only add lines")
             tables[switch] = tables[switch].add(rule)

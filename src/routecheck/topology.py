@@ -112,16 +112,32 @@ class Action:
 
 @dataclass(frozen=True)
 class FlowRule:
+    """One prioritized match-action rule, as an immutable value.
+
+    Equality compares the three fields. The hash is computed once, at
+    construction, and the text form on the first ``str()``, so a rule that
+    is counted, set-tested and logged many times pays for each only once;
+    ``dataclasses.replace`` builds a new rule with its own.
+    """
+
     priority: int
     match: Ternary
     action: Action
+    _hash: int = field(init=False, compare=False, repr=False)
+    _text: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.priority < 0:
             raise ValueError(f"priority must be non-negative, got {self.priority}")
+        object.__setattr__(self, "_hash", hash((self.priority, self.match, self.action)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
-        return f"prio={self.priority} match={self.match} action={self.action}"
+        if self._text is None:
+            object.__setattr__(self, "_text", f"prio={self.priority} match={self.match} action={self.action}")
+        return self._text
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Scenario parsing, template expansion, and deterministic execution."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from conftest import fixture_path
+from routecheck.cli import main
 from routecheck.scenario import ScenarioError, parse_scenario, run_scenario, transient_pattern
 from routecheck.sim import Network
 from routecheck.topology import load_topology
@@ -67,6 +70,71 @@ def test_parse_rejects_bad_transient_fraction():
     line = "@0 attack transient flowmod add swA prio=1 match=xxxxxxxx action=drop f=1.5 period=10"
     with pytest.raises(ScenarioError, match="duty cycle"):
         parse_scenario(line, t)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("match=01xxxxxxxxxxxxxx", "match=01xx", "match width 4 != header width 16"),
+        ("prio=90", "prio=-3", "priority must be non-negative"),
+        ("prio=90", "prio=high", "prio= must be a number, got 'high'"),
+    ],
+)
+def test_scenario_check_rejects_join_lines_that_run_would_reject(tmp_path, capsys, old, new, message):
+    scn = tmp_path / "join.scn"
+    scn.write_text(Path(fixture_path("joinattack.scn")).read_text().replace(old, new))
+    code = main(["scenario", "check", "--topology", fixture_path("joinattack.topo"), "--scenario", str(scn)])
+    assert code == 1
+    assert f"error: line 8: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("@0 attack divert client=alice via=r2 match=1x", "match width 2 != header width 8"),
+        ("@0 attack divert client=alice via=r2 match=1x2xxxxx", "bad ternary character"),
+        ("@0 attack divert client=alice via=r2 prio=-1", "priority must be non-negative"),
+        ("@0 attack divert client=alice via=r2 prio=1.5", "prio= must be a number"),
+        ("@0 attack join client=alice hidden=swC:2 prio=x", "prio= must be a number"),
+        ("@0 attack transient flowmod add swA prio=1 match=xxxxxxxx action=drop f=half period=10", "f= must be a number"),
+        ("@0 attack transient flowmod add swA prio=1 match=xxxxxxxx action=drop f=0.5 period=ten", "period= must be"),
+        ("@0 attack suppress sw=swA count=many", "count= must be a number"),
+        ("horizon soon", "horizon must be a number"),
+    ],
+)
+def test_parse_names_the_line_of_a_bad_attack_field(line, message):
+    with pytest.raises(ScenarioError, match=f"^line 2: .*{message}"):
+        parse_scenario("@0 flowmod add swA prio=5 match=xxxxxxxx action=fwd:1\n" + line, topo())
+
+
+def test_repeated_rule_text_on_one_switch_is_parsed_into_one_rule():
+    script = parse_scenario(
+        "@0 flowmod add swA prio=5 match=1xxxxxxx action=fwd:1\n"
+        "@3 flowmod remove swA prio=5 match=1xxxxxxx action=fwd:1\n"
+        "@4 flowmod add swB prio=5 match=1xxxxxxx action=fwd:1\n"
+        "@5 attack transient flowmod add swA prio=5 match=1xxxxxxx action=fwd:1 f=0.5 period=4\n",
+        topo(),
+    )
+    add, remove, other = script.directives
+    assert (add.op, remove.op) == ("add", "remove")
+    assert remove.rule is add.rule and script.transients[0].rule is add.rule
+    assert other.switch == "swB" and other.rule == add.rule
+
+
+def test_repeated_rule_text_is_still_checked_on_its_own_line():
+    t = topo()
+    with pytest.raises(ScenarioError, match="^line 2: switch swC has no port 3$"):
+        parse_scenario(
+            "@0 flowmod add swA prio=5 match=1xxxxxxx action=fwd:3\n"
+            "@1 flowmod add swC prio=5 match=1xxxxxxx action=fwd:3\n",
+            t,
+        )
+    with pytest.raises(ScenarioError, match="^line 2: flowmod op must be add or remove$"):
+        parse_scenario(
+            "@0 flowmod add swA prio=5 match=1xxxxxxx action=fwd:3\n"
+            "@1 flowmod delete swA prio=5 match=1xxxxxxx action=fwd:3\n",
+            t,
+        )
 
 
 def test_query_without_controller_is_an_error():

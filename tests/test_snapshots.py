@@ -5,6 +5,7 @@ import statistics
 
 import pytest
 
+from routecheck import snapshots
 from routecheck.hspace import HeaderSpace, Ternary
 from routecheck.scenario import Script, TransientSpec, run_scenario
 from routecheck.sim import Network, Packet, SwitchEvent
@@ -90,6 +91,73 @@ def test_version_monotone_under_interleaving():
         versions.append(svc.poll_all(net))
     assert versions == sorted(versions)
     assert len(set(versions)) == len(versions)
+
+
+def test_versions_are_numbered_per_change_and_built_only_when_read(monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        snap = real(*args, **kwargs)
+        built.append(snap.version)
+        return snap
+
+    real = snapshots.Snapshot
+    monkeypatch.setattr(snapshots, "Snapshot", counted)
+    topo, net, svc = fresh()
+    r = rule(5, "1xxx", "fwd:1")
+    for i in range(3):
+        net.tick = i
+        svc.ingest_event(net.apply_flow_mod("swA", "add", r))
+        svc.ingest_event(net.apply_flow_mod("swA", "remove", r))
+        svc.poll_all(net)
+    svc.ingest_event(SwitchEvent(svc.last_seq("swB") + 1, net.tick, "swB", "packet_in", in_port="2", packet=Packet(0)))
+    net.apply_flow_mod("swB", "add", r)  # suppressed: the correcting poll below makes a version
+    version = svc.active_poll("swB", net)
+    assert [f.status for f in svc.detect_transients()] == ["flapping"]
+    assert version == 1 + 3 * (2 + 2) + 1
+    assert built == []
+    snap = svc.current()
+    assert (snap.version, snap.tick, snap.tables["swB"].rules) == (version, 2, (r,))
+    assert svc.current() is snap and built == [version]
+
+
+def test_snapshots_built_at_random_reads_equal_those_built_at_every_step():
+    """Two services over one random stream: one is read after every step,
+    the other only now and then; every read must agree."""
+    pool = [rule(p, m, "drop") for p in (1, 5) for m in ("xxxx", "1xxx", "01xx")]
+    for seed in range(100):
+        rng = random.Random(seed)
+        topo, net, every = fresh(window=rng.choice((5, 1024)))
+        sometimes = SnapshotService(topo, window=every.window)
+        for _ in range(rng.randint(1, 60)):
+            net.tick += rng.choice((0, 0, 1, 3))
+            sw = rng.choice(["swA", "swB"])
+            roll = rng.random()
+            if roll < 0.1:
+                versions = {every.poll_all(net), sometimes.poll_all(net)}
+            elif roll < 0.25:
+                versions = {every.active_poll(sw, net), sometimes.active_poll(sw, net)}
+            elif roll < 0.3:
+                ev = SwitchEvent(every.last_seq(sw) + 1, net.tick, sw, "packet_in", in_port="2", packet=Packet(0))
+                versions = {every.ingest_event(ev), sometimes.ingest_event(ev)}
+            else:
+                ev = net.apply_flow_mod(sw, rng.choice(("add", "remove")), rng.choice(pool))
+                if rng.random() < 0.1:
+                    continue  # suppressed: neither service sees it
+                versions = set()
+                for svc in (every, sometimes):
+                    if svc.last_seq(sw) + 1 != ev.seq:
+                        svc.resync(sw, ev.seq - 1)
+                    versions.add(svc.ingest_event(ev))
+            assert len(versions) == 1
+            a = every.current()
+            if rng.random() < 0.2:
+                b = sometimes.current()
+                assert (b.version, b.tick, b.tables) == (a.version, a.tick, a.tables), seed
+                assert sometimes.detect_transients() == every.detect_transients(), seed
+        a, b = every.current(), sometimes.current()
+        assert (b.version, b.tick, b.tables) == (a.version, a.tick, a.tables), seed
+        assert sometimes.detect_transients() == every.detect_transients(), seed
 
 
 # -- polls ------------------------------------------------------------------

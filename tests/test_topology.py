@@ -1,12 +1,13 @@
 """Topology loading, validation, port classification and table lookup."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routecheck.hspace import HeaderSpace, Ternary
+from routecheck.hspace import HeaderSpace, Rewrite, Ternary
 from routecheck.topology import (
     Action,
     FlowRule,
@@ -347,3 +348,46 @@ def test_action_parse_roundtrip():
 def test_negative_priority_rejected():
     with pytest.raises(ValueError):
         FlowRule(-1, Ternary.parse("xx"), Action.parse("drop"))
+
+
+@st.composite
+def rule_fields(draw):
+    """Priority, match and action of a rule of any kind at widths 1-32."""
+    width = draw(st.integers(1, 32))
+    bits = st.integers(0, (1 << width) - 1)
+    kind = draw(st.sampled_from(Action.KINDS))
+    ports = tuple(draw(st.lists(st.sampled_from("1234"), min_size=1, max_size=3)))
+    rewrite = Rewrite(width, draw(bits), draw(bits)) if kind == "rewrite" else None
+    action = Action(kind, ports if kind in ("fwd", "rewrite") else (), rewrite)
+    return draw(st.integers(0, 1 << 16)), Ternary(width, draw(bits), draw(bits)), action
+
+
+def copied(fields):
+    """The same fields as new, equal objects."""
+    prio, match, action = fields
+    rw = action.rewrite
+    return (
+        prio,
+        Ternary(match.width, match.care, match.value),
+        Action(action.kind, action.ports, rw and Rewrite(rw.width, rw.mask, rw.value)),
+    )
+
+
+def text_of(prio, match, action) -> str:
+    return f"prio={prio} match={match} action={action}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule_fields(), rule_fields())
+def test_prop_flow_rule_hash_and_text_follow_its_fields(fields, other):
+    a, b = FlowRule(*fields), FlowRule(*copied(fields))
+    assert a == b and hash(a) == hash(b) == hash(fields)
+    assert str(a) == str(b) == str(a) == text_of(*fields)
+    assert (a == FlowRule(*other)) == (fields == other)
+    # replace builds a new rule: its hash and text follow the new fields
+    for changes in ({"priority": other[0]}, {"match": other[1], "action": other[2]}):
+        c = dataclasses.replace(a, **changes)
+        new_fields = (c.priority, c.match, c.action)
+        assert c == FlowRule(*copied(new_fields))
+        assert hash(c) == hash(FlowRule(*copied(new_fields))) == hash(new_fields)
+        assert str(c) == text_of(*new_fields)
