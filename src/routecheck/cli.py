@@ -17,7 +17,7 @@ from pathlib import Path
 from .oracle import MUTATIONS, run_cases
 from .protocol import DEFAULT_POLL_RATE, DEFAULT_TIMEOUT
 from .scenario import QUERY_KINDS, ScenarioError, parse_scenario
-from .service import RunConfig, apply_width_override, run_session
+from .service import RunConfig, run_session
 from .snapshots import DEFAULT_WINDOW, export_snapshot, parse_snapshot_dump
 from .topology import TopologyError, load_topology
 from . import verify
@@ -30,7 +30,6 @@ def _add_common(p: argparse.ArgumentParser, scenario: bool = True) -> None:
     if scenario:
         p.add_argument("--scenario", required=True, help="scenario script path")
     p.add_argument("--seed", type=int, default=0, help=f"run seed (overridden by ${SEED_ENV})")
-    p.add_argument("--width", type=int, default=None, help="override header width")
     p.add_argument("--magic", default=None, help="magic ternary pattern for protocol traffic")
 
 
@@ -52,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--client", required=True)
     p_query.add_argument("--at", default=None, metavar="SWITCH:PORT",
                          help="the client's access point to answer at (default: its first)")
-    p_query.add_argument("--width", type=int, default=None)
 
     p_snap = sub.add_parser("snapshot", help="snapshot tooling")
     p_snap.add_argument("action", choices=["dump"])
@@ -73,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scn.add_argument("action", choices=["check"])
     p_scn.add_argument("--topology", required=True)
     p_scn.add_argument("--scenario", required=True)
-    p_scn.add_argument("--width", type=int, default=None)
 
     return parser
 
@@ -92,7 +89,6 @@ def cmd_run(args) -> int:
         seed=_seed_of(args),
         poll_rate=args.poll_rate,
         magic=args.magic,
-        width=args.width,
         window=args.window,
         timeout=args.timeout,
         out_dir=args.out,
@@ -105,8 +101,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_query(args) -> int:
-    topo_text = apply_width_override(Path(args.topology).read_text(), args.width)
-    topo = load_topology(topo_text)
+    topo = load_topology(Path(args.topology).read_text())
     snap = parse_snapshot_dump(Path(args.snapshot).read_text(), topo)
     aps = topo.client_aps(args.client)
     if not aps:
@@ -128,9 +123,8 @@ def cmd_snapshot(args) -> int:
         seed=_seed_of(args),
         poll_rate=args.poll_rate,
         magic=args.magic,
-        width=args.width,
     )
-    result = run_session(config, write=False)
+    result = run_session(config)
     dump = export_snapshot(result.final_snapshot())
     if args.out:
         Path(args.out).write_text(dump)
@@ -160,8 +154,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    topo_text = apply_width_override(Path(args.topology).read_text(), args.width)
-    topo = load_topology(topo_text)
+    topo = load_topology(Path(args.topology).read_text())
     parse_scenario(Path(args.scenario).read_text(), topo)
     print("scenario ok")
     return 0

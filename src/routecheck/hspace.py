@@ -59,10 +59,6 @@ class Ternary:
     def wildcard(cls, width: int) -> "Ternary":
         return cls(width, 0, 0)
 
-    @classmethod
-    def exact(cls, width: int, header: int) -> "Ternary":
-        return cls(width, (1 << width) - 1, header)
-
     def matches(self, header: int) -> bool:
         return (header & self.care) == self.value
 

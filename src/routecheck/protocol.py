@@ -8,6 +8,11 @@ until a timeout, then returns a signed report (carrying how many
 challenges were sent and how many verified replies came back) to the
 request point. Endpoints that never answer, or answer badly, show up as
 the requested/received shortfall, which the querying client can see.
+Each challenge is recorded once, in its session's ``challenges``; the
+controller's ``outstanding`` index maps an open challenge nonce to that
+session. Sending the report removes the session and all its challenge
+nonces together, so a reply that arrives later is rejected as unknown and
+changes no count.
 Every other kind is answered at once. The answer comes from
 ``verify.answer``, the same path as ``routecheck query``. An answer too
 large for a report field (``wire.MAX_STR`` bytes) is replaced by a signed
@@ -63,8 +68,7 @@ class Session:
     request_point: AccessPoint
     body: str
     deadline: int
-    requested: int = 0
-    challenges: dict[bytes, AccessPoint] = field(default_factory=dict)
+    challenges: dict[bytes, AccessPoint] = field(default_factory=dict)  # challenge nonce -> target
     verified: list[str] = field(default_factory=list)
 
 
@@ -178,7 +182,7 @@ class Controller:
         self._polls = poll_ticks(seed, poll_rate)
         self._next_poll = next(self._polls)
         self.sessions: dict[bytes, Session] = {}
-        self.outstanding: dict[bytes, tuple[bytes, AccessPoint]] = {}  # nonce_a -> (nonce_q, target)
+        self.outstanding: dict[bytes, Session] = {}  # open challenge nonce -> its session
         self.seen_nonces: dict[str, list[bytes]] = {}
         self.findings: list[Finding] = []
         self.rejects: list[tuple[int, str]] = []
@@ -300,12 +304,11 @@ class Controller:
             if answer.foreign:
                 detail = f"client={query.client} foreign={','.join(answer.foreign)}"
                 self.findings.append(Finding(tick, "isolation", detail))
-            session.requested = len(answer.candidates)
             session.deadline = tick + self.timeout
             for ap in answer.candidates:
                 nonce_a = self.rng.randbytes(wire.NONCE_LEN)
                 session.challenges[nonce_a] = ap
-                self.outstanding[nonce_a] = (query.nonce, ap)
+                self.outstanding[nonce_a] = session
                 challenge = Packet(self.magic.value, wire.frame_challenge(nonce_a, ap.alias))
                 net.packet_out(ap.switch, ap.port, challenge)
             self.sessions[query.nonce] = session
@@ -319,11 +322,11 @@ class Controller:
         self._finalize(session, tick, net)
 
     def _handle_reply(self, msg: wire.Message, tick: int) -> None:
-        entry = self.outstanding.get(msg.nonce)
-        if entry is None:
+        session = self.outstanding.get(msg.nonce)
+        if session is None:
             self.rejects.append((tick, "reply with unknown or already-used challenge nonce"))
             return
-        nonce_q, target = entry
+        target = session.challenges[msg.nonce]
         if msg.alias != target.alias:
             self.rejects.append((tick, f"reply alias {msg.alias} does not match challenged endpoint"))
             return
@@ -338,17 +341,13 @@ class Controller:
             self.rejects.append((tick, f"reply signature check failed for {msg.alias}"))
             return
         del self.outstanding[msg.nonce]
-        session = self.sessions.get(nonce_q)
-        if session is None:
-            self.rejects.append((tick, "reply for a closed session"))
-            return
         session.verified.append(target.alias)
 
     def _finalize(self, session: Session, tick: int, net: Network) -> None:
         params = [("body", session.body)]
         if session.kind == "isolation":
             params.append(("verified", ",".join(sorted(session.verified)) or "-"))
-        counts = (session.requested, len(session.verified))
+        counts = (len(session.challenges), len(session.verified))
         try:
             unsigned = wire.report_unsigned(session.kind, session.nonce, *counts, params)
         except wire.WireError as e:  # the answer does not fit a report: say so, signed
@@ -357,7 +356,7 @@ class Controller:
             unsigned = wire.report_unsigned(session.kind, session.nonce, *counts, [("body", session.body)])
         frame = wire.frame_report(unsigned, self.registry.controller_signing.sign(unsigned))
         self.sessions.pop(session.nonce, None)
-        for nonce_a in list(session.challenges):
+        for nonce_a in session.challenges:
             self.outstanding.pop(nonce_a, None)
         self.reports_sent.append((tick, session.client, session.kind, frame, session.body))
         rp = session.request_point

@@ -89,11 +89,11 @@ class Script:
     diverts: list[DivertSpec] = field(default_factory=list)
     horizon_hint: int | None = None
 
-    def base_horizon(self, settle: int = SETTLE_TICKS) -> int:
+    def base_horizon(self) -> int:
         ticks = [d.tick for d in self.directives]
         ticks += [s.tick for s in self.joins + self.diverts + self.transients]
         last = max(ticks) if ticks else 0
-        return max(self.horizon_hint or 0, last + settle)
+        return max(self.horizon_hint or 0, last + SETTLE_TICKS)
 
 
 def _kv(tokens: list[str], lineno: int) -> dict[str, str]:
@@ -186,6 +186,15 @@ def _endpoint(text: str, topo: Topology, lineno: int) -> tuple[str, str]:
     return sw, port
 
 
+def _expandable(expand_one, spec, topo: Topology, lineno: int):
+    """``spec`` once its template expands on ``topo``; else a ScenarioError naming the line."""
+    try:
+        expand_one(spec, topo)
+    except ScenarioError as e:
+        raise ScenarioError(f"line {lineno}: {e}") from None
+    return spec
+
+
 def parse_scenario(text: str, topo: Topology) -> Script:
     script = Script()
     parsed: dict[tuple[str, ...], FlowRule] = {}  # see _parse_flowmod
@@ -254,7 +263,8 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                 if topo.access_point_at(*hidden) is None:
                     raise ScenarioError(f"line {lineno}: hidden point {kv['hidden']} is not an access point")
                 match, prio = _attack_match(kv, topo, lineno)
-                script.joins.append(JoinSpec(tick, client, hidden, match, prio))
+                join = JoinSpec(tick, client, hidden, match, prio)
+                script.joins.append(_expandable(_expand_join, join, topo, lineno))
             elif template == "divert":
                 kv = _kv(body[2:], lineno)
                 client = _client(kv, topo, lineno)
@@ -262,7 +272,8 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                 if via not in set(topo.locations.values()):
                     raise ScenarioError(f"line {lineno}: no switch located in region {via!r}")
                 match, prio = _attack_match(kv, topo, lineno)
-                script.diverts.append(DivertSpec(tick, client, via, match, prio))
+                divert = DivertSpec(tick, client, via, match, prio)
+                script.diverts.append(_expandable(_expand_divert, divert, topo, lineno))
             elif template == "transient":
                 if len(body) < 3 or body[2] != "flowmod":
                     raise ScenarioError(f"line {lineno}: transient wraps a flowmod directive")

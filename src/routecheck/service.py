@@ -30,7 +30,6 @@ class RunConfig:
     seed: int = 0
     poll_rate: float = DEFAULT_POLL_RATE
     magic: str | None = None
-    width: int | None = None
     window: int = DEFAULT_WINDOW
     timeout: int = DEFAULT_TIMEOUT
     out_dir: str | None = None
@@ -53,16 +52,8 @@ class RunResult:
         return self.controller.service.current()
 
 
-def apply_width_override(text: str, width: int | None) -> str:
-    if width is None:
-        return text
-    kept = [l for l in text.splitlines() if not l.strip().startswith("headerwidth")]
-    return f"headerwidth {width}\n" + "\n".join(kept)
-
-
 def load_run_inputs(config: RunConfig) -> tuple[Topology, Script, Ternary]:
-    topo_text = Path(config.topology_path).read_text()
-    topo = load_topology(apply_width_override(topo_text, config.width))
+    topo = load_topology(Path(config.topology_path).read_text())
     magic = Ternary.parse(config.magic) if config.magic else default_magic(topo.width)
     if magic.width != topo.width:
         raise ValueError(f"magic pattern width {magic.width} != header width {topo.width}")
@@ -70,7 +61,7 @@ def load_run_inputs(config: RunConfig) -> tuple[Topology, Script, Ternary]:
     return topo, script, magic
 
 
-def run_session(config: RunConfig, write: bool = True) -> RunResult:
+def run_session(config: RunConfig) -> RunResult:
     topo, script, magic = load_run_inputs(config)
     registry, client_signing = KeyRegistry.provision(topo, config.seed)
     net = Network(topo)
@@ -98,7 +89,7 @@ def run_session(config: RunConfig, write: bool = True) -> RunResult:
         script=script,
         findings=sorted(controller.findings, key=lambda f: (f.tick, f.kind, f.detail)),
     )
-    if write and config.out_dir:
+    if config.out_dir:
         _write_artifacts(result, initial_dump, Path(config.out_dir))
     return result
 

@@ -177,9 +177,9 @@ class Network:
         """Depth-first multicast walk over (switch, header) states.
 
         Lookups ignore the ingress port, so a packet's fate depends only on
-        its (switch, header) state: each state's rule is looked up once per
-        walk and the state expanded at most once per pass. Branches are
-        followed in rule-port order and every leaf becomes one linear trace:
+        its (switch, header) state: each state's rule is looked up once and
+        the state expanded at most once per walk. Branches are followed in
+        rule-port order and every leaf becomes one linear trace:
 
         - egress: one copy per state-to-access-point edge, not per path;
         - drop or controller: once per state that ends there, carrying the
@@ -189,56 +189,36 @@ class Network:
           hops from the injection point.
 
         A branch that reaches a state another branch already expanded
-        merges silently. The hop limit is measured on shortest paths: if
-        the first pass cut any state, a second pass judges each state by its
-        breadth-first depth instead, so exactly the states within the limit
-        are expanded, however long the depth-first path that reaches them.
-        """
-        rules: dict[State, FlowRule | None] = {}
-        paths, cut = self._dfs(header, switch, in_port, rules, None)
-        if cut:
-            paths, _ = self._dfs(header, switch, in_port, rules, self._min_depths(header, switch, rules))
-        return paths
-
-    def _rule(self, rules: dict[State, FlowRule | None], state: State) -> FlowRule | None:
-        if state not in rules:
-            rules[state] = self.tables[state[0]].match_header(state[1])
-        return rules[state]
-
-    def _dfs(
-        self,
-        header: int,
-        switch: str,
-        in_port: str,
-        rules: dict[State, FlowRule | None],
-        min_depth: dict[State, int] | None,
-    ) -> tuple[list[TracePath], bool]:
-        """One depth-first pass; also reports whether the hop limit cut a state.
-
-        States deeper than the hop limit are judged by their depth on this
-        pass, or by ``min_depth`` (states absent from it are too deep).
+        merges silently. The hop limit is measured on shortest paths: a
+        state reached by a path longer than the limit is judged by its
+        breadth-first depth instead, computed once per walk on the first
+        such arrival. Breadth-first depth never exceeds path depth, so
+        exactly the states within the limit are expanded, however long the
+        depth-first path that reaches them.
         """
         limit = self.hop_limit
+        rules: dict[State, FlowRule | None] = {}
+        min_depth: dict[State, int] | None = None
         paths: list[TracePath] = []
         hops: list[TraceHop] = []  # forwarding hops from the injection point to the top state
         on_path: set[State] = set()
         expanded: set[State] = set()
         stack: list[tuple] = []  # open states: (state, in_port, rule, header out, port iterator)
-        cut = False
 
         def enter(sw: str, port: str, h: int) -> bool:
-            nonlocal cut
+            nonlocal min_depth
             state = (sw, h)
             if state in on_path:
                 paths.append(TracePath(hops + [TraceHop(sw, port, None, "loop")], "loop", header=h))
                 return False
             if state in expanded:
                 return False
-            depth = len(hops) + 1 if min_depth is None else min_depth.get(state, limit + 1)
-            if depth > limit:
-                cut = True
-                paths.append(TracePath(hops + [TraceHop(sw, port, None, "loop")], "loop", header=h))
-                return False
+            if len(hops) >= limit:
+                if min_depth is None:
+                    min_depth = self._min_depths(header, switch, rules)
+                if state not in min_depth:
+                    paths.append(TracePath(hops + [TraceHop(sw, port, None, "loop")], "loop", header=h))
+                    return False
             expanded.add(state)
             rule = self._rule(rules, state)
             if rule is None or rule.action.kind == "drop":
@@ -275,7 +255,12 @@ class Network:
             hops.append(hop)
             if not enter(peer[0], peer[1], h2):
                 hops.pop()
-        return paths, cut
+        return paths
+
+    def _rule(self, rules: dict[State, FlowRule | None], state: State) -> FlowRule | None:
+        if state not in rules:
+            rules[state] = self.tables[state[0]].match_header(state[1])
+        return rules[state]
 
     def _min_depths(self, header: int, switch: str, rules: dict[State, FlowRule | None]) -> dict[State, int]:
         """Breadth-first hop count of every state within the hop limit."""

@@ -295,7 +295,7 @@ def export_snapshot(snap: Snapshot) -> str:
 
 
 def parse_snapshot_dump(text: str, topo: Topology) -> Snapshot:
-    from .scenario import _parse_flowmod  # shared grammar
+    from .scenario import _kv, _number, _parse_flowmod  # shared grammar
 
     version = 0
     tick = 0
@@ -307,9 +307,9 @@ def parse_snapshot_dump(text: str, topo: Topology) -> Snapshot:
             continue
         toks = line.split()
         if toks[0].startswith("version="):
-            kv = dict(t.split("=", 1) for t in toks)
-            version = int(kv.get("version", "0"))
-            tick = int(kv.get("tick", "0"))
+            kv = _kv(toks, lineno)
+            version = _number(int, kv.get("version", "0"), "version=", lineno)
+            tick = _number(int, kv.get("tick", "0"), "tick=", lineno)
         elif toks[0] == "flowmod":
             op, switch, rule = _parse_flowmod(toks[1:], topo, lineno, parsed)
             if op != "add":

@@ -338,6 +338,12 @@ def load_topology(text: str) -> Topology:
         sw, port = tok.split(":", 1)
         return sw, port
 
+    def number(tok: str, lineno: int, what: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise err(lineno, f"{what} must be a number, got {tok!r}") from None
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -347,7 +353,7 @@ def load_topology(text: str) -> Topology:
         if kw == "headerwidth":
             if len(toks) != 2:
                 raise err(lineno, "headerwidth takes one argument")
-            width = int(toks[1])
+            width = number(toks[1], lineno, "header width")
             if width < 1:
                 raise err(lineno, f"header width must be positive, got {width}")
         elif kw == "switch":
@@ -356,7 +362,7 @@ def load_topology(text: str) -> Topology:
             name = toks[1]
             if name in switch_ports:
                 raise err(lineno, f"duplicate switch {name}")
-            n = int(toks[3])
+            n = number(toks[3], lineno, "port count")
             if n < 1:
                 raise err(lineno, f"switch {name} needs at least one port")
             switch_ports[name] = tuple(str(i) for i in range(1, n + 1))
@@ -380,7 +386,7 @@ def load_topology(text: str) -> Topology:
         elif kw == "field":
             if len(toks) != 4:
                 raise err(lineno, "expected: field <name> <startbit> <endbit>")
-            fields[toks[1]] = (int(toks[2]), int(toks[3]))
+            fields[toks[1]] = (number(toks[2], lineno, "start bit"), number(toks[3], lineno, "end bit"))
         elif kw == "nokey":
             if len(toks) != 2:
                 raise err(lineno, "expected: nokey <client>")

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from conftest import fixture_path
 from routecheck import wire
-from routecheck.cli import main
+from routecheck.cli import build_parser, main
 from routecheck.scenario import QUERY_KINDS
 from routecheck.service import RunConfig, run_session
 
@@ -449,3 +450,35 @@ def test_oracle_count_zero_trivially_passes(capsys):
 def test_oracle_rejects_wide_headers(capsys):
     code, _, err = run_cli(capsys, "oracle", "--count", "1", "--width", "12")
     assert code == 1 and "width" in err
+
+
+def readme_cli_commands():
+    """Every ``routecheck ...`` command in the code blocks of the README's CLI
+    section, continuation lines joined and ``[optional]`` brackets dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```")[1::2]
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("routecheck "):
+                commands.append(shlex.split(line.replace("[", "").replace("]", ""))[1:])
+    return commands
+
+
+def test_readme_cli_lines_parse():
+    commands = readme_cli_commands()
+    assert {argv[0] for argv in commands} == {"run", "query", "snapshot", "oracle", "scenario"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("command", [["run", "--scenario", "x"], ["snapshot", "dump", "--scenario", "x"],
+                                     ["query", "--snapshot", "x", "--kind", "geo", "--client", "c"],
+                                     ["scenario", "check", "--scenario", "x"]])
+def test_header_width_comes_only_from_the_topology(capsys, command):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(command + ["--topology", "t", "--width", "32"])
+    assert "unrecognized arguments: --width 32" in capsys.readouterr().err

@@ -376,3 +376,39 @@ def test_replayed_auth_reply_rejected():
     _, report = verify_report(frame, registry.controller_signing.verify_key)
     assert report.received == report.requested == 2  # counted once
     assert any("unknown or already-used" in r for _, r in controller.rejects)
+
+
+def test_reply_after_the_report_is_rejected_and_changes_no_count():
+    """With timeout=1 the report goes out before a late reply arrives: the
+    reply finds no open challenge, and the sent counts stay as they were."""
+    topo, registry, signing, magic, net, _, agents = setup()
+    controller = Controller(topo, registry, magic, seed=5, poll_rate=0.01, timeout=1)
+    controller.install_magic_rules(net)
+    late = []
+
+    class LateAgent:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def make_query(self, *args, **kwargs):
+            return self.inner.make_query(*args, **kwargs)
+
+        def on_delivery(self, delivery, tick, send_later):
+            def delay(t, sw, port, packet):
+                late.append(t + 2)
+                send_later(t + 2, sw, port, packet)
+            self.inner.on_delivery(delivery, tick, delay)
+
+    agents = dict(agents)
+    agents["alice"] = LateAgent(agents["alice"])
+    run_with_controller(topo, net, controller, agents, BENIGN_RULES + "@2 query client=alice kind=isolation\n")
+    assert late == [5, 5]  # challenged at tick 2, report due at tick 3
+    assert len(controller.reports_sent) == 1
+    tick, _, _, frame, _ = controller.reports_sent[0]
+    ok, report = verify_report(frame, registry.controller_signing.verify_key)
+    assert ok and tick == 3
+    assert (report.requested, report.received) == (2, 0)
+    assert report.param("verified") == "-"
+    rejects = [r for t, r in controller.rejects if t == 5]
+    assert rejects == ["reply with unknown or already-used challenge nonce"] * 2
+    assert controller.sessions == {} and controller.outstanding == {}

@@ -189,10 +189,26 @@ def test_join_attack_verified_by_engine_on_snapshot():
 
 
 def test_divert_needs_two_access_points():
-    t = topo()
-    script = parse_scenario("@0 attack divert client=bob via=r3\n", t)
-    with pytest.raises(ScenarioError, match="two access points"):
-        run_scenario(script, Network(t), seed=1)
+    with pytest.raises(ScenarioError, match="^line 1: divert needs a client with at least two access points"):
+        parse_scenario("@0 attack divert client=bob via=r3\n", topo())
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("@3 attack divert client=bob via=r3", "line 2: divert needs a client with at least two access points, bob has 1"),
+        ("@3 attack join client=alice hidden=swD:1", "line 2: no path from hidden point swD to swA"),
+    ],
+)
+def test_scenario_check_rejects_attacks_that_cannot_expand(tmp_path, capsys, line, message):
+    """``scenario check`` and ``run`` reject the same attack lines, naming the line."""
+    (tmp_path / "net.topo").write_text(DOC + "switch swD ports 1\naccess swD:1 client eve\n")
+    (tmp_path / "run.scn").write_text("@0 flowmod add swA prio=5 match=xxxxxxxx action=fwd:1\n" + line + "\n")
+    paths = ["--topology", str(tmp_path / "net.topo"), "--scenario", str(tmp_path / "run.scn")]
+    assert main(["scenario", "check", *paths]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["run", *paths]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_divert_routes_through_region():

@@ -365,6 +365,50 @@ access sD:2 client dave
         assert_walk_matches_reference(topo, net, topo.access_points[0], 0)
 
 
+def test_cut_walk_traces_are_pinned():
+    """A rewrite chain whose depth-first order first reaches sD one hop too
+    deep (through sB) while a shorter path (sA-sC) reaches the same state:
+    every trace, with its outcome, hop switches and header, is pinned."""
+    doc = """
+headerwidth 4
+switch sA ports 3
+switch sB ports 2
+switch sC ports 3
+switch sD ports 3
+switch sE ports 2
+link sA:1 sB:1
+link sA:2 sC:1
+link sB:2 sC:2
+link sC:3 sD:1
+link sD:3 sE:1
+access sA:3 client alice
+access sD:2 client dave
+access sE:2 client eve
+"""
+    topo = load_topology(doc)
+    want = {
+        3: [
+            ("egress", ["sA", "sB", "sC", "sD"], 0b1011),
+            ("loop", ["sA", "sB", "sC", "sD", "sE"], 0b1011),
+        ],
+        4: [
+            ("egress", ["sA", "sB", "sC", "sD"], 0b1011),
+            ("egress", ["sA", "sB", "sC", "sD", "sE"], 0b1011),
+        ],
+    }
+    for hop_limit, traces in want.items():
+        net = Network(topo, hop_limit=hop_limit)
+        net.apply_flow_mod("sA", "add", rule(5, "xxxx", "rewrite:1000/1xxx:1,2"))
+        net.apply_flow_mod("sB", "add", rule(5, "1xxx", "rewrite:1100/10xx:2"))
+        net.apply_flow_mod("sC", "add", rule(5, "1xxx", "rewrite:0010/xx1x:3"))
+        net.apply_flow_mod("sD", "add", rule(5, "1x1x", "rewrite:0001/xxx1:2,3"))
+        net.apply_flow_mod("sE", "add", rule(5, "xxxx", "fwd:2"))
+        paths = net.forward(Packet(0), ("sA", "3"))
+        got = [(p.outcome, [h.switch for h in p.hops], p.header) for p in paths]
+        assert got == traces, hop_limit
+        assert_walk_matches_reference(topo, net, topo.access_points[0], 0)
+
+
 def test_hop_limit_sets_match_per_path_walk():
     """Small hop limits on random rules and partial floods over meshes: the
     same deliveries and packet-ins as the per-path walk, one copy per edge

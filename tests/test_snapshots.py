@@ -522,3 +522,18 @@ def test_snapshot_dump_roundtrip():
     back = parse_snapshot_dump(text, topo)
     assert back.tables == snap.tables
     assert text.startswith("version=3 tick=0\n")
+
+
+@pytest.mark.parametrize(
+    "head, message",
+    [
+        ("version=abc tick=0", "line 2: version= must be a number, got 'abc'"),
+        ("version=1 tick=x", "line 2: tick= must be a number, got 'x'"),
+        ("version=1 tick", "line 2: expected key=value, got 'tick'"),
+    ],
+)
+def test_snapshot_dump_header_errors_name_their_line(head, message):
+    topo = load_topology(DOC)
+    with pytest.raises(ValueError) as info:
+        parse_snapshot_dump("# dump\n" + head + "\n", topo)
+    assert str(info.value) == message

@@ -103,6 +103,21 @@ def test_nokey_unknown_client():
         load_topology(SMALLEST + "nokey mallory\n")
 
 
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ("headerwidth abc", "line 1: header width must be a number, got 'abc'"),
+        ("switch s ports three", "line 1: port count must be a number, got 'three'"),
+        ("field dst 0 z", "line 1: end bit must be a number, got 'z'"),
+        ("field dst y 3", "line 1: start bit must be a number, got 'y'"),
+    ],
+)
+def test_non_numeric_fields_name_their_line(line, message):
+    with pytest.raises(TopologyError) as info:
+        load_topology(line + "\n" + SMALLEST)
+    assert str(info.value) == message
+
+
 def test_field_range_checked():
     with pytest.raises(TopologyError, match="outside width"):
         load_topology(SMALLEST + "field dport 2 5\n")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from conftest import fixture_path
 from routecheck import verify
-from routecheck.service import apply_width_override  # noqa: F401  (loads every wrapped module)
+from routecheck.service import load_run_inputs  # noqa: F401  (loads every wrapped module)
 from routecheck.sim import Network
 from routecheck.snapshots import snapshot_of
 from routecheck.topology import load_topology
