@@ -287,17 +287,23 @@ class HeaderSpace:
         """The terms that no other term strictly subsumes, in first-occurrence order.
 
         Denotation is unchanged. Term k subsumes t when t fixes every
-        position that k fixes, to the same value. Instead of comparing
-        every pair, an index maps each fixed position to two masks over
-        term indices, the terms fixing it to 0 and those fixing it to 1;
-        the terms that k subsumes are the AND of the masks at k's fixed
-        positions, and a term is dropped when some other term's AND holds
-        it.
+        position that k fixes, to the same value. Two or three terms are
+        compared pair by pair. For more, an index maps each fixed position
+        to two masks over term indices, the terms fixing it to 0 and those
+        fixing it to 1; the terms that k subsumes are the AND of the masks
+        at k's fixed positions, and a term is dropped when some other
+        term's AND holds it.
         """
         terms = self.terms
         n = len(terms)
         if n < 2:
             return self
+        if n <= 3:
+            kept = [
+                t for t in terms
+                if not any(k is not t and t.care & k.care == k.care and t.value & k.care == k.value for k in terms)
+            ]
+            return self if len(kept) == n else HeaderSpace(self.width, kept)
         zeros: dict[int, int] = {}  # position bit -> terms fixing it to 0
         ones: dict[int, int] = {}  # position bit -> terms fixing it to 1
         fixed_at: list[list[tuple[dict[int, int], int]]] = []  # per term: (zeros or ones, position) it fixes

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .hspace import Ternary
 from .sim import Network, Packet
-from .topology import Action, FlowRule, Topology
+from .topology import AccessPoint, Action, FlowRule, Topology
 from .wire import KIND_CODES
 
 QUERY_KINDS = tuple(KIND_CODES)
@@ -170,6 +170,8 @@ def _parse_flowmod(
         rule = FlowRule(priority=int(kv["prio"]), match=match, action=action)
     except ValueError as e:
         raise ScenarioError(f"line {lineno}: {e}") from None
+    if action.rewrite is not None and action.rewrite.width != topo.width:
+        raise ScenarioError(f"line {lineno}: rewrite width {action.rewrite.width} != header width {topo.width}")
     for p in action.ports:
         if p not in topo.switch_ports[switch]:
             raise ScenarioError(f"line {lineno}: switch {switch} has no port {p}")
@@ -198,6 +200,7 @@ def _expandable(expand_one, spec, topo: Topology, lineno: int):
 def parse_scenario(text: str, topo: Topology) -> Script:
     script = Script()
     parsed: dict[tuple[str, ...], FlowRule] = {}  # see _parse_flowmod
+    points: dict[str, AccessPoint] = {}  # inject endpoint token -> the access point it names
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -227,14 +230,17 @@ def parse_scenario(text: str, topo: Topology) -> Script:
         elif kw == "inject":
             if len(body) != 3:
                 raise ScenarioError(f"line {lineno}: expected inject <sw>:<port> header=<bits>")
-            sw, port = _endpoint(body[1], topo, lineno)
-            if topo.access_point_at(sw, port) is None:
-                raise ScenarioError(f"line {lineno}: inject point {sw}:{port} is not an access point")
+            ap = points.get(body[1])
+            if ap is None:
+                ap = topo.access_point_at(*_endpoint(body[1], topo, lineno))
+                if ap is None:
+                    raise ScenarioError(f"line {lineno}: inject point {body[1]} is not an access point")
+                points[body[1]] = ap
             kv = _kv(body[2:], lineno)
             bits = kv.get("header", "")
-            if len(bits) != topo.width or any(c not in "01" for c in bits):
+            if len(bits) != topo.width or bits.strip("01"):
                 raise ScenarioError(f"line {lineno}: header must be {topo.width} bits of 0/1")
-            script.directives.append(Directive(tick, "inject", switch=sw, port=port, header=int(bits, 2)))
+            script.directives.append(Directive(tick, "inject", switch=ap.switch, port=ap.port, header=int(bits, 2)))
         elif kw == "query":
             kv = _kv(body[1:], lineno)
             client = _client(kv, topo, lineno)

@@ -15,6 +15,11 @@ back to a state on its own path is a forwarding loop and is cut with a
 "loop" trace; a branch that reaches a state another branch already walked
 merges into it silently. The hop limit cuts states whose shortest path
 from the injection point is longer than the limit.
+
+The walk is one loop over an explicit stack, so its cost per state is a
+handful of dict and set operations plus the table's compiled classifier
+(``FlowTable.match_header``); rules whose match or rewrite width differs
+from the topology's header width are refused when applied.
 """
 
 from __future__ import annotations
@@ -118,6 +123,8 @@ class Network:
             raise ValueError(f"flowmod op must be add or remove, got {op!r}")
         if rule.match.width != self.topo.width:
             raise ValueError(f"rule match width {rule.match.width} != header width {self.topo.width}")
+        if rule.action.rewrite is not None and rule.action.rewrite.width != self.topo.width:
+            raise ValueError(f"rule rewrite width {rule.action.rewrite.width} != header width {self.topo.width}")
         for p in rule.action.ports:
             if p not in self.topo.switch_ports[switch]:
                 raise ValueError(f"switch {switch} has no port {p}")
@@ -164,12 +171,13 @@ class Network:
     def _run_live(self, packet: Packet, switch: str, in_port: str) -> list[TracePath]:
         paths = self._walk(packet.header, switch, in_port)
         for path in paths:
-            last = path.hops[-1]
-            out = Packet(path.header, packet.payload)
             if path.outcome == "egress":
                 ap = path.egress
+                out = Packet(path.header, packet.payload)
                 self.deliveries.append(Delivery(self.tick, ap.client, ap.switch, ap.port, out))
             elif path.outcome == "controller":
+                last = path.hops[-1]
+                out = Packet(path.header, packet.payload)
                 self._emit(last.switch, kind="packet_in", in_port=last.in_port, packet=out)
         return paths
 
@@ -197,42 +205,42 @@ class Network:
         depth-first path that reaches them.
         """
         limit = self.hop_limit
-        rules: dict[State, FlowRule | None] = {}
+        tables, ap_at, peer_of = self.tables, self.topo._ap_at, self.topo._peer
+        rules: dict[State, FlowRule | None] = {}  # each looked-up state's rule, shared with _min_depths
         min_depth: dict[State, int] | None = None
         paths: list[TracePath] = []
         hops: list[TraceHop] = []  # forwarding hops from the injection point to the top state
         on_path: set[State] = set()
-        expanded: set[State] = set()
+        expanded: set[State] = set()  # a superset of on_path
         stack: list[tuple] = []  # open states: (state, in_port, rule, header out, port iterator)
-
-        def enter(sw: str, port: str, h: int) -> bool:
-            nonlocal min_depth
-            state = (sw, h)
-            if state in on_path:
-                paths.append(TracePath(hops + [TraceHop(sw, port, None, "loop")], "loop", header=h))
-                return False
-            if state in expanded:
-                return False
-            if len(hops) >= limit:
-                if min_depth is None:
-                    min_depth = self._min_depths(header, switch, rules)
-                if state not in min_depth:
+        arrival: tuple[str, str, int] | None = (switch, in_port, header)  # next to enter: switch, in_port, header
+        while True:
+            if arrival is not None:
+                sw, port, h = arrival
+                arrival = None
+                state = (sw, h)
+                if state in expanded:
+                    if state in on_path:
+                        paths.append(TracePath(hops + [TraceHop(sw, port, None, "loop")], "loop", header=h))
+                elif len(hops) >= limit and state not in (
+                    min_depth := min_depth or self._min_depths(header, switch, rules)
+                ):
                     paths.append(TracePath(hops + [TraceHop(sw, port, None, "loop")], "loop", header=h))
-                    return False
-            expanded.add(state)
-            rule = self._rule(rules, state)
-            if rule is None or rule.action.kind == "drop":
-                paths.append(TracePath(hops + [TraceHop(sw, port, rule, "drop")], "drop", header=h))
-                return False
-            if rule.action.kind == "ctrl":
-                paths.append(TracePath(hops + [TraceHop(sw, port, rule, "ctrl")], "controller", header=h))
-                return False
-            on_path.add(state)
-            stack.append((state, port, rule, _header_out(rule, h), iter(rule.action.ports)))
-            return True
-
-        enter(switch, in_port, header)
-        while stack:
+                else:
+                    expanded.add(state)
+                    rule = rules[state] = rules[state] if state in rules else tables[sw].match_header(h)
+                    kind = "drop" if rule is None else rule.action.kind
+                    if kind == "fwd" or kind == "rewrite":
+                        on_path.add(state)
+                        h2 = rule.action.rewrite.apply(h) if kind == "rewrite" else h
+                        stack.append((state, port, rule, h2, iter(rule.action.ports)))
+                        continue
+                    outcome = "drop" if kind == "drop" else "controller"
+                    paths.append(TracePath(hops + [TraceHop(sw, port, rule, kind)], outcome, header=h))
+                if stack:
+                    hops.pop()  # the hop into the state that was not pushed
+            if not stack:
+                return paths
             state, port, rule, h2, out_ports = stack[-1]
             out_port = next(out_ports, None)
             if out_port is None:
@@ -243,24 +251,17 @@ class Network:
                 continue
             sw = state[0]
             hop = TraceHop(sw, port, rule, f"fwd:{out_port}")
-            ap = self.topo.access_point_at(sw, out_port)
+            ap = ap_at.get((sw, out_port))
             if ap is not None:
                 paths.append(TracePath(hops + [hop], "egress", egress=ap, header=h2))
                 continue
-            peer = self.topo.peer(sw, out_port)
+            peer = peer_of.get((sw, out_port))
             if peer is None:
                 # defensive: validated topologies cannot reach this
                 paths.append(TracePath(hops + [hop], "drop", header=h2))
                 continue
             hops.append(hop)
-            if not enter(peer[0], peer[1], h2):
-                hops.pop()
-        return paths
-
-    def _rule(self, rules: dict[State, FlowRule | None], state: State) -> FlowRule | None:
-        if state not in rules:
-            rules[state] = self.tables[state[0]].match_header(state[1])
-        return rules[state]
+            arrival = (peer[0], peer[1], h2)
 
     def _min_depths(self, header: int, switch: str, rules: dict[State, FlowRule | None]) -> dict[State, int]:
         """Breadth-first hop count of every state within the hop limit."""
@@ -269,10 +270,12 @@ class Network:
         for d in range(2, self.hop_limit + 1):
             following = []
             for state in frontier:
-                rule = self._rule(rules, state)
+                if state not in rules:
+                    rules[state] = self.tables[state[0]].match_header(state[1])
+                rule = rules[state]
                 if rule is None or rule.action.kind not in ("fwd", "rewrite"):
                     continue
-                h2 = _header_out(rule, state[1])
+                h2 = rule.action.rewrite.apply(state[1]) if rule.action.kind == "rewrite" else state[1]
                 for out_port in rule.action.ports:
                     peer = self.topo.peer(state[0], out_port)  # None at an access point
                     if peer is not None and (peer[0], h2) not in depth:
@@ -280,10 +283,6 @@ class Network:
                         following.append((peer[0], h2))
             frontier = following
         return depth
-
-
-def _header_out(rule: FlowRule, header: int) -> int:
-    return rule.action.rewrite.apply(header) if rule.action.kind == "rewrite" else header
 
 
 def magic_rule(width: int, magic: Ternary, priority: int = 65535) -> FlowRule:

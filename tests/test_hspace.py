@@ -331,3 +331,22 @@ def test_compact_keeps_first_occurrences_of_the_unsubsumed_terms():
     assert HeaderSpace.of("xxx", "101").compact().terms == (Ternary.parse("xxx"),)
     disjoint = HeaderSpace.of("1x", "01")
     assert disjoint.compact() == disjoint
+
+
+def test_compact_agrees_with_its_contract_on_every_size():
+    """Two and three terms take the pairwise scan and more take the index:
+    both keep, in first-occurrence order, exactly the terms no other term
+    subsumes, and return the space itself when they keep every term."""
+    rng = random.Random(59)
+    sizes = set()
+    for _ in range(3000):
+        s = random_space(rng, width=3, max_terms=6)
+        want = tuple(
+            t for t in s.terms
+            if not any(k != t and t.care & k.care == k.care and t.value & k.care == k.value for k in s.terms)
+        )
+        got = s.compact()
+        assert got.terms == want, s
+        assert (got is s) == (want == s.terms)
+        sizes.add((len(s.terms), want == s.terms))
+    assert {(n, kept) for n in (2, 3, 4) for kept in (True, False)} <= sizes

@@ -137,6 +137,61 @@ def test_repeated_rule_text_is_still_checked_on_its_own_line():
         )
 
 
+def test_rewrite_of_another_width_is_rejected_on_its_line(tmp_path, capsys):
+    """A rewrite narrower than the header is refused by ``scenario check`` and
+    by ``run`` before the first tick, with its line, instead of aborting a
+    query later."""
+    scn = tmp_path / "rewrite.scn"
+    text = Path(fixture_path("benign.scn")).read_text()
+    line = "@0 flowmod add swA prio=10 match=0xxxxxxxxxxxxxxx action=fwd:1"
+    assert line in text
+    scn.write_text(text.replace(line, line.replace("fwd:1", "rewrite:1111/0000:1")))
+    lineno = text.splitlines().index(line) + 1
+    for argv in (["scenario", "check"], ["run", "--out", str(tmp_path / "art")]):
+        code = main(argv + ["--topology", fixture_path("benign.topo"), "--scenario", str(scn)])
+        assert code == 1, argv
+        assert f"error: line {lineno}: rewrite width 4 != header width 16" in capsys.readouterr().err
+    with pytest.raises(ScenarioError, match="^line 2: rewrite width 9 != header width 8$"):
+        parse_scenario(
+            "@0 flowmod add swA prio=5 match=1xxxxxxx action=fwd:1\n"
+            "@0 attack transient flowmod add swA prio=5 match=1xxxxxxx action=rewrite:111111111/000000000:1 "
+            "f=0.5 period=4\n",
+            topo(),
+        )
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("@3 inject swA2 header=00000001", "expected <switch>:<port>, got 'swA2'"),
+        ("@3 inject swA:9 header=00000001", "no such port swA:9"),
+        ("@3 inject swA:1 header=00000001", "inject point swA:1 is not an access point"),
+        ("@3 inject swA:2 header=00000201", "header must be 8 bits of 0/1"),
+        ("@3 inject swA:2 header=0000001", "header must be 8 bits of 0/1"),
+        ("@3 inject swA:2 header=000000011", "header must be 8 bits of 0/1"),
+        ("@3 inject swA:2 header=", "header must be 8 bits of 0/1"),
+        ("@3 inject swA:2 bits=00000001", "header must be 8 bits of 0/1"),
+        ("@3 inject swA:2 00000001", "expected key=value, got '00000001'"),
+    ],
+)
+def test_inject_errors_name_their_own_line(line, message):
+    """Each bad inject names its own line, after good lines have filled the
+    endpoint cache and when the bad line is repeated below it."""
+    good = "@1 inject swA:2 header=00000001\n@2 inject swA:3 header=11111111\n#\n"
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(good + line + "\n" + line + "\n", topo())
+    assert str(info.value) == f"line 4: {message}"
+
+
+def test_inject_lines_share_one_access_point_per_endpoint():
+    script = parse_scenario(
+        "@1 inject swA:2 header=00000001\n@2 inject swA:3 header=11111111\n@3 inject swA:2 header=00000010\n",
+        topo(),
+    )
+    got = [(d.tick, d.switch, d.port, d.header) for d in script.directives]
+    assert got == [(1, "swA", "2", 1), (2, "swA", "3", 255), (3, "swA", "2", 2)]
+
+
 def test_query_without_controller_is_an_error():
     t = topo()
     script = parse_scenario("@0 query client=alice kind=geo", t)

@@ -170,6 +170,13 @@ def test_flowmod_validates_ports_and_width():
         net.apply_flow_mod("swA", "add", rule(1, "xx", "drop"))
 
 
+def test_flowmod_rejects_a_rewrite_of_another_width():
+    _, net = make_net()
+    with pytest.raises(ValueError, match="^rule rewrite width 2 != header width 4$"):
+        net.apply_flow_mod("swA", "add", rule(1, "xxxx", "rewrite:11/00:1"))
+    assert net.tables["swA"].rules == () and net.events == []
+
+
 def test_replayed_mod_sequence_matches_simple_replay():
     """Final table equals an order-preserving replay of the same script."""
     _, net = make_net()

@@ -537,3 +537,10 @@ def test_snapshot_dump_header_errors_name_their_line(head, message):
     with pytest.raises(ValueError) as info:
         parse_snapshot_dump("# dump\n" + head + "\n", topo)
     assert str(info.value) == message
+
+
+def test_snapshot_dump_rewrite_of_another_width_names_its_line():
+    topo = load_topology(DOC)
+    with pytest.raises(ValueError) as info:
+        parse_snapshot_dump("version=1 tick=0\nflowmod add swA prio=1 match=xxxx action=rewrite:11/00:1\n", topo)
+    assert str(info.value) == "line 2: rewrite width 2 != header width 4"

@@ -351,6 +351,66 @@ def test_lookup_law_on_sampled_headers_at_product_widths(width):
     law()
 
 
+@st.composite
+def classifier_cases(draw, width):
+    """A table reached by a sequence of adds and removes over a small rule
+    pool, and headers to look up. The pool shares a few sparse care masks,
+    the wildcard's among them, across few values, so a mask holds several
+    values, and it repeats rules and priorities; the table may be empty.
+    The headers include the corners of every rule and of every overlap of
+    two rules, where the first match is decided."""
+    bits = st.integers(0, (1 << width) - 1)
+    masks = [0] + [draw(bits) & draw(bits) & draw(bits) for _ in range(draw(st.integers(1, 3)))]
+    values = draw(st.lists(bits, min_size=1, max_size=4))
+    pool = [
+        FlowRule(
+            draw(st.integers(0, 3)),
+            Ternary(width, draw(st.sampled_from(masks)), draw(st.sampled_from(values))),
+            Action.parse(draw(st.sampled_from(["fwd:1", "drop", "ctrl"]))),
+        )
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    t = FlowTable()
+    for add, i in draw(st.lists(st.tuples(st.booleans(), st.integers(0, len(pool) - 1)), max_size=20)):
+        t = t.add(pool[i]) if add else t.remove(pool[i])
+    headers = set(draw(st.lists(bits, min_size=10, max_size=10)))
+    for a in pool:
+        for b in pool:
+            overlap = a.match.intersect(b.match)
+            if overlap is not None:
+                headers |= corner_headers(overlap)
+    return t, sorted(headers)
+
+
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_match_header_equals_a_linear_first_match(width):
+    """The compiled classifier picks the very rule that a scan of the rules
+    in lookup order picks first, or None when no rule matches."""
+    assert FlowTable().match_header(0) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(classifier_cases(width))
+    def law(case):
+        t, headers = case
+        for h in headers:
+            want = next((r for r in t.rules if r.match.matches(h)), None)
+            assert t.match_header(h) is want
+
+    law()
+
+
+def test_classifier_is_compiled_once_per_table_value():
+    t = FlowTable().add(rule(3, "1x", "fwd:1")).add(rule(3, "x1", "drop"))
+    assert t._classifier is None
+    assert t.match_header(0b11) == rule(3, "1x", "fwd:1")
+    compiled = t._classifier
+    assert compiled is not None
+    assert t.match_header(0b01) == rule(3, "x1", "drop") and t._classifier is compiled
+    assert t.add(rule(1, "xx", "drop"))._classifier is None
+    assert t.remove(rule(3, "1x", "fwd:1"))._classifier is None
+    assert FlowTable(t.rules) == t
+
+
 def test_action_parse_roundtrip():
     for text in ("fwd:1", "fwd:1,2", "drop", "ctrl", "rewrite:1100/10xx:2"):
         assert str(Action.parse(text)) == text
