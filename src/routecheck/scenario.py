@@ -444,31 +444,24 @@ def run_scenario(script: Script, net: Network, seed: int, controller=None, agent
 
     def drain(tick: int) -> None:
         nonlocal seen_ev, seen_del
-        while True:
-            progressed = False
+        while len(net.events) > seen_ev or len(net.deliveries) > seen_del:
             new_events = net.events[seen_ev:]
-            if new_events:
-                seen_ev = len(net.events)
-                progressed = True
-                if controller is not None:
-                    passed = []
-                    for ev in new_events:
-                        if suppress.get(ev.switch, 0) > 0:
-                            suppress[ev.switch] -= 1
-                            continue
-                        passed.append(ev)
-                    if passed:
-                        controller.on_events(passed, net)
+            seen_ev = len(net.events)
+            if new_events and controller is not None:
+                passed = []
+                for ev in new_events:
+                    if suppress.get(ev.switch, 0) > 0:
+                        suppress[ev.switch] -= 1
+                        continue
+                    passed.append(ev)
+                if passed:
+                    controller.on_events(passed, net)
             new_deliveries = net.deliveries[seen_del:]
-            if new_deliveries:
-                seen_del = len(net.deliveries)
-                progressed = True
-                for d in new_deliveries:
-                    agent = agents.get(d.client)
-                    if agent is not None:
-                        agent.on_delivery(d, tick, send_later)
-            if not progressed:
-                break
+            seen_del = len(net.deliveries)
+            for d in new_deliveries:
+                agent = agents.get(d.client)
+                if agent is not None:
+                    agent.on_delivery(d, tick, send_later)
 
     for tick in range(horizon + 1):
         net.tick = tick

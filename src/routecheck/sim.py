@@ -25,6 +25,7 @@ from the topology's header width are refused when applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hspace import Ternary
 from .topology import AccessPoint, FlowRule, FlowTable, Topology
@@ -81,8 +82,9 @@ class Delivery:
         )
 
 
-@dataclass(frozen=True)
-class TraceHop:
+class TraceHop(NamedTuple):
+    """One hop of a trace; a named tuple because every walked port makes one."""
+
     switch: str
     in_port: str
     rule: FlowRule | None
@@ -171,13 +173,15 @@ class Network:
     def _run_live(self, packet: Packet, switch: str, in_port: str) -> list[TracePath]:
         paths = self._walk(packet.header, switch, in_port)
         for path in paths:
+            if path.outcome != "egress" and path.outcome != "controller":
+                continue
+            # packets are immutable values, so a copy left unrewritten is the packet itself
+            out = packet if path.header == packet.header else Packet(path.header, packet.payload)
             if path.outcome == "egress":
                 ap = path.egress
-                out = Packet(path.header, packet.payload)
                 self.deliveries.append(Delivery(self.tick, ap.client, ap.switch, ap.port, out))
-            elif path.outcome == "controller":
+            else:
                 last = path.hops[-1]
-                out = Packet(path.header, packet.payload)
                 self._emit(last.switch, kind="packet_in", in_port=last.in_port, packet=out)
         return paths
 
