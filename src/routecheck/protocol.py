@@ -4,10 +4,11 @@ Clients encode queries as magic-header packets that pre-installed
 interception rules steer to the verification controller as packet-ins.
 For isolation queries the controller fans out authentication challenges
 by packet-out to every candidate access point, collects signed replies
-until a timeout, then returns a signed report (carrying how many
-challenges were sent and how many verified replies came back) to the
-request point. Endpoints that never answer, or answer badly, show up as
-the requested/received shortfall, which the querying client can see.
+until a timeout or the end of the run, whichever comes first, then
+returns a signed report (carrying how many challenges were sent and how
+many verified replies came back) to the request point. Endpoints that
+never answer, or answer badly, show up as the requested/received
+shortfall, which the querying client can see.
 Each challenge is recorded once, in its session's ``challenges``; the
 controller's ``outstanding`` index maps an open challenge nonce to that
 session. Sending the report removes the session and all its challenge
@@ -27,9 +28,9 @@ from dataclasses import dataclass, field
 
 from .hspace import Ternary
 from .keys import KeyRegistry, SigningKey, VerifyKey, seal
-from .sim import Delivery, Network, Packet, SwitchEvent, magic_rule
+from .sim import Delivery, Network, Packet, SwitchEvent
 from .snapshots import DEFAULT_WINDOW, GapDetected, SnapshotService, poll_ticks
-from .topology import AccessPoint, Topology
+from .topology import AccessPoint, Action, FlowRule, Topology
 from . import verify, wire
 
 DEFAULT_TIMEOUT = 8
@@ -160,6 +161,13 @@ class ClientAgent:
             self.reports.append((tick, ok, report))
 
 
+def magic_rule(width: int, magic: Ternary) -> FlowRule:
+    """The service-owned interception rule installed at access-point switches."""
+    if magic.width != width:
+        raise ValueError(f"magic pattern width {magic.width} != header width {width}")
+    return FlowRule(priority=65535, match=magic, action=Action("ctrl"))
+
+
 class Controller:
     """The trusted verification controller, driven by the scenario loop."""
 
@@ -225,6 +233,15 @@ class Controller:
         self.service.poll_findings.clear()
         due = [s for s in self.sessions.values() if s.deadline <= tick]
         for session in sorted(due, key=lambda s: s.nonce):
+            self._finalize(session, tick, net)
+
+    def close_sessions(self, tick: int, net: Network) -> None:
+        """Report every session still open, with the replies received so far.
+
+        The scenario loop calls this at its last tick, so a timeout that
+        outlives the script still ends in a signed report.
+        """
+        for session in sorted(self.sessions.values(), key=lambda s: s.nonce):
             self._finalize(session, tick, net)
 
     def finish(self, net: Network) -> None:

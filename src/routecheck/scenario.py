@@ -12,6 +12,9 @@ Grammar (one directive per line, ``#`` starts a comment)::
     @<tick> attack transient flowmod add <sw> prio=<p> match=<ternary> action=<...> f=<frac> period=<ticks>
     @<tick> attack suppress sw=<id> count=<n>
 
+A key may appear once per line, and only where its directive's grammar
+names it.
+
 Templates expand into concrete flowmod directives before execution. The
 transient template keeps the rule installed for exactly round(f*period)
 ticks per period, at a per-period random offset drawn from the run seed,
@@ -34,6 +37,7 @@ from .wire import KIND_CODES
 QUERY_KINDS = tuple(KIND_CODES)
 DEFAULT_ATTACK_PRIORITY = 100
 SETTLE_TICKS = 12
+FLOWMOD_KEYS = ("prio", "match", "action")
 
 
 class ScenarioError(ValueError):
@@ -102,8 +106,17 @@ def _kv(tokens: list[str], lineno: int) -> dict[str, str]:
         if "=" not in tok:
             raise ScenarioError(f"line {lineno}: expected key=value, got {tok!r}")
         k, v = tok.split("=", 1)
+        if k in out:
+            raise ScenarioError(f"line {lineno}: repeated key {k}=")
         out[k] = v
     return out
+
+
+def _known(kv: dict[str, str], keys: tuple[str, ...], lineno: int) -> None:
+    """A ScenarioError naming the line for the first key of ``kv`` outside ``keys``."""
+    for k in kv:
+        if k not in keys:
+            raise ScenarioError(f"line {lineno}: unknown key {k}=")
 
 
 def _number(kind: type, text: str, what: str, lineno: int):
@@ -161,7 +174,7 @@ def _parse_flowmod(
     if switch not in topo.switch_ports:
         raise ScenarioError(f"line {lineno}: unknown switch {switch}")
     kv = _kv(tokens[2:], lineno)
-    for key in ("prio", "match", "action"):
+    for key in FLOWMOD_KEYS:
         if key not in kv:
             raise ScenarioError(f"line {lineno}: flowmod missing {key}=")
     match = _match(kv["match"], topo, lineno)
@@ -175,6 +188,7 @@ def _parse_flowmod(
     for p in action.ports:
         if p not in topo.switch_ports[switch]:
             raise ScenarioError(f"line {lineno}: switch {switch} has no port {p}")
+    _known(kv, FLOWMOD_KEYS, lineno)
     parsed[rule_tokens] = rule
     return op, switch, rule
 
@@ -253,6 +267,7 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                 ap = topo.access_point_at(sw, port)
                 if ap is None or ap.client != client:
                     raise ScenarioError(f"line {lineno}: {kv['at']} is not an access point of {client}")
+            _known(kv, ("client", "kind", "at"), lineno)
             script.directives.append(
                 Directive(tick, "query", client=client, query_kind=kind, switch=sw, port=port)
             )
@@ -269,6 +284,7 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                 if topo.access_point_at(*hidden) is None:
                     raise ScenarioError(f"line {lineno}: hidden point {kv['hidden']} is not an access point")
                 match, prio = _attack_match(kv, topo, lineno)
+                _known(kv, ("client", "hidden", "match", "prio"), lineno)
                 join = JoinSpec(tick, client, hidden, match, prio)
                 script.joins.append(_expandable(_expand_join, join, topo, lineno))
             elif template == "divert":
@@ -278,20 +294,15 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                 if via not in set(topo.locations.values()):
                     raise ScenarioError(f"line {lineno}: no switch located in region {via!r}")
                 match, prio = _attack_match(kv, topo, lineno)
+                _known(kv, ("client", "via", "match", "prio"), lineno)
                 divert = DivertSpec(tick, client, via, match, prio)
                 script.diverts.append(_expandable(_expand_divert, divert, topo, lineno))
             elif template == "transient":
                 if len(body) < 3 or body[2] != "flowmod":
                     raise ScenarioError(f"line {lineno}: transient wraps a flowmod directive")
                 tail = body[3:]
-                extras = {}
-                core = []
-                for tok in tail:
-                    if tok.startswith("f=") or tok.startswith("period="):
-                        k, v = tok.split("=", 1)
-                        extras[k] = v
-                    else:
-                        core.append(tok)
+                extras = _kv([tok for tok in tail if tok.startswith(("f=", "period="))], lineno)
+                core = [tok for tok in tail if not tok.startswith(("f=", "period="))]
                 if "f" not in extras or "period" not in extras:
                     raise ScenarioError(f"line {lineno}: transient needs f= and period=")
                 op, switch, rule = _parse_flowmod(core, topo, lineno, parsed)
@@ -312,6 +323,7 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                 count = _number(int, kv.get("count", "1"), "count=", lineno)
                 if count < 1:
                     raise ScenarioError(f"line {lineno}: suppress count must be positive")
+                _known(kv, ("sw", "count"), lineno)
                 script.directives.append(Directive(tick, "suppress", switch=sw, count=count))
             else:
                 raise ScenarioError(f"line {lineno}: unknown attack template {template!r}")
@@ -420,8 +432,9 @@ def run_scenario(script: Script, net: Network, seed: int, controller=None, agent
 
     Deterministic given topology, script and seed. When a controller is
     supplied it sees every switch event (minus adversary-suppressed ones)
-    and every tick boundary; client agents receive deliveries at their
-    access points and may send packets on the next tick.
+    and every tick boundary, and at the horizon tick it closes the sessions
+    still open; client agents receive deliveries at their access points
+    and may send packets on the next tick.
     """
     agents = agents or {}
     rng = random.Random(f"{seed}:scenario")
@@ -487,6 +500,8 @@ def run_scenario(script: Script, net: Network, seed: int, controller=None, agent
         drain(tick)
         if controller is not None:
             controller.on_tick(tick, net)
+            if tick == horizon:
+                controller.close_sessions(tick, net)
             drain(tick)
 
     return list(net.events), list(net.deliveries)

@@ -17,7 +17,7 @@ merges into it silently. The hop limit cuts states whose shortest path
 from the injection point is longer than the limit.
 
 The walk is one loop over an explicit stack, so its cost per state is a
-handful of dict and set operations plus the table's compiled classifier
+handful of dict and set operations plus one scan of the switch's rules
 (``FlowTable.match_header``); rules whose match or rewrite width differs
 from the topology's header width are refused when applied.
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .hspace import Ternary
 from .topology import AccessPoint, FlowRule, FlowTable, Topology
 
 HOP_LIMIT_FACTOR = 4
@@ -189,9 +188,9 @@ class Network:
         """Depth-first multicast walk over (switch, header) states.
 
         Lookups ignore the ingress port, so a packet's fate depends only on
-        its (switch, header) state: each state's rule is looked up once and
-        the state expanded at most once per walk. Branches are followed in
-        rule-port order and every leaf becomes one linear trace:
+        its (switch, header) state: each state is looked up and expanded at
+        most once per walk. Branches are followed in rule-port order and
+        every leaf becomes one linear trace:
 
         - egress: one copy per state-to-access-point edge, not per path;
         - drop or controller: once per state that ends there, carrying the
@@ -210,7 +209,6 @@ class Network:
         """
         limit = self.hop_limit
         tables, ap_at, peer_of = self.tables, self.topo._ap_at, self.topo._peer
-        rules: dict[State, FlowRule | None] = {}  # each looked-up state's rule, shared with _min_depths
         min_depth: dict[State, int] | None = None
         paths: list[TracePath] = []
         hops: list[TraceHop] = []  # forwarding hops from the injection point to the top state
@@ -227,12 +225,12 @@ class Network:
                     if state in on_path:
                         paths.append(TracePath(hops + [TraceHop(sw, port, None, "loop")], "loop", header=h))
                 elif len(hops) >= limit and state not in (
-                    min_depth := min_depth or self._min_depths(header, switch, rules)
+                    min_depth := min_depth or self._min_depths(header, switch)
                 ):
                     paths.append(TracePath(hops + [TraceHop(sw, port, None, "loop")], "loop", header=h))
                 else:
                     expanded.add(state)
-                    rule = rules[state] = rules[state] if state in rules else tables[sw].match_header(h)
+                    rule = tables[sw].match_header(h)
                     kind = "drop" if rule is None else rule.action.kind
                     if kind == "fwd" or kind == "rewrite":
                         on_path.add(state)
@@ -267,16 +265,14 @@ class Network:
             hops.append(hop)
             arrival = (peer[0], peer[1], h2)
 
-    def _min_depths(self, header: int, switch: str, rules: dict[State, FlowRule | None]) -> dict[State, int]:
+    def _min_depths(self, header: int, switch: str) -> dict[State, int]:
         """Breadth-first hop count of every state within the hop limit."""
         depth = {(switch, header): 1}
         frontier = [(switch, header)]
         for d in range(2, self.hop_limit + 1):
             following = []
             for state in frontier:
-                if state not in rules:
-                    rules[state] = self.tables[state[0]].match_header(state[1])
-                rule = rules[state]
+                rule = self.tables[state[0]].match_header(state[1])
                 if rule is None or rule.action.kind not in ("fwd", "rewrite"):
                     continue
                 h2 = rule.action.rewrite.apply(state[1]) if rule.action.kind == "rewrite" else state[1]
@@ -287,12 +283,3 @@ class Network:
                         following.append((peer[0], h2))
             frontier = following
         return depth
-
-
-def magic_rule(width: int, magic: Ternary, priority: int = 65535) -> FlowRule:
-    """The service-owned interception rule installed at access-point switches."""
-    from .topology import Action
-
-    if magic.width != width:
-        raise ValueError(f"magic pattern width {magic.width} != header width {width}")
-    return FlowRule(priority=priority, match=magic, action=Action("ctrl"))

@@ -122,6 +122,8 @@ class SnapshotService:
     """Single-writer view builder; snapshots it hands out are immutable."""
 
     def __init__(self, topo: Topology, window: int = DEFAULT_WINDOW):
+        if window < 1:
+            raise ValueError(f"transient window must be positive, got {window}")
         self.topo = topo
         self.window = window
         self._tables: dict[str, FlowTable] = {sw: FlowTable() for sw in topo.switch_ports}
@@ -290,12 +292,12 @@ def export_snapshot(snap: Snapshot) -> str:
     lines = [f"version={snap.version} tick={snap.tick}"]
     for sw in sorted(snap.tables):
         for rule in snap.tables[sw].rules:
-            lines.append(f"flowmod add {sw} prio={rule.priority} match={rule.match} action={rule.action}")
+            lines.append(f"flowmod add {sw} {rule}")
     return "\n".join(lines) + "\n"
 
 
 def parse_snapshot_dump(text: str, topo: Topology) -> Snapshot:
-    from .scenario import _kv, _number, _parse_flowmod  # shared grammar
+    from .scenario import _known, _kv, _number, _parse_flowmod  # shared grammar
 
     version = 0
     tick = 0
@@ -310,6 +312,7 @@ def parse_snapshot_dump(text: str, topo: Topology) -> Snapshot:
             kv = _kv(toks, lineno)
             version = _number(int, kv.get("version", "0"), "version=", lineno)
             tick = _number(int, kv.get("tick", "0"), "tick=", lineno)
+            _known(kv, ("version", "tick"), lineno)
         elif toks[0] == "flowmod":
             op, switch, rule = _parse_flowmod(toks[1:], topo, lineno, parsed)
             if op != "add":

@@ -19,12 +19,11 @@ service (it holds no key).
 
 A ``FlowTable`` is an immutable value that memoises its own lookups: the
 split of a header space by winning rule is computed once per (table
-value, space), and the classifier that finds a concrete header's rule is
-compiled once per table value, on the first such lookup. Both live as
-long as the table does. Anyone holding the same value shares them, as
-the snapshots of a controller's view do for every switch that a change
-left alone; ``add`` and ``remove`` make a new value that starts with
-neither. No module-level cache exists.
+value, space) and lives as long as the table does. Anyone holding the
+same value shares it, as the snapshots of a controller's view do for
+every switch that a change left alone; ``add`` and ``remove`` make a new
+value that starts without it. A concrete header's rule is found by a
+scan of the rules. No module-level cache exists.
 """
 
 from __future__ import annotations
@@ -149,17 +148,13 @@ class FlowTable:
     ``rules`` is in lookup order: descending priority, insertion order
     breaking ties (earlier wins). The constructor trusts the order it is
     given; ``add`` and ``remove`` return new tables and leave this one as
-    it is. It memoises its ``lookup`` results by input space and its
-    compiled ``match_header`` classifier, and the tables that ``add`` and
-    ``remove`` make start with neither.
+    it is. It memoises its ``lookup`` results by input space, and the
+    tables that ``add`` and ``remove`` make start without them.
     """
 
     rules: tuple[FlowRule, ...] = ()
     _splits: dict[HeaderSpace, tuple[tuple[FlowRule | None, HeaderSpace], ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
-    )
-    _classifier: tuple[tuple[int, dict[int, int]], ...] | None = field(
-        default=None, init=False, compare=False, repr=False
     )
 
     def add(self, rule: FlowRule) -> "FlowTable":
@@ -176,31 +171,11 @@ class FlowTable:
         return FlowTable(self.rules[:i] + self.rules[i + 1:])
 
     def match_header(self, header: int) -> FlowRule | None:
-        """The first rule, in lookup order, whose match holds `header`.
-
-        The first call compiles the table into one group per distinct care
-        mask, mapping each match value under that mask to the index of the
-        first rule with it; a lookup probes each group's dict once and
-        keeps the lowest index found.
-        """
-        groups = self._classifier
-        if groups is None:
-            groups = self._compile()
-        rules = self.rules
-        best = len(rules)
-        for care, index in groups:
-            i = index.get(header & care, best)
-            if i < best:
-                best = i
-        return rules[best] if best < len(rules) else None
-
-    def _compile(self) -> tuple[tuple[int, dict[int, int]], ...]:
-        by_care: dict[int, dict[int, int]] = {}
-        for i, r in enumerate(self.rules):
-            by_care.setdefault(r.match.care, {}).setdefault(r.match.value, i)
-        groups = tuple(by_care.items())
-        object.__setattr__(self, "_classifier", groups)
-        return groups
+        """The first rule, in lookup order, whose match holds `header`; None if none does."""
+        for rule in self.rules:
+            if header & rule.match.care == rule.match.value:
+                return rule
+        return None
 
     def lookup(self, space: HeaderSpace) -> tuple[tuple[FlowRule | None, HeaderSpace], ...]:
         """Split `space` by winning rule, in lookup order.

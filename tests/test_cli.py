@@ -149,6 +149,37 @@ def test_oversized_report_becomes_a_signed_error_report(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    ("timeout", "tick"), [("8", 12), ("16", 16), ("1000000000", 16)]
+)
+def test_isolation_session_open_at_the_horizon_is_reported(tmp_path, capsys, timeout, tick):
+    """The horizon is tick 16; a deadline past it still ends in a signed
+    report, sent at the horizon with the replies received by then."""
+    flowmods = Path(fixture_path("benign.scn")).read_text().splitlines()[2:6]
+    scn = tmp_path / "late.scn"
+    scn.write_text("\n".join(flowmods + ["@4 query client=alice kind=isolation"]) + "\n")
+    art = tmp_path / "art"
+    code, out, err = run_cli(
+        capsys, "run", "--topology", fixture_path("benign.topo"), "--scenario", str(scn),
+        "--timeout", timeout, "--out", str(art),
+    )
+    assert code == 0, err
+    assert "findings=0 reports=1 exit=0" in out
+    assert (art / "client_reports.log").read_text().splitlines() == [
+        f"t={tick} client=alice kind=isolation verified=ok requested=2 received=2"
+    ]
+
+
+@pytest.mark.parametrize("window", ["0", "-5"])
+def test_non_positive_window_exits_one(capsys, window):
+    code, out, err = run_cli(
+        capsys, "run", "--topology", fixture_path("benign.topo"),
+        "--scenario", fixture_path("transient.scn"), "--window", window,
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: transient window must be positive, got {window}\n"
+
+
 def test_malformed_topology_exits_one(capsys):
     code, _, err = run_cli(
         capsys,

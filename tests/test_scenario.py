@@ -107,6 +107,30 @@ def test_parse_names_the_line_of_a_bad_attack_field(line, message):
         parse_scenario("@0 flowmod add swA prio=5 match=xxxxxxxx action=fwd:1\n" + line, topo())
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("@0 flowmod add swA prio=10 match=xxxxxxxx action=fwd:1 prio=99", "repeated key prio="),
+        ("@0 flowmod add swA prio=10 match=xxxxxxxx action=fwd:1 port=2", "unknown key port="),
+        ("@0 inject swA:2 header=00000000 header=11111111", "expected inject"),
+        ("@0 inject swA:2 bits=00000000", "header must be 8 bits of 0/1"),
+        ("@4 query client=alice kind=geo a=swA:3", "unknown key a="),
+        ("@4 query client=alice kind=geo kind=summary", "repeated key kind="),
+        ("@5 attack join client=alice hidden=swC:2 mach=00000000", "unknown key mach="),
+        ("@5 attack join client=alice hidden=swC:2 prio=1 prio=2", "repeated key prio="),
+        ("@0 attack divert client=alice via=r2 region=r3", "unknown key region="),
+        ("@0 attack suppress sw=swA count=1 switch=swB", "unknown key switch="),
+        ("@0 attack suppress sw=swA sw=swB", "repeated key sw="),
+        ("@0 attack transient flowmod add swA prio=1 match=xxxxxxxx action=drop f=0.5 period=10 g=1", "unknown key g="),
+        ("@0 attack transient flowmod add swA prio=1 match=xxxxxxxx action=drop f=0.5 f=0.9 period=10", "repeated key f="),
+        ("@0 attack transient flowmod add swA prio=1 match=xxxxxxxx action=drop f=0.5 period=10 period=4", "repeated key period="),
+    ],
+)
+def test_parse_rejects_repeated_and_unknown_keys_naming_the_line(line, message):
+    with pytest.raises(ScenarioError, match=f"^line 2: .*{message}"):
+        parse_scenario("@0 flowmod add swA prio=5 match=xxxxxxxx action=fwd:1\n" + line, topo())
+
+
 def test_repeated_rule_text_on_one_switch_is_parsed_into_one_rule():
     script = parse_scenario(
         "@0 flowmod add swA prio=5 match=1xxxxxxx action=fwd:1\n"
@@ -351,6 +375,9 @@ def test_suppress_withholds_events_from_controller():
             seen.extend(events)
 
         def on_tick(self, tick, net):
+            pass
+
+        def close_sessions(self, tick, net):
             pass
 
     net = Network(t)

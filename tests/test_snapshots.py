@@ -249,6 +249,12 @@ def test_schedule_polls_mean_gap_near_inverse_rate():
     assert abs(statistics.mean(gaps) - 10) / 10 < 0.1
 
 
+@pytest.mark.parametrize("window", [0, -5])
+def test_non_positive_window_is_refused(window):
+    with pytest.raises(ValueError, match="transient window must be positive"):
+        fresh(window=window)
+
+
 def test_schedule_polls_rejects_zero_rate():
     with pytest.raises(ValueError):
         schedule_polls(1, 0.0, 10)
@@ -342,6 +348,9 @@ def test_duty_cycle_scenario_matches_tick_truth():
 
         def on_tick(self, tick, net):
             self.present.append(r in net.tables["swA"].rules)
+
+        def close_sessions(self, tick, net):
+            pass
 
     rec = Recorder()
     run_scenario(script, net, seed=9, controller=rec)
@@ -530,6 +539,8 @@ def test_snapshot_dump_roundtrip():
         ("version=abc tick=0", "line 2: version= must be a number, got 'abc'"),
         ("version=1 tick=x", "line 2: tick= must be a number, got 'x'"),
         ("version=1 tick", "line 2: expected key=value, got 'tick'"),
+        ("version=1 tick=0 when=now", "line 2: unknown key when="),
+        ("version=1 tick=0 version=2", "line 2: repeated key version="),
     ],
 )
 def test_snapshot_dump_header_errors_name_their_line(head, message):

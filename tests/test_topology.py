@@ -384,7 +384,7 @@ def classifier_cases(draw, width):
 
 @pytest.mark.parametrize("width", [8, 16, 32])
 def test_match_header_equals_a_linear_first_match(width):
-    """The compiled classifier picks the very rule that a scan of the rules
+    """``match_header`` picks the very rule that a linear scan of the rules
     in lookup order picks first, or None when no rule matches."""
     assert FlowTable().match_header(0) is None
 
@@ -397,18 +397,6 @@ def test_match_header_equals_a_linear_first_match(width):
             assert t.match_header(h) is want
 
     law()
-
-
-def test_classifier_is_compiled_once_per_table_value():
-    t = FlowTable().add(rule(3, "1x", "fwd:1")).add(rule(3, "x1", "drop"))
-    assert t._classifier is None
-    assert t.match_header(0b11) == rule(3, "1x", "fwd:1")
-    compiled = t._classifier
-    assert compiled is not None
-    assert t.match_header(0b01) == rule(3, "x1", "drop") and t._classifier is compiled
-    assert t.add(rule(1, "xx", "drop"))._classifier is None
-    assert t.remove(rule(3, "1x", "fwd:1"))._classifier is None
-    assert FlowTable(t.rules) == t
 
 
 def test_action_parse_roundtrip():
