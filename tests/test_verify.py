@@ -1,5 +1,6 @@
 """Verification engine vs. per-packet simulation, plus query semantics."""
 
+import hashlib
 import random
 
 import pytest
@@ -447,3 +448,60 @@ def test_service_snapshots_answer_like_fresh_snapshots():
                 assert _all_answers(topo, snap) == _all_answers(topo, cold)
                 queried += 1
     assert queried > 20
+
+
+# -- kernel characterisation ---------------------------------------------------
+
+
+def kernel_digest(monkeypatch) -> tuple[str, dict[str, int]]:
+    """sha256 over every split and answer of cold propagations on seeded networks.
+
+    The networks are ``random_network`` ones at widths 8 and 16, which carry
+    rewrites, multi-port rules and cycles. Every access point propagates the
+    full space over a fresh snapshot. Each ``FlowTable.lookup`` call that
+    propagation makes contributes its input space and, per piece, the rule
+    text and the piece's terms; each ``reachable_endpoints`` entry
+    contributes its egress alias and its sent and arriving terms, all in the
+    order the engine produces them. Also returns counts of what was covered.
+    """
+    digest = hashlib.sha256()
+    seen = {"lookups": 0, "pieces": 0, "rewrites": 0, "wide_residuals": 0, "entries": 0, "wide_entries": 0}
+    real_lookup = FlowTable.lookup
+    calls = []
+
+    def recording_lookup(self, space):
+        split = real_lookup(self, space)
+        calls.append((space, split))
+        return split
+
+    monkeypatch.setattr(FlowTable, "lookup", recording_lookup)
+    for width, count, max_switches, max_rules in ((8, 16, 6, 12), (16, 10, 5, 8)):
+        for i in range(count):
+            topo, net = random_network(f"kernel-char-w{width}-{i}", width=width, max_switches=max_switches, max_rules=max_rules)
+            snap = snapshot_of(net)
+            for ap in topo.access_points:
+                calls.clear()
+                result = reachable_endpoints(topo, snap, ap, HeaderSpace.full(width))
+                for space, split in calls:
+                    seen["lookups"] += 1
+                    for rule, piece in split:
+                        seen["pieces"] += 1
+                        if rule is None:
+                            seen["wide_residuals"] += len(piece.terms) >= 10
+                        elif rule.action.kind == "rewrite":
+                            seen["rewrites"] += 1
+                        digest.update(f"lookup|{space}|{rule if rule else '-'}|{piece}\n".encode())
+                for e in result.entries:
+                    seen["entries"] += 1
+                    seen["wide_entries"] += len(e.sent.terms) >= 10 or len(e.arriving.terms) >= 10
+                    digest.update(f"reach|{ap.alias}|{e.egress.alias}|{e.sent}|{e.arriving}\n".encode())
+    return digest.hexdigest(), seen
+
+
+def test_kernel_matches_the_recorded_characterisation(monkeypatch):
+    """Splits and answers, byte for byte, as recorded before the kernel's
+    internal constructors, ``lookup``'s term loop and ``compact``'s wide
+    path changed: any change to a split, a term list or a term order shows."""
+    digest, seen = kernel_digest(monkeypatch)
+    assert min(seen.values()) > 0, seen
+    assert digest == "9b09ab09877efcb754bd395a2e7b35617a544fc8e04a4b53b9aacf6f14f9caba", (digest, seen)
