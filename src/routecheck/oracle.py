@@ -6,7 +6,10 @@ induce and collects every access point the packet can leave at. Cycles
 simply stop contributing, exactly like packets that loop forever. The
 harness generates random desk-scale networks and checks, exhaustively
 over all headers, that the engine's per-header reachability equals the
-walk's.
+walk's. Above the widths that can be enumerated, ``check_case_sampled``
+makes the same comparison on the headers where an error shows first:
+the corners of every rule match, one bit off each corner, and random
+headers.
 
 Deliberate bug injection (``mutation``) perturbs the snapshot the engine
 sees, but not the ground truth, to prove that the harness actually
@@ -225,25 +228,20 @@ def mutate_snapshot(snap: Snapshot, mutation: str) -> Snapshot:
 # -- case runner -------------------------------------------------------------
 
 
-def check_case(topo: Topology, net: Network, mutation: str | None = None) -> list[str]:
-    """Compare engine reachability against the walk oracle for all headers.
-
-    Returns mismatch descriptions, empty when the case passes.
-    """
+def _compare(topo: Topology, net: Network, mutation: str | None, headers) -> list[str]:
+    """Up to five mismatches between the walk over `net`'s tables and the
+    engine's reach over them (with `mutation` planted), on the headers that
+    a fresh ``headers()`` call gives for each access point in turn."""
     truth = snapshot_of(net)
     analyzed = mutate_snapshot(truth, mutation) if mutation else truth
     walk = egress_oracle(topo, truth)
     full = HeaderSpace.full(topo.width)
     mismatches = []
     for ap in topo.access_points:
-        result = reachable_endpoints(topo, analyzed, ap, full)
-        predicted: dict[int, set[str]] = {}
-        for entry in result.entries:
-            for h in entry.sent.denote():
-                predicted.setdefault(h, set()).add(entry.egress.alias)
-        for h in range(1 << topo.width):
+        entries = reachable_endpoints(topo, analyzed, ap, full).entries
+        for h in headers():
             expect = walk(ap, h)
-            got = frozenset(predicted.get(h, set()))
+            got = frozenset(e.egress.alias for e in entries if e.sent.member(h))
             if got != expect:
                 mismatches.append(
                     f"from={ap.alias} header={h:0{topo.width}b} engine={sorted(got)} oracle={sorted(expect)}"
@@ -251,6 +249,35 @@ def check_case(topo: Topology, net: Network, mutation: str | None = None) -> lis
                 if len(mismatches) >= 5:
                     return mismatches
     return mismatches
+
+
+def check_case(topo: Topology, net: Network, mutation: str | None = None) -> list[str]:
+    """Compare engine reachability against the walk oracle for all headers.
+
+    Returns mismatch descriptions, empty when the case passes.
+    """
+    every = range(1 << topo.width)
+    return _compare(topo, net, mutation, lambda: every)
+
+
+def check_case_sampled(
+    topo: Topology, net: Network, rng: random.Random, mutation: str | None = None, randoms: int = 20
+) -> list[str]:
+    """``check_case`` on sampled headers, for widths too large to enumerate.
+
+    From every access point it checks both corners of every rule match
+    (wildcards all 0, all 1), each corner with one bit flipped, and
+    `randoms` headers drawn from `rng`: priority shadowing, rewrites and
+    residual splits go wrong first at those corners.
+    """
+    width = topo.width
+    full_mask = (1 << width) - 1
+    corners = set()
+    for table in net.tables.values():
+        for r in table.rules:
+            corners |= {r.match.value, r.match.value | full_mask & ~r.match.care}
+    fixed = sorted(corners | {c ^ 1 << i for c in corners for i in range(width)})
+    return _compare(topo, net, mutation, lambda: fixed + [rng.getrandbits(width) for _ in range(randoms)])
 
 
 def run_cases(

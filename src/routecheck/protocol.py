@@ -4,11 +4,12 @@ Clients encode queries as magic-header packets that pre-installed
 interception rules steer to the verification controller as packet-ins.
 For isolation queries the controller fans out authentication challenges
 by packet-out to every candidate access point, collects signed replies
-until a timeout or the end of the run, whichever comes first, then
-returns a signed report (carrying how many challenges were sent and how
-many verified replies came back) to the request point. Endpoints that
-never answer, or answer badly, show up as the requested/received
-shortfall, which the querying client can see.
+until a timeout (a positive number of ticks, so challenged endpoints get
+at least one tick to answer) or the end of the run, whichever comes
+first, then returns a signed report (carrying how many challenges were
+sent and how many verified replies came back) to the request point.
+Endpoints that never answer, or answer badly, show up as the
+requested/received shortfall, which the querying client can see.
 Each challenge is recorded once, in its session's ``challenges``; the
 controller's ``outstanding`` index maps an open challenge nonce to that
 session. Sending the report removes the session and all its challenge
@@ -181,6 +182,8 @@ class Controller:
         poll_rate: float = DEFAULT_POLL_RATE,
         window: int = DEFAULT_WINDOW,
     ):
+        if not timeout > 0:
+            raise ValueError(f"reply timeout must be positive, got {timeout}")
         self.topo = topo
         self.registry = registry
         self.magic = magic

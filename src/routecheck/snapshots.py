@@ -104,7 +104,7 @@ def poll_ticks(seed: int | str, rate: float) -> Iterator[int]:
     Deterministic per seed; the memoryless distribution maximizes the
     adversary's uncertainty about the next poll given the past.
     """
-    if rate <= 0:
+    if not rate > 0:  # NaN fails this too
         raise ValueError(f"poll rate must be positive, got {rate}")
     if rate >= 1.0:
         return itertools.count(1)

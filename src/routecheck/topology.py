@@ -31,7 +31,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from .hspace import HeaderSpace, Rewrite, Ternary
+from .hspace import HeaderSpace, Rewrite, Ternary, _space
 
 DEFAULT_WIDTH = 16
 
@@ -185,23 +185,31 @@ class FlowTable:
         remainder, which is implicitly dropped. Empty sub-spaces are
         omitted. A repeated lookup of an equal space returns the memoised
         split.
+
+        The split works on terms: a rule wins the meets of its match with
+        the residual's terms, and the residual becomes their ``minus``
+        pieces, compacted when it had more than one term (one term's
+        pieces never subsume each other), exactly the terms that
+        ``HeaderSpace.intersect`` and ``difference`` give.
         """
         split = self._splits.get(space)
         if split is not None:
             return split
+        width = space.width
         out: list[tuple[FlowRule | None, HeaderSpace]] = []
-        residual = space
+        residual = space.terms
         for rule in self.rules:
-            if residual.is_empty():
+            if not residual:
                 break
-            match_space = HeaderSpace(space.width, [rule.match])
-            hit = residual.intersect(match_space)
-            if hit.is_empty():
+            match = rule.match
+            hit = [t for t in map(match.intersect, residual) if t is not None]
+            if not hit:
                 continue
-            out.append((rule, hit))
-            residual = residual.difference(match_space)
-        if not residual.is_empty():
-            out.append((None, residual))
+            out.append((rule, _space(width, hit)))
+            pieces = [p for r in residual for p in r.minus(match)]
+            residual = pieces if len(residual) == 1 else _space(width, pieces).compact().terms
+        if residual:
+            out.append((None, _space(width, residual)))
         split = self._splits[space] = tuple(out)
         return split
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .hspace import HeaderSpace, Ternary
+from .hspace import HeaderSpace, Ternary, _space
 from .snapshots import Snapshot
 from .topology import AccessPoint, Topology
 
@@ -89,7 +89,7 @@ def _propagate(
         lanes = visited.setdefault((sw, port), {})
         lane = (orig, rwmask)
         seen = lanes.get(lane)
-        cur_space = HeaderSpace(width, [cur])
+        cur_space = _space(width, (cur,))
         if seen is None:
             residual = cur_space
         else:
@@ -107,7 +107,7 @@ def _propagate(
     while work:
         sw, port, cur, orig, rwmask = work.popleft()
         traversed.add(sw)
-        for rule, sub in snap.tables[sw].lookup(HeaderSpace(width, [cur])):
+        for rule, sub in snap.tables[sw].lookup(_space(width, (cur,))):
             if rule is None or rule.action.kind in ("drop", "ctrl"):
                 continue
             for st in sub.terms:
@@ -137,8 +137,8 @@ def _propagate(
         entries.append(
             ReachEntry(
                 egress=ap,
-                arriving=HeaderSpace(width, arriving).compact(),
-                sent=HeaderSpace(width, sent).compact(),
+                arriving=_space(width, arriving).compact(),
+                sent=_space(width, sent).compact(),
             )
         )
     out = snap.reach[key] = (tuple(entries), frozenset(traversed))

@@ -180,6 +180,29 @@ def test_non_positive_window_exits_one(capsys, window):
     assert err == f"error: transient window must be positive, got {window}\n"
 
 
+@pytest.mark.parametrize("timeout", ["0", "-3"])
+def test_non_positive_timeout_exits_one(tmp_path, capsys, timeout):
+    flowmods = Path(fixture_path("benign.scn")).read_text().splitlines()[2:6]
+    scn = tmp_path / "query.scn"
+    scn.write_text("\n".join(flowmods + ["@4 query client=alice kind=isolation"]) + "\n")
+    code, out, err = run_cli(
+        capsys, "run", "--topology", fixture_path("benign.topo"), "--scenario", str(scn),
+        "--timeout", timeout, "--out", str(tmp_path / "art"),
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: reply timeout must be positive, got {timeout}\n"
+
+
+@pytest.mark.parametrize("command", [["run"], ["snapshot", "dump"]])
+def test_nan_poll_rate_exits_one(tmp_path, capsys, command):
+    code, out, err = run_cli(
+        capsys, *command, "--topology", fixture_path("benign.topo"),
+        "--scenario", fixture_path("benign.scn"), "--poll-rate", "nan", "--out", str(tmp_path / "out"),
+    )
+    assert code == 1 and out == ""
+    assert err == "error: poll rate must be positive, got nan\n"
+
+
 def test_malformed_topology_exits_one(capsys):
     code, _, err = run_cli(
         capsys,

@@ -15,6 +15,8 @@ from routecheck.hspace import (
     Rewrite,
     Ternary,
     WidthMismatch,
+    _space,
+    _term,
 )
 
 L = 8
@@ -334,19 +336,88 @@ def test_compact_keeps_first_occurrences_of_the_unsubsumed_terms():
 
 
 def test_compact_agrees_with_its_contract_on_every_size():
-    """Two and three terms take the pairwise scan and more take the index:
-    both keep, in first-occurrence order, exactly the terms no other term
-    subsumes, and return the space itself when they keep every term."""
-    rng = random.Random(59)
-    sizes = set()
-    for _ in range(3000):
-        s = random_space(rng, width=3, max_terms=6)
-        want = tuple(
+    """Two and three terms take the pairwise scan, up to 399 the packed scan
+    and more the index: each keeps, in first-occurrence order, exactly the
+    terms no other term subsumes, and returns the space itself when it
+    keeps every term."""
+
+    def unsubsumed(s):
+        return tuple(
             t for t in s.terms
             if not any(k != t and t.care & k.care == k.care and t.value & k.care == k.value for k in s.terms)
         )
+
+    rng = random.Random(59)
+    spaces = [random_space(rng, width=3, max_terms=6) for _ in range(3000)]
+    for n in (399, 400):
+        overlapping = {}
+        while len(overlapping) < n:
+            t = Ternary(16, rng.getrandbits(16) & rng.getrandbits(16), rng.getrandbits(16))
+            overlapping[t] = None
+        spaces.append(HeaderSpace(16, list(overlapping)))
+        spaces.append(HeaderSpace(16, [Ternary(16, 0xFFF0, v << 4) for v in range(n)]))
+    sizes = set()
+    for s in spaces:
+        want = unsubsumed(s)
         got = s.compact()
         assert got.terms == want, s
         assert (got is s) == (want == s.terms)
         sizes.add((len(s.terms), want == s.terms))
-    assert {(n, kept) for n in (2, 3, 4) for kept in (True, False)} <= sizes
+    assert {(n, kept) for n in (2, 3, 4, 399, 400) for kept in (True, False)} <= sizes
+
+
+# -- the trusted fast paths: laws at widths 1-32 -----------------------------------
+
+
+@st.composite
+def fields(draw, width):
+    """Raw (care, value) integers, not yet normalised to the width."""
+    return draw(st.integers(0, (1 << width + 2) - 1)), draw(st.integers(0, (1 << width + 2) - 1))
+
+
+@st.composite
+def term_pairs(draw):
+    width = draw(st.integers(1, 32))
+    (c1, v1), (c2, v2) = draw(fields(width)), draw(fields(width))
+    return Ternary(width, c1, v1), Ternary(width, c2, v2)
+
+
+def subsumes(k, t):
+    return t.care & k.care == k.care and t.value & k.care == k.value
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_pairs())
+def test_prop_one_terms_minus_pieces_never_subsume_each_other(pair):
+    """What lets ``FlowTable.lookup`` skip compacting a one-term residual."""
+    a, b = pair
+    pieces = a.minus(b)
+    for p in pieces:
+        for q in pieces:
+            assert p is q or not subsumes(p, q)
+    assert HeaderSpace(a.width, pieces).compact().terms == tuple(pieces)
+    assert [p.care & ~a.care for p in pieces] == sorted(p.care & ~a.care for p in pieces)  # lowest flip first
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_pairs(), st.integers(0, (1 << 34) - 1), st.integers(0, (1 << 34) - 1))
+def test_prop_cached_hash_is_the_field_tuple_hash(pair, mask, value):
+    a, b = pair
+    rw = Rewrite(a.width, mask, value)
+    derived = [a, b, Ternary.parse(str(a)), Ternary.wildcard(a.width), a.rewrite(rw), a.restricted_to(mask)]
+    derived += a.minus(b) + [t for t in (a.intersect(b),) if t is not None]
+    for t in derived:
+        assert hash(t) == hash((t.width, t.care, t.value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 32).flatmap(lambda w: st.tuples(st.just(w), st.lists(fields(w), max_size=6))))
+def test_prop_trusted_constructors_agree_with_the_public_ones(case):
+    width, raw = case
+    public = [Ternary(width, care, value) for care, value in raw]
+    trusted = [_term(width, t.care, t.value) for t in public]
+    assert [(t.width, t.care, t.value, hash(t)) for t in trusted] == [(t.width, t.care, t.value, hash(t)) for t in public]
+    assert trusted == public
+    repeated = public + public[::2]
+    assert _space(width, repeated).terms == HeaderSpace(width, repeated).terms
+    assert _space(width, repeated) == HeaderSpace(width, repeated)

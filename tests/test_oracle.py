@@ -1,10 +1,15 @@
 """The equivalence harness itself: sensitivity and generator sanity."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routecheck.oracle import (
     MUTATIONS,
     check_case,
+    check_case_sampled,
     mutate_snapshot,
     random_network,
     run_cases,
@@ -73,3 +78,24 @@ def test_check_case_reports_details_on_mismatch():
             assert "header=" in mismatches[0] and "from=" in mismatches[0]
             return
     pytest.fail("expected at least one mutated case to mismatch")
+
+
+# -- the sampled referee at the product width ------------------------------------
+
+
+def referee_network(seed):
+    return random_network(f"referee-{seed}", width=16, max_switches=4, max_rules=8)
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.integers(0, 10**6))
+def test_sampled_referee_passes_at_width_16(seed):
+    topo, net = referee_network(seed)
+    assert check_case_sampled(topo, net, random.Random(seed)) == []
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_sampled_referee_catches_each_mutation_at_width_16(mutation):
+    assert any(
+        check_case_sampled(*referee_network(seed), random.Random(seed), mutation=mutation) for seed in range(24)
+    ), f"mutation {mutation} went unnoticed at width 16"

@@ -412,3 +412,12 @@ def test_reply_after_the_report_is_rejected_and_changes_no_count():
     rejects = [r for t, r in controller.rejects if t == 5]
     assert rejects == ["reply with unknown or already-used challenge nonce"] * 2
     assert controller.sessions == {} and controller.outstanding == {}
+
+
+@pytest.mark.parametrize("timeout", [0, -3])
+def test_non_positive_reply_timeout_is_refused(timeout):
+    """A deadline due at the session's own tick would report before any
+    challenged endpoint could answer, a shortfall no endpoint caused."""
+    topo, registry, _, magic, _, _, _ = setup()
+    with pytest.raises(ValueError, match=f"reply timeout must be positive, got {timeout}"):
+        Controller(topo, registry, magic, seed=5, poll_rate=0.01, timeout=timeout)

@@ -1,5 +1,6 @@
 """Snapshot service: passive ingestion, polls, the change log, transient detection."""
 
+import itertools
 import random
 import statistics
 
@@ -15,6 +16,7 @@ from routecheck.snapshots import (
     TransientFinding,
     export_snapshot,
     parse_snapshot_dump,
+    poll_ticks,
     schedule_polls,
     snapshot_of,
 )
@@ -258,6 +260,18 @@ def test_non_positive_window_is_refused(window):
 def test_schedule_polls_rejects_zero_rate():
     with pytest.raises(ValueError):
         schedule_polls(1, 0.0, 10)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), -0.5, 0.0])
+def test_poll_ticks_refuses_a_rate_that_is_not_positive(rate):
+    """NaN compares false with everything, so it must be refused by what a
+    rate is (positive), not by what it is not (zero or below)."""
+    with pytest.raises(ValueError, match=f"poll rate must be positive, got {rate}"):
+        poll_ticks(1, rate)
+
+
+def test_poll_ticks_infinite_rate_polls_every_tick():
+    assert list(itertools.islice(poll_ticks(3, float("inf")), 5)) == [1, 2, 3, 4, 5]
 
 
 def test_poll_agreeing_with_passive_view_has_no_finding():
