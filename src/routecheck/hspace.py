@@ -9,12 +9,14 @@ first, e.g. "1xx0" fixes the outermost bits of a 4-bit header.
 Widths are checked at the public boundary. The ``Ternary`` and
 ``Rewrite`` constructors reject a non-positive width and mask their
 fields to it, the ``HeaderSpace`` constructor also checks every term's
-width, and every binary operation checks that its operands agree. A
-result derived from checked operands needs no check again: the module's
-own operations, ``topology.FlowTable.lookup`` and ``verify._propagate``
-build their terms and spaces with the trusted constructors ``_term`` and
-``_space``, which take their fields as given (``_space`` still drops
-repeated terms). A term's hash is computed once, when it is built.
+width, every binary operation checks that its operands agree, and
+``verify.reachable_endpoints`` checks the caller's space against the
+topology's width. A result derived from checked operands needs no check
+again: the module's own operations, ``topology.FlowTable.lookup`` and
+``verify._propagate`` build their terms and spaces with the trusted
+constructors ``_term`` and ``_space``, which take their fields as given
+(``_space`` still drops repeated terms). A term's hash is computed once,
+when it is built.
 """
 
 from __future__ import annotations
@@ -75,8 +77,7 @@ class Ternary:
 
     def intersect(self, other: "Ternary") -> "Ternary | None":
         """Bitwise meet; None when fixed bits conflict (empty set)."""
-        if self.width != other.width:
-            raise WidthMismatch(f"width {self.width} vs {other.width}")
+        _same_width(self, other)
         if (self.value ^ other.value) & self.care & other.care:
             return None
         return _term(self.width, self.care | other.care, self.value | other.value)
@@ -89,8 +90,7 @@ class Ternary:
         lowest position first. No piece subsumes another: each fixes its
         own flipped position, which the others leave free.
         """
-        if self.width != other.width:
-            raise WidthMismatch(f"width {self.width} vs {other.width}")
+        _same_width(self, other)
         width, care, value = self.width, self.care, self.value
         if (value ^ other.value) & care & other.care:
             return [self]
@@ -317,20 +317,13 @@ class HeaderSpace:
 
         Denotation is unchanged, and a space with nothing to drop is
         returned as is. Term k subsumes t when t fixes every position that
-        k fixes, to the same value. Each size takes the scan that measured
-        fastest for it at width 16:
-
-        - Two or three terms are compared pair by pair.
-        - Up to 399 terms, every term's care and value masks are packed
-          into one integer each, term j in the (width + 1)-bit slot j, so a
-          few integer operations compare a term with all the others: slot
-          k of ``bad`` is zero exactly when term k subsumes t, and the
-          spare top bit of each slot finds the zero slots. Those operations
-          grow with the space, so a term costs more the larger it is.
-        - Beyond, an index maps each fixed position to two masks over term
-          indices, the terms fixing it to 0 and those fixing it to 1; the
-          terms that k subsumes are the AND of the masks at k's fixed
-          positions, which is usually empty after a few of them.
+        k fixes, to the same value. Two or three terms are compared pair
+        by pair. From four terms on, every term's care and value masks are
+        packed into one integer each, term j in the (width + 1)-bit slot j,
+        so a few integer operations compare a term with all the others:
+        slot k of ``bad`` is zero exactly when term k subsumes t, and the
+        spare top bit of each slot finds the zero slots. Those operations
+        grow with the space, so the scan is quadratic in its size.
         """
         terms = self.terms
         n = len(terms)
@@ -341,7 +334,7 @@ class HeaderSpace:
                 t for t in terms
                 if not any(k is not t and t.care & k.care == k.care and t.value & k.care == k.value for k in terms)
             ]
-        elif n < 400:
+        else:
             width = self.width
             step = width + 1
             full = (1 << width) - 1
@@ -358,31 +351,6 @@ class HeaderSpace:
                 if ((bad | tops) - lows) & tops | own == tops:
                     kept.append(t)
                 own <<= step
-        else:
-            zeros: dict[int, int] = {}  # position bit -> terms fixing it to 0
-            ones: dict[int, int] = {}  # position bit -> terms fixing it to 1
-            fixed_at: list[list[tuple[dict[int, int], int]]] = []  # per term: (zeros or ones, position) it fixes
-            for j, t in enumerate(terms):
-                index_bit = 1 << j
-                care, value = t.care, t.value
-                keys = []
-                while care:
-                    pos = care & -care
-                    care ^= pos
-                    fixed = ones if value & pos else zeros
-                    fixed[pos] = fixed.get(pos, 0) | index_bit
-                    keys.append((fixed, pos))
-                fixed_at.append(keys)
-            everyone = (1 << n) - 1
-            dropped = 0
-            for j, keys in enumerate(fixed_at):
-                subsumed = everyone ^ (1 << j)
-                for fixed, pos in keys:
-                    subsumed &= fixed[pos]
-                    if not subsumed:
-                        break
-                dropped |= subsumed
-            kept = [t for j, t in enumerate(terms) if not dropped >> j & 1]
         return self if len(kept) == n else _space(self.width, kept)
 
     def denote(self) -> frozenset[int]:

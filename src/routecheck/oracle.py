@@ -28,6 +28,7 @@ from .topology import AccessPoint, Action, FlowRule, FlowTable, Topology, load_t
 from .verify import reachable_endpoints
 
 MUTATIONS = ("ignore-priority", "ignore-rewrite", "drop-top-rule")
+SAMPLED_RANDOMS = 20  # random headers per access point in check_case_sampled
 
 
 @dataclass
@@ -260,15 +261,13 @@ def check_case(topo: Topology, net: Network, mutation: str | None = None) -> lis
     return _compare(topo, net, mutation, lambda: every)
 
 
-def check_case_sampled(
-    topo: Topology, net: Network, rng: random.Random, mutation: str | None = None, randoms: int = 20
-) -> list[str]:
+def check_case_sampled(topo: Topology, net: Network, rng: random.Random, mutation: str | None = None) -> list[str]:
     """``check_case`` on sampled headers, for widths too large to enumerate.
 
     From every access point it checks both corners of every rule match
     (wildcards all 0, all 1), each corner with one bit flipped, and
-    `randoms` headers drawn from `rng`: priority shadowing, rewrites and
-    residual splits go wrong first at those corners.
+    ``SAMPLED_RANDOMS`` headers drawn from `rng`: priority shadowing,
+    rewrites and residual splits go wrong first at those corners.
     """
     width = topo.width
     full_mask = (1 << width) - 1
@@ -277,7 +276,7 @@ def check_case_sampled(
         for r in table.rules:
             corners |= {r.match.value, r.match.value | full_mask & ~r.match.care}
     fixed = sorted(corners | {c ^ 1 << i for c in corners for i in range(width)})
-    return _compare(topo, net, mutation, lambda: fixed + [rng.getrandbits(width) for _ in range(randoms)])
+    return _compare(topo, net, mutation, lambda: fixed + [rng.getrandbits(width) for _ in range(SAMPLED_RANDOMS)])
 
 
 def run_cases(

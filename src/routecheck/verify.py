@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .hspace import HeaderSpace, Ternary, _space
+from .hspace import HeaderSpace, Ternary, WidthMismatch, _space
 from .snapshots import Snapshot
 from .topology import AccessPoint, Topology
 
@@ -151,6 +151,8 @@ def reachable_endpoints(topo: Topology, snap: Snapshot, from_ap: AccessPoint, sp
         raise ValueError(f"{from_ap.switch}:{from_ap.port} is not a registered access point")
     if space.is_empty():
         raise ValueError("reachability needs a non-empty header space")
+    if space.width != topo.width:
+        raise WidthMismatch(f"space width {space.width} vs topology width {topo.width}")
     entries, _ = _propagate(topo, snap, from_ap, space)
     return ReachResult(entries=list(entries))
 

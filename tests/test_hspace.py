@@ -336,10 +336,10 @@ def test_compact_keeps_first_occurrences_of_the_unsubsumed_terms():
 
 
 def test_compact_agrees_with_its_contract_on_every_size():
-    """Two and three terms take the pairwise scan, up to 399 the packed scan
-    and more the index: each keeps, in first-occurrence order, exactly the
-    terms no other term subsumes, and returns the space itself when it
-    keeps every term."""
+    """Two and three terms take the pairwise scan, four and more the packed
+    scan, here up to 400 terms at widths 16 and 32: each keeps, in
+    first-occurrence order, exactly the terms no other term subsumes, and
+    returns the space itself when it keeps every term."""
 
     def unsubsumed(s):
         return tuple(
@@ -349,21 +349,22 @@ def test_compact_agrees_with_its_contract_on_every_size():
 
     rng = random.Random(59)
     spaces = [random_space(rng, width=3, max_terms=6) for _ in range(3000)]
-    for n in (399, 400):
+    for width in (16, 32):
         overlapping = {}
-        while len(overlapping) < n:
-            t = Ternary(16, rng.getrandbits(16) & rng.getrandbits(16), rng.getrandbits(16))
+        while len(overlapping) < 400:
+            t = Ternary(width, rng.getrandbits(width) & rng.getrandbits(width), rng.getrandbits(width))
             overlapping[t] = None
-        spaces.append(HeaderSpace(16, list(overlapping)))
-        spaces.append(HeaderSpace(16, [Ternary(16, 0xFFF0, v << 4) for v in range(n)]))
+        spaces.append(HeaderSpace(width, list(overlapping)))
+        spaces.append(HeaderSpace(width, [Ternary(width, (1 << width) - 16, v << 4) for v in range(400)]))
     sizes = set()
     for s in spaces:
         want = unsubsumed(s)
         got = s.compact()
         assert got.terms == want, s
         assert (got is s) == (want == s.terms)
-        sizes.add((len(s.terms), want == s.terms))
-    assert {(n, kept) for n in (2, 3, 4, 399, 400) for kept in (True, False)} <= sizes
+        sizes.add((s.width, len(s.terms), want == s.terms))
+    assert {(3, n, kept) for n in (2, 3, 4) for kept in (True, False)} <= sizes
+    assert {(w, 400, kept) for w in (16, 32) for kept in (True, False)} <= sizes
 
 
 # -- the trusted fast paths: laws at widths 1-32 -----------------------------------

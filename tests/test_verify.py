@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from routecheck.hspace import HeaderSpace, Ternary
+from routecheck.hspace import HeaderSpace, Ternary, WidthMismatch
 from routecheck.oracle import check_case, random_network, traversal_oracle
 from routecheck.scenario import expand, parse_scenario
 from routecheck.sim import Network
@@ -70,6 +70,17 @@ def test_reachable_requires_valid_inputs():
     snap = snapshot_of(net)
     with pytest.raises(ValueError, match="non-empty"):
         reachable_endpoints(topo, snap, ap_of(topo, "alice:ap1"), HeaderSpace.empty(4))
+
+
+@pytest.mark.parametrize("with_rule", [False, True])
+def test_reachable_refuses_a_space_of_another_width(with_rule):
+    """Refused whether or not the start switch has a rule whose match
+    would meet the space."""
+    topo, net = line_net()
+    if with_rule:
+        net.apply_flow_mod("swA", "add", rule(5, "xxxx", "fwd:1"))
+    with pytest.raises(WidthMismatch):
+        reachable_endpoints(topo, snapshot_of(net), ap_of(topo, "alice:ap1"), HeaderSpace.full(5))
 
 
 def test_rewrite_reports_sent_space_not_arriving():
