@@ -13,7 +13,8 @@ Grammar (one directive per line, ``#`` starts a comment)::
     @<tick> attack suppress sw=<id> count=<n>
 
 A key may appear once per line, and only where its directive's grammar
-names it.
+names it. The token helpers and the flowmod rule reader live in
+``topology``, beside ``FlowRule.__str__``.
 
 Templates expand into concrete flowmod directives before execution. The
 transient template keeps the rule installed for exactly round(f*period)
@@ -32,12 +33,12 @@ from dataclasses import dataclass, field
 from .hspace import Ternary
 from .sim import Network, Packet
 from .topology import AccessPoint, Action, FlowRule, Topology
+from .topology import check_keys, key_values, number, numbered_lines, parse_flowmod, parse_match, split_endpoint
 from .wire import KIND_CODES
 
 QUERY_KINDS = tuple(KIND_CODES)
 DEFAULT_ATTACK_PRIORITY = 100
 SETTLE_TICKS = 12
-FLOWMOD_KEYS = ("prio", "match", "action")
 
 
 class ScenarioError(ValueError):
@@ -100,235 +101,150 @@ class Script:
         return max(self.horizon_hint or 0, last + SETTLE_TICKS)
 
 
-def _kv(tokens: list[str], lineno: int) -> dict[str, str]:
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ScenarioError(f"line {lineno}: expected key=value, got {tok!r}")
-        k, v = tok.split("=", 1)
-        if k in out:
-            raise ScenarioError(f"line {lineno}: repeated key {k}=")
-        out[k] = v
-    return out
-
-
-def _known(kv: dict[str, str], keys: tuple[str, ...], lineno: int) -> None:
-    """A ScenarioError naming the line for the first key of ``kv`` outside ``keys``."""
-    for k in kv:
-        if k not in keys:
-            raise ScenarioError(f"line {lineno}: unknown key {k}=")
-
-
-def _number(kind: type, text: str, what: str, lineno: int):
-    """``kind(text)``; a ScenarioError naming the line when it is no number."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise ScenarioError(f"line {lineno}: {what} must be a number, got {text!r}") from None
-
-
-def _match(text: str, topo: Topology, lineno: int) -> Ternary:
-    try:
-        match = Ternary.parse(text)
-    except ValueError as e:
-        raise ScenarioError(f"line {lineno}: {e}") from None
-    if match.width != topo.width:
-        raise ScenarioError(f"line {lineno}: match width {match.width} != header width {topo.width}")
-    return match
-
-
-def _client(kv: dict[str, str], topo: Topology, lineno: int) -> str:
+def _client(kv: dict[str, str], topo: Topology) -> str:
     client = kv.get("client", "")
     if client not in {ap.client for ap in topo.access_points}:
-        raise ScenarioError(f"line {lineno}: unknown client {client!r}")
+        raise ScenarioError(f"unknown client {client!r}")
     return client
 
 
-def _attack_match(kv: dict[str, str], topo: Topology, lineno: int) -> tuple[Ternary, int]:
+def _attack_match(kv: dict[str, str], topo: Topology) -> tuple[Ternary, int]:
     """The ``match=`` (default: every header) and ``prio=`` of a join or divert line."""
-    match = _match(kv["match"], topo, lineno) if "match" in kv else Ternary.wildcard(topo.width)
-    prio = _number(int, kv.get("prio", str(DEFAULT_ATTACK_PRIORITY)), "prio=", lineno)
+    match = parse_match(kv["match"], topo.width) if "match" in kv else Ternary.wildcard(topo.width)
+    prio = number(int, kv.get("prio", str(DEFAULT_ATTACK_PRIORITY)), "prio=")
     if prio < 0:
-        raise ScenarioError(f"line {lineno}: priority must be non-negative, got {prio}")
+        raise ScenarioError(f"priority must be non-negative, got {prio}")
     return match, prio
 
 
-def _parse_flowmod(
-    tokens: list[str], topo: Topology, lineno: int, parsed: dict[tuple[str, ...], FlowRule]
-) -> tuple[str, str, FlowRule]:
-    """Parse ``<op> <sw> prio= match= action=``.
-
-    ``parsed`` maps the tokens after the op to the rule already parsed
-    from them, and gains each new rule that parses, so repeated rule text
-    is parsed once and yields the same object; the op is checked on every
-    line.
-    """
-    if len(tokens) < 5:
-        raise ScenarioError(f"line {lineno}: flowmod needs op, switch and rule fields")
-    op, switch = tokens[0], tokens[1]
-    if op not in ("add", "remove"):
-        raise ScenarioError(f"line {lineno}: flowmod op must be add or remove")
-    rule_tokens = tuple(tokens[1:])
-    if rule_tokens in parsed:
-        return op, switch, parsed[rule_tokens]
-    if switch not in topo.switch_ports:
-        raise ScenarioError(f"line {lineno}: unknown switch {switch}")
-    kv = _kv(tokens[2:], lineno)
-    for key in FLOWMOD_KEYS:
-        if key not in kv:
-            raise ScenarioError(f"line {lineno}: flowmod missing {key}=")
-    match = _match(kv["match"], topo, lineno)
-    try:
-        action = Action.parse(kv["action"])
-        rule = FlowRule(priority=int(kv["prio"]), match=match, action=action)
-    except ValueError as e:
-        raise ScenarioError(f"line {lineno}: {e}") from None
-    if action.rewrite is not None and action.rewrite.width != topo.width:
-        raise ScenarioError(f"line {lineno}: rewrite width {action.rewrite.width} != header width {topo.width}")
-    for p in action.ports:
-        if p not in topo.switch_ports[switch]:
-            raise ScenarioError(f"line {lineno}: switch {switch} has no port {p}")
-    _known(kv, FLOWMOD_KEYS, lineno)
-    parsed[rule_tokens] = rule
-    return op, switch, rule
-
-
-def _endpoint(text: str, topo: Topology, lineno: int) -> tuple[str, str]:
-    if ":" not in text:
-        raise ScenarioError(f"line {lineno}: expected <switch>:<port>, got {text!r}")
-    sw, port = text.split(":", 1)
+def _endpoint(text: str, topo: Topology) -> tuple[str, str]:
+    sw, port = split_endpoint(text)
     if not topo.has_port(sw, port):
-        raise ScenarioError(f"line {lineno}: no such port {sw}:{port}")
+        raise ScenarioError(f"no such port {sw}:{port}")
     return sw, port
-
-
-def _expandable(expand_one, spec, topo: Topology, lineno: int):
-    """``spec`` once its template expands on ``topo``; else a ScenarioError naming the line."""
-    try:
-        expand_one(spec, topo)
-    except ScenarioError as e:
-        raise ScenarioError(f"line {lineno}: {e}") from None
-    return spec
 
 
 def parse_scenario(text: str, topo: Topology) -> Script:
     script = Script()
-    parsed: dict[tuple[str, ...], FlowRule] = {}  # see _parse_flowmod
+    parsed: dict[tuple[str, ...], FlowRule] = {}  # see topology.parse_flowmod
     points: dict[str, AccessPoint] = {}  # inject endpoint token -> the access point it names
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(text):
         toks = line.split()
-        if toks[0] == "horizon":
-            if len(toks) != 2:
-                raise ScenarioError(f"line {lineno}: horizon takes one argument")
-            script.horizon_hint = _number(int, toks[1], "horizon", lineno)
-            continue
-        if not toks[0].startswith("@"):
-            raise ScenarioError(f"line {lineno}: directives start with @<tick>")
         try:
-            tick = int(toks[0][1:])
-        except ValueError:
-            raise ScenarioError(f"line {lineno}: bad tick {toks[0]!r}") from None
-        if tick < 0:
-            raise ScenarioError(f"line {lineno}: tick must be non-negative")
-        body = toks[1:]
-        if not body:
-            raise ScenarioError(f"line {lineno}: empty directive")
-        kw = body[0]
+            if toks[0] == "horizon":
+                if len(toks) != 2:
+                    raise ScenarioError("horizon takes one argument")
+                script.horizon_hint = number(int, toks[1], "horizon")
+                continue
+            if not toks[0].startswith("@"):
+                raise ScenarioError("directives start with @<tick>")
+            try:
+                tick = int(toks[0][1:])
+            except ValueError:
+                raise ScenarioError(f"bad tick {toks[0]!r}") from None
+            if tick < 0:
+                raise ScenarioError("tick must be non-negative")
+            body = toks[1:]
+            if not body:
+                raise ScenarioError("empty directive")
+            kw = body[0]
 
-        if kw == "flowmod":
-            op, switch, rule = _parse_flowmod(body[1:], topo, lineno, parsed)
-            script.directives.append(Directive(tick, "flowmod", op=op, switch=switch, rule=rule))
-        elif kw == "inject":
-            if len(body) != 3:
-                raise ScenarioError(f"line {lineno}: expected inject <sw>:<port> header=<bits>")
-            ap = points.get(body[1])
-            if ap is None:
-                ap = topo.access_point_at(*_endpoint(body[1], topo, lineno))
+            if kw == "flowmod":
+                op, switch, rule = parse_flowmod(body[1:], topo, parsed)
+                script.directives.append(Directive(tick, "flowmod", op=op, switch=switch, rule=rule))
+            elif kw == "inject":
+                if len(body) != 3:
+                    raise ScenarioError("expected inject <sw>:<port> header=<bits>")
+                ap = points.get(body[1])
                 if ap is None:
-                    raise ScenarioError(f"line {lineno}: inject point {body[1]} is not an access point")
-                points[body[1]] = ap
-            kv = _kv(body[2:], lineno)
-            bits = kv.get("header", "")
-            if len(bits) != topo.width or bits.strip("01"):
-                raise ScenarioError(f"line {lineno}: header must be {topo.width} bits of 0/1")
-            script.directives.append(Directive(tick, "inject", switch=ap.switch, port=ap.port, header=int(bits, 2)))
-        elif kw == "query":
-            kv = _kv(body[1:], lineno)
-            client = _client(kv, topo, lineno)
-            kind = kv.get("kind", "")
-            if kind not in QUERY_KINDS:
-                raise ScenarioError(f"line {lineno}: query kind must be one of {', '.join(QUERY_KINDS)}")
-            sw = port = ""
-            if "at" in kv:
-                sw, port = _endpoint(kv["at"], topo, lineno)
-                ap = topo.access_point_at(sw, port)
-                if ap is None or ap.client != client:
-                    raise ScenarioError(f"line {lineno}: {kv['at']} is not an access point of {client}")
-            _known(kv, ("client", "kind", "at"), lineno)
-            script.directives.append(
-                Directive(tick, "query", client=client, query_kind=kind, switch=sw, port=port)
-            )
-        elif kw == "attack":
-            if len(body) < 2:
-                raise ScenarioError(f"line {lineno}: attack needs a template name")
-            template = body[1]
-            if template == "join":
-                kv = _kv(body[2:], lineno)
-                client = _client(kv, topo, lineno)
-                if "hidden" not in kv:
-                    raise ScenarioError(f"line {lineno}: join needs hidden=<sw>:<port>")
-                hidden = _endpoint(kv["hidden"], topo, lineno)
-                if topo.access_point_at(*hidden) is None:
-                    raise ScenarioError(f"line {lineno}: hidden point {kv['hidden']} is not an access point")
-                match, prio = _attack_match(kv, topo, lineno)
-                _known(kv, ("client", "hidden", "match", "prio"), lineno)
-                join = JoinSpec(tick, client, hidden, match, prio)
-                script.joins.append(_expandable(_expand_join, join, topo, lineno))
-            elif template == "divert":
-                kv = _kv(body[2:], lineno)
-                client = _client(kv, topo, lineno)
-                via = kv.get("via", "")
-                if via not in set(topo.locations.values()):
-                    raise ScenarioError(f"line {lineno}: no switch located in region {via!r}")
-                match, prio = _attack_match(kv, topo, lineno)
-                _known(kv, ("client", "via", "match", "prio"), lineno)
-                divert = DivertSpec(tick, client, via, match, prio)
-                script.diverts.append(_expandable(_expand_divert, divert, topo, lineno))
-            elif template == "transient":
-                if len(body) < 3 or body[2] != "flowmod":
-                    raise ScenarioError(f"line {lineno}: transient wraps a flowmod directive")
-                tail = body[3:]
-                extras = _kv([tok for tok in tail if tok.startswith(("f=", "period="))], lineno)
-                core = [tok for tok in tail if not tok.startswith(("f=", "period="))]
-                if "f" not in extras or "period" not in extras:
-                    raise ScenarioError(f"line {lineno}: transient needs f= and period=")
-                op, switch, rule = _parse_flowmod(core, topo, lineno, parsed)
-                if op != "add":
-                    raise ScenarioError(f"line {lineno}: transient template installs rules (op must be add)")
-                duty = _number(float, extras["f"], "f=", lineno)
-                period = _number(int, extras["period"], "period=", lineno)
-                if not (0.0 < duty < 1.0):
-                    raise ScenarioError(f"line {lineno}: duty cycle must satisfy 0 < f < 1")
-                if period < 2:
-                    raise ScenarioError(f"line {lineno}: period must be at least 2 ticks")
-                script.transients.append(TransientSpec(tick, switch, rule, duty, period))
-            elif template == "suppress":
-                kv = _kv(body[2:], lineno)
-                sw = kv.get("sw", "")
-                if sw not in topo.switch_ports:
-                    raise ScenarioError(f"line {lineno}: unknown switch {sw!r}")
-                count = _number(int, kv.get("count", "1"), "count=", lineno)
-                if count < 1:
-                    raise ScenarioError(f"line {lineno}: suppress count must be positive")
-                _known(kv, ("sw", "count"), lineno)
-                script.directives.append(Directive(tick, "suppress", switch=sw, count=count))
+                    ap = topo.access_point_at(*_endpoint(body[1], topo))
+                    if ap is None:
+                        raise ScenarioError(f"inject point {body[1]} is not an access point")
+                    points[body[1]] = ap
+                kv = key_values(body[2:])
+                bits = kv.get("header", "")
+                if len(bits) != topo.width or bits.strip("01"):
+                    raise ScenarioError(f"header must be {topo.width} bits of 0/1")
+                header = int(bits, 2)
+                script.directives.append(Directive(tick, "inject", switch=ap.switch, port=ap.port, header=header))
+            elif kw == "query":
+                kv = key_values(body[1:])
+                client = _client(kv, topo)
+                kind = kv.get("kind", "")
+                if kind not in QUERY_KINDS:
+                    raise ScenarioError(f"query kind must be one of {', '.join(QUERY_KINDS)}")
+                sw = port = ""
+                if "at" in kv:
+                    sw, port = _endpoint(kv["at"], topo)
+                    ap = topo.access_point_at(sw, port)
+                    if ap is None or ap.client != client:
+                        raise ScenarioError(f"{kv['at']} is not an access point of {client}")
+                check_keys(kv, ("client", "kind", "at"))
+                script.directives.append(
+                    Directive(tick, "query", client=client, query_kind=kind, switch=sw, port=port)
+                )
+            elif kw == "attack":
+                if len(body) < 2:
+                    raise ScenarioError("attack needs a template name")
+                template = body[1]
+                if template == "join":
+                    kv = key_values(body[2:])
+                    client = _client(kv, topo)
+                    if "hidden" not in kv:
+                        raise ScenarioError("join needs hidden=<sw>:<port>")
+                    hidden = _endpoint(kv["hidden"], topo)
+                    if topo.access_point_at(*hidden) is None:
+                        raise ScenarioError(f"hidden point {kv['hidden']} is not an access point")
+                    match, prio = _attack_match(kv, topo)
+                    check_keys(kv, ("client", "hidden", "match", "prio"))
+                    join = JoinSpec(tick, client, hidden, match, prio)
+                    _expand_join(join, topo)  # a template that cannot expand is refused here, not at run time
+                    script.joins.append(join)
+                elif template == "divert":
+                    kv = key_values(body[2:])
+                    client = _client(kv, topo)
+                    via = kv.get("via", "")
+                    if via not in set(topo.locations.values()):
+                        raise ScenarioError(f"no switch located in region {via!r}")
+                    match, prio = _attack_match(kv, topo)
+                    check_keys(kv, ("client", "via", "match", "prio"))
+                    divert = DivertSpec(tick, client, via, match, prio)
+                    _expand_divert(divert, topo)
+                    script.diverts.append(divert)
+                elif template == "transient":
+                    if len(body) < 3 or body[2] != "flowmod":
+                        raise ScenarioError("transient wraps a flowmod directive")
+                    tail = body[3:]
+                    extras = key_values([tok for tok in tail if tok.startswith(("f=", "period="))])
+                    core = [tok for tok in tail if not tok.startswith(("f=", "period="))]
+                    if "f" not in extras or "period" not in extras:
+                        raise ScenarioError("transient needs f= and period=")
+                    op, switch, rule = parse_flowmod(core, topo, parsed)
+                    if op != "add":
+                        raise ScenarioError("transient template installs rules (op must be add)")
+                    duty = number(float, extras["f"], "f=")
+                    period = number(int, extras["period"], "period=")
+                    if not (0.0 < duty < 1.0):
+                        raise ScenarioError("duty cycle must satisfy 0 < f < 1")
+                    if period < 2:
+                        raise ScenarioError("period must be at least 2 ticks")
+                    script.transients.append(TransientSpec(tick, switch, rule, duty, period))
+                elif template == "suppress":
+                    kv = key_values(body[2:])
+                    sw = kv.get("sw", "")
+                    if sw not in topo.switch_ports:
+                        raise ScenarioError(f"unknown switch {sw!r}")
+                    count = number(int, kv.get("count", "1"), "count=")
+                    if count < 1:
+                        raise ScenarioError("suppress count must be positive")
+                    check_keys(kv, ("sw", "count"))
+                    script.directives.append(Directive(tick, "suppress", switch=sw, count=count))
+                else:
+                    raise ScenarioError(f"unknown attack template {template!r}")
             else:
-                raise ScenarioError(f"line {lineno}: unknown attack template {template!r}")
-        else:
-            raise ScenarioError(f"line {lineno}: unknown directive {kw!r}")
+                raise ScenarioError(f"unknown directive {kw!r}")
+        except ValueError as e:
+            raise ScenarioError(f"line {lineno}: {e}") from None
     return script
 
 

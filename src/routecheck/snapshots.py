@@ -39,12 +39,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .sim import Network, SwitchEvent
-from .topology import FlowRule, FlowTable, Topology
+from .topology import FlowRule, FlowTable, Topology, check_keys, key_values, number, numbered_lines, parse_flowmod
 
 DEFAULT_WINDOW = 1024
 
@@ -89,7 +89,7 @@ class TransientFinding:
     first_seen: int
     last_seen: int
     present_in: int  # number of polls that observed the rule
-    status: str  # "appeared" | "vanished" | "flapping"
+    status: str  # "appeared" | "vanished" | "reordered" | "flapping"
 
     def line(self) -> str:
         return (
@@ -127,14 +127,13 @@ class SnapshotService:
         self.topo = topo
         self.window = window
         self._tables: dict[str, FlowTable] = {sw: FlowTable() for sw in topo.switch_ports}
-        self._copies: dict[str, Counter[FlowRule]] = {sw: Counter() for sw in topo.switch_ports}
         self._last_seq: dict[str, int] = {sw: 0 for sw in topo.switch_ports}
         self._version = 0
         self._tick = 0
         self._version_tick = 0  # tick of the latest version
         self._built: Snapshot | None = None  # the last snapshot current() built
-        # (tick, switch, rule, present, tick of the version before the change)
-        self.changes: deque[tuple[int, str, FlowRule, bool, int]] = deque()
+        # (tick, switch, rule, tick of the version before the change)
+        self.changes: deque[tuple[int, str, FlowRule, int]] = deque()
         self.polls: deque[PollRecord] = deque()
         self.poll_findings: list[TransientFinding] = []
         self._new_version()
@@ -146,9 +145,9 @@ class SnapshotService:
         self._version_tick = self._tick
         return self._version
 
-    def _record(self, switch: str, rule: FlowRule, present: bool) -> None:
+    def _record(self, switch: str, rule: FlowRule) -> None:
         """Log a presence change that the next version makes."""
-        self.changes.append((self._tick, switch, rule, present, self._version_tick))
+        self.changes.append((self._tick, switch, rule, self._version_tick))
         cutoff = self._tick - self.window
         while self.changes and self.changes[0][0] < cutoff:
             self.changes.popleft()
@@ -171,18 +170,15 @@ class SnapshotService:
         self._last_seq[sw] = event.seq
         self._tick = max(self._tick, event.tick)
         if event.kind == "flowmod":
-            rule, copies, old = event.rule, self._copies[sw], self._tables[sw]
+            rule, old = event.rule, self._tables[sw]
             if event.op == "add":
                 self._tables[sw] = old.add(rule)
-                copies[rule] += 1
-                if copies[rule] == 1:
-                    self._record(sw, rule, True)
+                if rule not in old.rules:
+                    self._record(sw, rule)
             elif not event.noop and (new := old.remove(rule)) is not old:
                 self._tables[sw] = new
-                copies[rule] -= 1
-                if not copies[rule]:
-                    del copies[rule]
-                    self._record(sw, rule, False)
+                if rule not in new.rules:
+                    self._record(sw, rule)
             return self._new_version()
         # packet_in / port_status advance the sequence but not the view
         return self._version
@@ -196,8 +192,9 @@ class SnapshotService:
 
         Any disagreement with the passive view becomes a TransientFinding
         (appeared: present on the switch but not in the view; vanished:
-        the reverse) appended to ``poll_findings``, and the view is
-        corrected to the polled truth.
+        the reverse; reordered: in both, at another place among the rules
+        both hold or in another number of copies) appended to
+        ``poll_findings``, and the view is corrected to the polled truth.
         """
         if switch not in self._tables:
             raise ValueError(f"unknown switch {switch}")
@@ -210,14 +207,15 @@ class SnapshotService:
             truth_set, passive_set = set(truth), set(passive)
             appeared = [rule for rule in truth if rule not in passive_set]
             vanished = [rule for rule in passive if rule not in truth_set]
+            kept_truth = [r for r in truth if r in passive_set]
+            kept_view = [r for r in passive if r in truth_set]
+            reordered = dict.fromkeys(a or b for a, b in itertools.zip_longest(kept_truth, kept_view) if a != b)
             self.poll_findings += [TransientFinding(switch, r, tick, tick, 1, "appeared") for r in appeared]
             self.poll_findings += [TransientFinding(switch, r, tick, tick, 0, "vanished") for r in vanished]
-            for rule in dict.fromkeys(appeared):
-                self._record(switch, rule, True)
-            for rule in dict.fromkeys(vanished):
-                self._record(switch, rule, False)
+            self.poll_findings += [TransientFinding(switch, r, tick, tick, 1, "reordered") for r in reordered]
+            for rule in dict.fromkeys(appeared + vanished):
+                self._record(switch, rule)
             self._tables[switch] = polled
-            self._copies[switch] = Counter(truth)
         self.polls.append(PollRecord(tick, switch, truth))
         while self.polls and self.polls[0].tick < self._tick - self.window:
             self.polls.popleft()
@@ -261,14 +259,14 @@ class SnapshotService:
         """
         cutoff = self._tick - self.window
         per_rule: dict[tuple[str, FlowRule], list[tuple[int, int]]] = {}  # (tick, previous version's tick)
-        for tick, sw, rule, _, prev_tick in self.changes:
+        for tick, sw, rule, prev_tick in self.changes:
             if tick >= cutoff:
                 per_rule.setdefault((sw, rule), []).append((tick, prev_tick))
         findings: list[TransientFinding] = []
         for (sw, rule), ticks in sorted(per_rule.items(), key=lambda item: item[0][0]):
             if len(ticks) < 2:
                 continue
-            at_end = rule in self._copies[sw]
+            at_end = rule in self._tables[sw].rules
             at_start = at_end != (len(ticks) % 2 == 1)
             polls_seen = sum(1 for p in self.polls if p.switch == sw and p.tick >= cutoff and rule in p.rules)
             findings.append(
@@ -297,29 +295,27 @@ def export_snapshot(snap: Snapshot) -> str:
 
 
 def parse_snapshot_dump(text: str, topo: Topology) -> Snapshot:
-    from .scenario import _known, _kv, _number, _parse_flowmod  # shared grammar
-
     version = 0
     tick = 0
     tables: dict[str, FlowTable] = {sw: FlowTable() for sw in topo.switch_ports}
     parsed: dict[tuple[str, ...], FlowRule] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(text):
         toks = line.split()
-        if toks[0].startswith("version="):
-            kv = _kv(toks, lineno)
-            version = _number(int, kv.get("version", "0"), "version=", lineno)
-            tick = _number(int, kv.get("tick", "0"), "tick=", lineno)
-            _known(kv, ("version", "tick"), lineno)
-        elif toks[0] == "flowmod":
-            op, switch, rule = _parse_flowmod(toks[1:], topo, lineno, parsed)
-            if op != "add":
-                raise ValueError(f"line {lineno}: snapshot dumps contain only add lines")
-            tables[switch] = tables[switch].add(rule)
-        else:
-            raise ValueError(f"line {lineno}: unexpected snapshot line {line!r}")
+        try:
+            if toks[0].startswith("version="):
+                kv = key_values(toks)
+                version = number(int, kv.get("version", "0"), "version=")
+                tick = number(int, kv.get("tick", "0"), "tick=")
+                check_keys(kv, ("version", "tick"))
+            elif toks[0] == "flowmod":
+                op, switch, rule = parse_flowmod(toks[1:], topo, parsed)
+                if op != "add":
+                    raise ValueError("snapshot dumps contain only add lines")
+                tables[switch] = tables[switch].add(rule)
+            else:
+                raise ValueError(f"unexpected snapshot line {line!r}")
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
     return Snapshot(version=version, tick=tick, tables=tables)
 
 

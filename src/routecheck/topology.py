@@ -15,7 +15,13 @@ either one endpoint of exactly one link or the attachment of exactly one
 client, never both and never neither. ``field`` names a bit range of the
 header (0 = most significant bit, inclusive bounds). ``nokey`` marks a
 client that is physically attached but not enrolled with the verification
-service (it holds no key).
+service (it holds no key). An error that a line causes starts with
+``line N: ``, also one found after the last line.
+
+The line grammar that the topology, scenario and snapshot-dump readers
+share lives here too: ``numbered_lines``, the token helpers and
+``parse_flowmod``, which reads the rule text ``FlowRule.__str__`` writes.
+Its helpers raise bare ValueErrors; each reader adds the line.
 
 A ``FlowTable`` is an immutable value that memoises its own lookups: the
 split of a header space by winning rule is computed once per (table
@@ -29,6 +35,7 @@ scan of the rules. No module-level cache exists.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .hspace import HeaderSpace, Rewrite, Ternary, _space
@@ -139,6 +146,98 @@ class FlowRule:
         if self._text is None:
             object.__setattr__(self, "_text", f"prio={self.priority} match={self.match} action={self.action}")
         return self._text
+
+
+# -- line grammar shared by the readers (see the module docstring) -----------
+
+
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line left with text once its ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def key_values(tokens: list[str]) -> dict[str, str]:
+    out = {}
+    for tok in tokens:
+        if "=" not in tok:
+            raise ValueError(f"expected key=value, got {tok!r}")
+        k, v = tok.split("=", 1)
+        if k in out:
+            raise ValueError(f"repeated key {k}=")
+        out[k] = v
+    return out
+
+
+def check_keys(kv: dict[str, str], keys: tuple[str, ...]) -> None:
+    """A ValueError for the first key of ``kv`` outside ``keys``."""
+    for k in kv:
+        if k not in keys:
+            raise ValueError(f"unknown key {k}=")
+
+
+def number(kind: type, text: str, what: str):
+    """``kind(text)``; a ValueError naming ``what`` when it is no number."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{what} must be a number, got {text!r}") from None
+
+
+def split_endpoint(text: str) -> tuple[str, str]:
+    if ":" not in text:
+        raise ValueError(f"expected <switch>:<port>, got {text!r}")
+    sw, port = text.split(":", 1)
+    return sw, port
+
+
+def parse_match(text: str, width: int) -> Ternary:
+    match = Ternary.parse(text)
+    if match.width != width:
+        raise ValueError(f"match width {match.width} != header width {width}")
+    return match
+
+
+FLOWMOD_KEYS = ("prio", "match", "action")
+
+
+def parse_flowmod(
+    tokens: list[str], topo: Topology, parsed: dict[tuple[str, ...], FlowRule]
+) -> tuple[str, str, FlowRule]:
+    """Parse ``<op> <sw> prio= match= action=`` against ``topo``.
+
+    ``parsed`` maps the tokens after the op to the rule already parsed
+    from them, and gains each new rule that parses, so repeated rule text
+    is parsed once and yields the same object; the op is checked on every
+    line.
+    """
+    if len(tokens) < 5:
+        raise ValueError("flowmod needs op, switch and rule fields")
+    op, switch = tokens[0], tokens[1]
+    if op not in ("add", "remove"):
+        raise ValueError("flowmod op must be add or remove")
+    rule_tokens = tuple(tokens[1:])
+    if rule_tokens in parsed:
+        return op, switch, parsed[rule_tokens]
+    if switch not in topo.switch_ports:
+        raise ValueError(f"unknown switch {switch}")
+    kv = key_values(tokens[2:])
+    for key in FLOWMOD_KEYS:
+        if key not in kv:
+            raise ValueError(f"flowmod missing {key}=")
+    match = parse_match(kv["match"], topo.width)
+    action = Action.parse(kv["action"])
+    rule = FlowRule(priority=int(kv["prio"]), match=match, action=action)
+    if action.rewrite is not None and action.rewrite.width != topo.width:
+        raise ValueError(f"rewrite width {action.rewrite.width} != header width {topo.width}")
+    for p in action.ports:
+        if p not in topo.switch_ports[switch]:
+            raise ValueError(f"switch {switch} has no port {p}")
+    check_keys(kv, FLOWMOD_KEYS)
+    parsed[rule_tokens] = rule
+    return op, switch, rule
 
 
 @dataclass(frozen=True)
@@ -337,72 +436,58 @@ def load_topology(text: str) -> Topology:
     access_specs: list[tuple[str, str, str, int]] = []
     locations: dict[str, str] = {}
     fields: dict[str, tuple[int, int]] = {}
-    unkeyed: set[str] = set()
+    unkeyed: dict[str, int] = {}  # client -> its last nokey line
+    named_at: dict[tuple[str, str], int] = {}  # ("location" | "field", name) -> the line that last set it
 
-    def err(lineno: int, msg: str) -> TopologyError:
-        return TopologyError(f"line {lineno}: {msg}")
-
-    def split_endpoint(tok: str, lineno: int) -> tuple[str, str]:
-        if ":" not in tok:
-            raise err(lineno, f"expected <switch>:<port>, got {tok!r}")
-        sw, port = tok.split(":", 1)
-        return sw, port
-
-    def number(tok: str, lineno: int, what: str) -> int:
-        try:
-            return int(tok)
-        except ValueError:
-            raise err(lineno, f"{what} must be a number, got {tok!r}") from None
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(text):
         toks = line.split()
         kw = toks[0]
-        if kw == "headerwidth":
-            if len(toks) != 2:
-                raise err(lineno, "headerwidth takes one argument")
-            width = number(toks[1], lineno, "header width")
-            if width < 1:
-                raise err(lineno, f"header width must be positive, got {width}")
-        elif kw == "switch":
-            if len(toks) != 4 or toks[2] != "ports":
-                raise err(lineno, "expected: switch <id> ports <n>")
-            name = toks[1]
-            if name in switch_ports:
-                raise err(lineno, f"duplicate switch {name}")
-            n = number(toks[3], lineno, "port count")
-            if n < 1:
-                raise err(lineno, f"switch {name} needs at least one port")
-            switch_ports[name] = tuple(str(i) for i in range(1, n + 1))
-        elif kw == "link":
-            if len(toks) != 3:
-                raise err(lineno, "expected: link <sw>:<port> <sw>:<port>")
-            a_sw, a_p = split_endpoint(toks[1], lineno)
-            b_sw, b_p = split_endpoint(toks[2], lineno)
-            link_specs.append((a_sw, a_p, b_sw, b_p, lineno))
-        elif kw == "access":
-            if len(toks) != 4 or toks[2] != "client":
-                raise err(lineno, "expected: access <sw>:<port> client <id>")
-            sw, p = split_endpoint(toks[1], lineno)
-            if not toks[3]:
-                raise err(lineno, "empty client id")
-            access_specs.append((sw, p, toks[3], lineno))
-        elif kw == "location":
-            if len(toks) != 3:
-                raise err(lineno, "expected: location <sw> <region>")
-            locations[toks[1]] = toks[2]
-        elif kw == "field":
-            if len(toks) != 4:
-                raise err(lineno, "expected: field <name> <startbit> <endbit>")
-            fields[toks[1]] = (number(toks[2], lineno, "start bit"), number(toks[3], lineno, "end bit"))
-        elif kw == "nokey":
-            if len(toks) != 2:
-                raise err(lineno, "expected: nokey <client>")
-            unkeyed.add(toks[1])
-        else:
-            raise err(lineno, f"unknown directive {kw!r}")
+        try:
+            if kw == "headerwidth":
+                if len(toks) != 2:
+                    raise ValueError("headerwidth takes one argument")
+                width = number(int, toks[1], "header width")
+                if width < 1:
+                    raise ValueError(f"header width must be positive, got {width}")
+            elif kw == "switch":
+                if len(toks) != 4 or toks[2] != "ports":
+                    raise ValueError("expected: switch <id> ports <n>")
+                name = toks[1]
+                if name in switch_ports:
+                    raise ValueError(f"duplicate switch {name}")
+                n = number(int, toks[3], "port count")
+                if n < 1:
+                    raise ValueError(f"switch {name} needs at least one port")
+                switch_ports[name] = tuple(str(i) for i in range(1, n + 1))
+            elif kw == "link":
+                if len(toks) != 3:
+                    raise ValueError("expected: link <sw>:<port> <sw>:<port>")
+                a_sw, a_p = split_endpoint(toks[1])
+                b_sw, b_p = split_endpoint(toks[2])
+                link_specs.append((a_sw, a_p, b_sw, b_p, lineno))
+            elif kw == "access":
+                if len(toks) != 4 or toks[2] != "client":
+                    raise ValueError("expected: access <sw>:<port> client <id>")
+                sw, p = split_endpoint(toks[1])
+                access_specs.append((sw, p, toks[3], lineno))
+            elif kw == "location":
+                if len(toks) != 3:
+                    raise ValueError("expected: location <sw> <region>")
+                locations[toks[1]] = toks[2]
+                named_at[kw, toks[1]] = lineno
+            elif kw == "field":
+                if len(toks) != 4:
+                    raise ValueError("expected: field <name> <startbit> <endbit>")
+                fields[toks[1]] = (number(int, toks[2], "start bit"), number(int, toks[3], "end bit"))
+                named_at[kw, toks[1]] = lineno
+            elif kw == "nokey":
+                if len(toks) != 2:
+                    raise ValueError("expected: nokey <client>")
+                unkeyed[toks[1]] = lineno
+            else:
+                raise ValueError(f"unknown directive {kw!r}")
+        except ValueError as e:
+            raise TopologyError(f"line {lineno}: {e}") from None
 
     if width is None:
         width = DEFAULT_WIDTH
@@ -444,14 +529,15 @@ def load_topology(text: str) -> Topology:
 
     for sw in locations:
         if sw not in switch_ports:
-            raise TopologyError(f"location references unknown switch {sw}")
+            raise TopologyError(f"line {named_at['location', sw]}: location references unknown switch {sw}")
     for name, (start, end) in fields.items():
         if not (0 <= start <= end < width):
-            raise TopologyError(f"field {name} range {start}..{end} outside width {width}")
+            lineno = named_at["field", name]
+            raise TopologyError(f"line {lineno}: field {name} range {start}..{end} outside width {width}")
     clients = {ap.client for ap in aps}
-    for c in unkeyed:
+    for c, lineno in unkeyed.items():
         if c not in clients:
-            raise TopologyError(f"nokey references unknown client {c}")
+            raise TopologyError(f"line {lineno}: nokey references unknown client {c}")
 
     return Topology(
         width=width,

@@ -122,6 +122,32 @@ def test_flap_followed_by_many_versions_is_still_reported(tmp_path, capsys):
     assert "findings=1 " in out
 
 
+def test_poll_that_only_reorders_a_table_is_a_finding(tmp_path, capsys):
+    """swA's two equal-priority rules change places behind the controller's
+    back (both events suppressed), so alice:ap1's 0... traffic is now
+    dropped; the next poll reports both rules as reordered."""
+    scn = tmp_path / "reorder.scn"
+    scn.write_text(
+        "@0 flowmod add swA prio=10 match=0xxxxxxxxxxxxxxx action=fwd:1\n"
+        "@0 flowmod add swA prio=10 match=xxxxxxxxxxxxxxxx action=drop\n"
+        "@0 flowmod add swB prio=10 match=0xxxxxxxxxxxxxxx action=fwd:2\n"
+        "@3 attack suppress sw=swA count=2\n"
+        "@4 flowmod remove swA prio=10 match=0xxxxxxxxxxxxxxx action=fwd:1\n"
+        "@4 flowmod add swA prio=10 match=0xxxxxxxxxxxxxxx action=fwd:1\n"
+        "@8 query client=alice kind=summary at=swB:2\n"
+        "horizon 12\n"
+    )
+    code, out, err = run_cli(
+        capsys, "run", "--topology", fixture_path("benign.topo"), "--scenario", str(scn), "--poll-rate", "1"
+    )
+    assert code == 2, err
+    assert out.splitlines() == [
+        "t=4 kind=transient poll_disagreement sw=swA status=reordered rule[prio=10 match=0xxxxxxxxxxxxxxx action=fwd:1]",
+        "t=4 kind=transient poll_disagreement sw=swA status=reordered rule[prio=10 match=xxxxxxxxxxxxxxxx action=drop]",
+        "findings=2 reports=1 exit=2",
+    ]
+
+
 def test_oversized_report_becomes_a_signed_error_report(tmp_path, capsys):
     """40 access points on one switch make a summary body far larger than a
     report field holds; the run sends a signed error report and goes on."""

@@ -5,9 +5,12 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routecheck import snapshots
 from routecheck.hspace import HeaderSpace, Ternary
+from routecheck.oracle import random_network
 from routecheck.scenario import Script, TransientSpec, run_scenario
 from routecheck.sim import Network, Packet, SwitchEvent
 from routecheck.snapshots import (
@@ -304,6 +307,27 @@ def test_poll_discrepancy_raises_findings_and_corrects_view():
     assert svc.current().tables["swA"].rules == net.tables["swA"].rules
 
 
+def test_poll_that_only_reorders_a_table_reports_the_moved_rules():
+    """The switch removes and re-adds one of two equal-priority rules and the
+    service sees neither event: the same rules, in another lookup order. The
+    poll reports both and adopts the switch's order; an unseen second copy
+    of a rule is reported the same way."""
+    topo, net, svc = fresh()
+    first, second = rule(5, "1xxx", "fwd:1"), rule(5, "xxxx", "drop")
+    for r in (first, second):
+        svc.ingest_event(net.apply_flow_mod("swA", "add", r))
+    net.apply_flow_mod("swA", "remove", first)
+    net.apply_flow_mod("swA", "add", first)
+    svc.active_poll("swA", net)
+    assert [(f.status, f.rule) for f in svc.poll_findings] == [("reordered", second), ("reordered", first)]
+    assert svc.current().tables["swA"].rules == (second, first)
+    svc.poll_findings.clear()
+    net.apply_flow_mod("swA", "add", first)
+    svc.active_poll("swA", net)
+    assert [(f.status, f.rule) for f in svc.poll_findings] == [("reordered", first)]
+    assert svc.current().tables["swA"].rules == (second, first, first)
+
+
 # -- transient detection -------------------------------------------------------
 
 
@@ -533,6 +557,18 @@ def test_change_log_detection_equals_scan_over_every_snapshot():
 
 
 # -- export / import ------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([8, 16]))
+def test_snapshot_dump_roundtrip_over_random_rules(seed, width):
+    """Random tables at widths 8 and 16, with rewrites, multi-port, drop and
+    ctrl actions and equal priorities, read back rule for rule, in order."""
+    topo, net = random_network(f"dump:{seed}", width=width)
+    snap = snapshot_of(net, version=seed % 100)
+    back = parse_snapshot_dump(export_snapshot(snap), topo)
+    assert (back.version, back.tick) == (snap.version, snap.tick)
+    assert {sw: t.rules for sw, t in back.tables.items()} == {sw: t.rules for sw, t in snap.tables.items()}
 
 
 def test_snapshot_dump_roundtrip():

@@ -118,6 +118,20 @@ def test_non_numeric_fields_name_their_line(line, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ("location swZ eu-west", "line 8: location references unknown switch swZ"),
+        ("field dport 2 5", "line 8: field dport range 2..5 outside width 4"),
+        ("nokey mallory", "line 8: nokey references unknown client mallory"),
+    ],
+)
+def test_checks_after_the_last_line_name_the_line_at_fault(line, message):
+    with pytest.raises(TopologyError) as info:
+        load_topology(SMALLEST + line + "\n# trailing comment\n")
+    assert str(info.value) == message
+
+
 def test_field_range_checked():
     with pytest.raises(TopologyError, match="outside width"):
         load_topology(SMALLEST + "field dport 2 5\n")
