@@ -1,5 +1,6 @@
 """Scenario parsing, template expansion, and deterministic execution."""
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -7,7 +8,10 @@ import pytest
 
 from conftest import fixture_path
 from routecheck.cli import main
-from routecheck.scenario import ScenarioError, parse_scenario, run_scenario, transient_pattern
+from routecheck.hspace import Ternary
+from routecheck.oracle import random_topology_text
+from routecheck.scenario import DivertSpec, JoinSpec, ScenarioError, Script, expand, parse_scenario, run_scenario
+from routecheck.scenario import transient_pattern
 from routecheck.sim import Network
 from routecheck.topology import load_topology
 
@@ -384,3 +388,53 @@ def test_suppress_withholds_events_from_controller():
     run_scenario(script, net, seed=1, controller=Collector())
     assert [e.seq for e in net.events] == [1, 2, 3]  # switch applied everything
     assert [e.seq for e in seen] == [1, 3]  # controller missed seq 2
+
+
+# -- template expansion characterisation ---------------------------------------
+
+
+def template_digest() -> tuple[str, dict[str, int]]:
+    """sha256 over the directives ``expand`` makes of every join and divert
+    that a topology admits.
+
+    The topologies are 40 seeded ``oracle.random_topology_text`` ones plus
+    the joinattack and geodivert fixtures. Each gets a join for every
+    (client, access point of another client) pair and a divert for every
+    (client with two or more access points, region) pair, with ticks and
+    priorities that vary per spec. Each directive contributes its tick,
+    switch, op and rule text, in ``expand``'s order. Also returns the
+    count of specs and directives, so the caller can see what was covered.
+    """
+    texts = [random_topology_text(random.Random(f"template-char-{i}"), 8, 7) for i in range(40)]
+    texts += [Path(fixture_path(name)).read_text() for name in ("joinattack.topo", "geodivert.topo")]
+    digest = hashlib.sha256()
+    seen = {"joins": 0, "diverts": 0, "directives": 0}
+    for text in texts:
+        t = load_topology(text)
+        wild = Ternary.wildcard(t.width)
+        script = Script()
+        for client in t.clients():
+            for ap in t.access_points:
+                if ap.client != client:
+                    n = len(script.joins)
+                    script.joins.append(JoinSpec(n % 5, client, ap.key(), wild, 100 + n))
+            if len(t.client_aps(client)) >= 2:
+                for region in sorted(set(t.locations.values())):
+                    n = len(script.diverts)
+                    script.diverts.append(DivertSpec(n % 7, client, region, wild, 200 + n))
+        directives = expand(script, t, random.Random(0), script.base_horizon())
+        seen["joins"] += len(script.joins)
+        seen["diverts"] += len(script.diverts)
+        seen["directives"] += len(directives)
+        digest.update(f"topology {len(directives)}\n".encode())
+        for d in directives:
+            digest.update(f"{d.tick}|{d.switch}|{d.op}|{d.rule}\n".encode())
+    return digest.hexdigest(), seen
+
+
+def test_template_expansion_matches_the_recorded_characterisation():
+    """The join and divert routes, byte for byte, as recorded before the
+    route walk gave its ports with its switches: a change to the walk's
+    order, its tie-breaks or the flowmods it yields shows."""
+    digest, seen = template_digest()
+    assert digest == "e7645a119aece405d8bc6a01c2ad6bd0b043c63257938eb5d14713b2a2197332", (digest, seen)
