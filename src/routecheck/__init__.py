@@ -21,7 +21,6 @@ from .topology import (
     Link,
     Topology,
     TopologyError,
-    classify_ports,
     load_topology,
 )
 from .sim import Delivery, Network, Packet, SwitchEvent, TraceHop, TracePath
@@ -37,10 +36,8 @@ from .snapshots import (
     snapshot_of,
 )
 from .verify import (
-    GeoReport,
     ReachEntry,
     ReachResult,
-    TransferSummary,
     geo_exposure,
     isolation_candidates,
     reachable_endpoints,

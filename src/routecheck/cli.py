@@ -19,16 +19,15 @@ from .protocol import DEFAULT_POLL_RATE, DEFAULT_TIMEOUT
 from .scenario import QUERY_KINDS, ScenarioError, parse_scenario
 from .service import RunConfig, run_session
 from .snapshots import DEFAULT_WINDOW, export_snapshot, parse_snapshot_dump
-from .topology import TopologyError, load_topology
+from .topology import TopologyError, load_topology, split_endpoint
 from . import verify
 
 SEED_ENV = "RVAAS_SEED"
 
 
-def _add_common(p: argparse.ArgumentParser, scenario: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topology", required=True, help="topology document path")
-    if scenario:
-        p.add_argument("--scenario", required=True, help="scenario script path")
+    p.add_argument("--scenario", required=True, help="scenario script path")
     p.add_argument("--seed", type=int, default=0, help=f"run seed (overridden by ${SEED_ENV})")
     p.add_argument("--magic", default=None, help="magic ternary pattern for protocol traffic")
 
@@ -108,8 +107,7 @@ def cmd_query(args) -> int:
         raise TopologyError(f"unknown client {args.client!r}")
     point = aps[0]
     if args.at is not None:
-        switch, _, port = args.at.partition(":")
-        point = topo.access_point_at(switch, port)
+        point = topo.access_point_at(*split_endpoint(args.at))
         if point is None or point.client != args.client:
             raise TopologyError(f"{args.at} is not an access point of {args.client}")
     print(verify.answer(topo, snap, args.kind, point).body)

@@ -287,8 +287,6 @@ class HeaderSpace:
     def member(self, header: int) -> bool:
         return any(t.matches(header) for t in self.terms)
 
-    __contains__ = member
-
     def union(self, other: "HeaderSpace") -> "HeaderSpace":
         _same_width(self, other)
         return _space(self.width, self.terms + other.terms)

@@ -251,21 +251,21 @@ def parse_scenario(text: str, topo: Topology) -> Script:
 # -- template expansion ------------------------------------------------
 
 
+def _route_flowmods(spec: JoinSpec | DivertSpec, hops: list[tuple[str, str]]) -> list[Directive]:
+    """One forwarding flowmod per distinct (switch, out port) hop of a route, in route order."""
+    return [
+        Directive(spec.tick, "flowmod", op="add", switch=sw,
+                  rule=FlowRule(spec.priority, spec.match, Action("fwd", (port,))))
+        for sw, port in dict.fromkeys(hops)
+    ]
+
+
 def _expand_join(spec: JoinSpec, topo: Topology) -> list[Directive]:
-    victim_aps = topo.client_aps(spec.client)
-    target = victim_aps[0]
-    path = topo.path_between(spec.hidden[0], target.switch)
-    if path is None:
+    target = topo.client_aps(spec.client)[0]
+    route = topo.path_between(spec.hidden[0], target.switch)
+    if route is None:
         raise ScenarioError(f"no path from hidden point {spec.hidden[0]} to {target.switch}")
-    out = []
-    for i, sw in enumerate(path):
-        if i + 1 < len(path):
-            out_port = topo.port_toward(sw, path[i + 1])
-        else:
-            out_port = target.port
-        rule = FlowRule(spec.priority, spec.match, Action("fwd", (out_port,)))
-        out.append(Directive(spec.tick, "flowmod", op="add", switch=sw, rule=rule))
-    return out
+    return _route_flowmods(spec, route + [target.key()])
 
 
 def _expand_divert(spec: DivertSpec, topo: Topology) -> list[Directive]:
@@ -273,26 +273,12 @@ def _expand_divert(spec: DivertSpec, topo: Topology) -> list[Directive]:
     if len(aps) < 2:
         raise ScenarioError(f"divert needs a client with at least two access points, {spec.client} has {len(aps)}")
     a1, a2 = aps[0], aps[1]
-    detours = sorted(sw for sw, region in topo.locations.items() if region == spec.via)
-    det = detours[0]
+    det = min(sw for sw, region in topo.locations.items() if region == spec.via)
     leg1 = topo.path_between(a1.switch, det)
     leg2 = topo.path_between(det, a2.switch)
     if leg1 is None or leg2 is None:
         raise ScenarioError(f"no path through region {spec.via} for client {spec.client}")
-    hops = leg1 + leg2[1:]
-    out = []
-    seen: set[tuple[str, str]] = set()
-    for i, sw in enumerate(hops):
-        if i + 1 < len(hops):
-            out_port = topo.port_toward(sw, hops[i + 1])
-        else:
-            out_port = a2.port
-        if (sw, out_port) in seen:
-            continue
-        seen.add((sw, out_port))
-        rule = FlowRule(spec.priority, spec.match, Action("fwd", (out_port,)))
-        out.append(Directive(spec.tick, "flowmod", op="add", switch=sw, rule=rule))
-    return out
+    return _route_flowmods(spec, leg1 + leg2 + [a2.key()])
 
 
 def transient_pattern(spec: TransientSpec, horizon: int, rng: random.Random) -> list[bool]:

@@ -229,7 +229,7 @@ def parse_flowmod(
             raise ValueError(f"flowmod missing {key}=")
     match = parse_match(kv["match"], topo.width)
     action = Action.parse(kv["action"])
-    rule = FlowRule(priority=int(kv["prio"]), match=match, action=action)
+    rule = FlowRule(priority=number(int, kv["prio"], "prio="), match=match, action=action)
     if action.rewrite is not None and action.rewrite.width != topo.width:
         raise ValueError(f"rewrite width {action.rewrite.width} != header width {topo.width}")
     for p in action.ports:
@@ -377,56 +377,32 @@ class Topology:
         care = ((1 << nbits) - 1) << shift
         return Ternary(self.width, care, value << shift)
 
-    def neighbors(self, switch: str) -> list[tuple[str, str, str]]:
-        """(local port, peer switch, peer port) for every link of `switch`."""
-        out = []
-        for port in self.switch_ports[switch]:
-            peer = self.peer(switch, port)
-            if peer is not None:
-                out.append((port, peer[0], peer[1]))
-        return out
+    def path_between(self, src: str, dst: str) -> list[tuple[str, str]] | None:
+        """The shortest route src..dst over links (BFS), None if unconnected.
 
-    def path_between(self, src: str, dst: str) -> list[str] | None:
-        """Shortest switch path src..dst over links (BFS), None if unconnected."""
-        if src == dst:
-            return [src]
+        The route is its (switch, port toward the next switch) hops from
+        src up to dst, dst itself left out, so src == dst gives [].
+        """
+        parent: dict[str, tuple[str, str] | None] = {src: None}
         frontier = [src]
-        parent: dict[str, str] = {src: src}
-        while frontier:
+        while frontier and dst not in parent:
             nxt = []
             for sw in frontier:
-                for (_, peer_sw, _) in self.neighbors(sw):
-                    if peer_sw in parent:
-                        continue
-                    parent[peer_sw] = sw
-                    if peer_sw == dst:
-                        path = [dst]
-                        while path[-1] != src:
-                            path.append(parent[path[-1]])
-                        path.reverse()
-                        return path
-                    nxt.append(peer_sw)
+                for port in self.switch_ports[sw]:
+                    peer = self.peer(sw, port)
+                    if peer is not None and peer[0] not in parent:
+                        parent[peer[0]] = (sw, port)
+                        nxt.append(peer[0])
             frontier = nxt
-        return None
-
-    def port_toward(self, switch: str, neighbor: str) -> str:
-        for (port, peer_sw, _) in self.neighbors(switch):
-            if peer_sw == neighbor:
-                return port
-        raise TopologyError(f"no link from {switch} to {neighbor}")
-
-
-def classify_ports(topo: Topology) -> dict[tuple[str, str], tuple[str, str | None]]:
-    """Total map over all ports: ("internal", None) or ("access", client)."""
-    out: dict[tuple[str, str], tuple[str, str | None]] = {}
-    for sw, ports in topo.switch_ports.items():
-        for p in ports:
-            ap = topo.access_point_at(sw, p)
-            if ap is not None:
-                out[(sw, p)] = ("access", ap.client)
-            else:
-                out[(sw, p)] = ("internal", None)
-    return out
+        if dst not in parent:
+            return None
+        hops = []
+        hop = parent[dst]
+        while hop is not None:
+            hops.append(hop)
+            hop = parent[hop[0]]
+        hops.reverse()
+        return hops
 
 
 def load_topology(text: str) -> Topology:

@@ -51,17 +51,6 @@ class ReachResult:
     entries: list[ReachEntry]
 
 
-@dataclass
-class GeoReport:
-    regions: set[str]
-    witnesses: dict[str, str]  # region -> one witness switch (provider-side only)
-
-
-@dataclass
-class TransferSummary:
-    rows: list[tuple[str, str, HeaderSpace, HeaderSpace]]  # (ingress alias, egress alias, input, output)
-
-
 def _propagate(
     topo: Topology, snap: Snapshot, start: AccessPoint, space: HeaderSpace
 ) -> tuple[tuple[ReachEntry, ...], frozenset[str]]:
@@ -199,43 +188,35 @@ def isolation_candidates(
     return own, foreign
 
 
-def geo_exposure(topo: Topology, snap: Snapshot, client: str) -> GeoReport:
-    """Regions of every switch on any feasible route for the client's traffic."""
-    aps = topo.client_aps(client)
-    if not aps:
-        raise ValueError(f"client {client} has no access points")
-    full = HeaderSpace.full(topo.width)
-    traversed: set[str] = set()
-    for ap in aps:
-        _, seen = _propagate(topo, snap, ap, full)
-        traversed |= seen
-    regions: set[str] = set()
-    witnesses: dict[str, str] = {}
-    for sw in sorted(traversed):
-        region = topo.region_of(sw)
-        if region is None:
-            continue
-        regions.add(region)
-        witnesses.setdefault(region, sw)
-    return GeoReport(regions=regions, witnesses=witnesses)
-
-
-def transfer_summary(topo: Topology, snap: Snapshot, client: str) -> TransferSummary:
-    """Endpoint-to-endpoint view of the routing service offered to a client.
-
-    Rows carry only access-point aliases; switch and link identifiers
-    never appear.
-    """
+def _client_aps(topo: Topology, client: str) -> list[AccessPoint]:
     aps = topo.client_aps(client)
     if not aps:
         raise ValueError(f"client {client} is not registered")
+    return aps
+
+
+def geo_exposure(topo: Topology, snap: Snapshot, client: str) -> set[str]:
+    """Regions of every switch on any feasible route for the client's traffic."""
+    full = HeaderSpace.full(topo.width)
+    traversed: set[str] = set()
+    for ap in _client_aps(topo, client):
+        traversed |= _propagate(topo, snap, ap, full)[1]
+    return {region for region in map(topo.region_of, traversed) if region is not None}
+
+
+def transfer_summary(topo: Topology, snap: Snapshot, client: str) -> list[tuple[str, str, HeaderSpace, HeaderSpace]]:
+    """Endpoint-to-endpoint view of the routing service offered to a client.
+
+    Rows are (ingress alias, egress alias, sent, arriving), sorted by the
+    two aliases; switch and link identifiers never appear.
+    """
     full = HeaderSpace.full(topo.width)
     rows = []
-    for ap in aps:
+    for ap in _client_aps(topo, client):
         for entry in reachable_endpoints(topo, snap, ap, full).entries:
             rows.append((ap.alias, entry.egress.alias, entry.sent, entry.arriving))
     rows.sort(key=lambda r: (r[0], r[1]))
-    return TransferSummary(rows=rows)
+    return rows
 
 
 # -- client-facing text renderings ---------------------------------------
@@ -257,14 +238,14 @@ def render_sources(client: str, point_alias: str, sources: list[tuple[AccessPoin
     return "\n".join(lines)
 
 
-def render_geo(client: str, report: GeoReport) -> str:
-    regions = ",".join(sorted(report.regions)) or "-"
-    return f"kind=geo\nclient={client}\nregions={regions}"
+def render_geo(client: str, regions: set[str]) -> str:
+    names = ",".join(sorted(regions)) or "-"
+    return f"kind=geo\nclient={client}\nregions={names}"
 
 
-def render_summary(client: str, summary: TransferSummary) -> str:
+def render_summary(client: str, rows: list[tuple[str, str, HeaderSpace, HeaderSpace]]) -> str:
     lines = [f"kind=summary\nclient={client}"]
-    for ingress, egress, sent, arriving in summary.rows:
+    for ingress, egress, sent, arriving in rows:
         lines.append(f"row ingress={ingress} egress={egress} sent={sent} arrives={arriving}")
     return "\n".join(lines)
 
@@ -293,8 +274,8 @@ def answer(topo: Topology, snap: Snapshot, kind: str, point: AccessPoint) -> Ans
     if kind == "sources":
         return Answer(render_sources(client, point.alias, reachable_sources(topo, snap, point)))
     if kind == "geo":
-        report = geo_exposure(topo, snap, client)
-        return Answer(render_geo(client, report), regions=frozenset(report.regions))
+        regions = geo_exposure(topo, snap, client)
+        return Answer(render_geo(client, regions), regions=frozenset(regions))
     if kind == "summary":
         return Answer(render_summary(client, transfer_summary(topo, snap, client)))
     raise ValueError(f"unknown query kind {kind!r}")

@@ -154,8 +154,8 @@ def test_acceptance_4_geo_diversion_detection():
     for ev in result.net.events:
         if ev.tick < 10:
             replay.ingest_event(ev)
-    direct_pre = geo_exposure(topo, replay.current(), "alice").regions
-    direct_post = geo_exposure(topo, result.final_snapshot(), "alice").regions
+    direct_pre = geo_exposure(topo, replay.current(), "alice")
+    direct_post = geo_exposure(topo, result.final_snapshot(), "alice")
     assert direct_post - direct_pre == {"offshore"}
 
 

@@ -449,10 +449,15 @@ def test_query_at_names_the_access_point_of_an_inband_answer(tmp_path, capsys):
     code, out, _ = run_cli(capsys, *query, "--at", "swB:2")
     assert code == 0
     assert out.rstrip("\n") == inband_body
-    for wrong in ("swC:2", "swB:1", "swB", "nowhere:2"):
+    for wrong, message in (
+        ("swC:2", "swC:2 is not an access point of alice"),
+        ("swB:1", "swB:1 is not an access point of alice"),
+        ("swB", "expected <switch>:<port>, got 'swB'"),
+        ("nowhere:2", "nowhere:2 is not an access point of alice"),
+    ):
         code, out, err = run_cli(capsys, *query, "--at", wrong)
         assert code == 1 and out == ""
-        assert err == f"error: {wrong} is not an access point of alice\n"
+        assert err == f"error: {message}\n"
 
 
 def test_query_sources_consistent_with_isolation(tmp_path, capsys):

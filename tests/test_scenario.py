@@ -111,6 +111,14 @@ def test_parse_names_the_line_of_a_bad_attack_field(line, message):
         parse_scenario("@0 flowmod add swA prio=5 match=xxxxxxxx action=fwd:1\n" + line, topo())
 
 
+def test_flowmod_priority_that_is_no_number_reads_like_an_attack_priority():
+    for line in ("@0 flowmod add swA prio=high match=xxxxxxxx action=drop",
+                 "@0 attack join client=alice hidden=swC:2 prio=high"):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(line, topo())
+        assert str(info.value) == "line 1: prio= must be a number, got 'high'"
+
+
 @pytest.mark.parametrize(
     "line, message",
     [

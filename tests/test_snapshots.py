@@ -605,3 +605,10 @@ def test_snapshot_dump_rewrite_of_another_width_names_its_line():
     with pytest.raises(ValueError) as info:
         parse_snapshot_dump("version=1 tick=0\nflowmod add swA prio=1 match=xxxx action=rewrite:11/00:1\n", topo)
     assert str(info.value) == "line 2: rewrite width 2 != header width 4"
+
+
+def test_snapshot_dump_priority_that_is_no_number_names_its_line():
+    topo = load_topology(DOC)
+    with pytest.raises(ValueError) as info:
+        parse_snapshot_dump("version=1 tick=0\nflowmod add swA prio=high match=xxxx action=drop\n", topo)
+    assert str(info.value) == "line 2: prio= must be a number, got 'high'"

@@ -13,7 +13,6 @@ from routecheck.topology import (
     FlowRule,
     FlowTable,
     TopologyError,
-    classify_ports,
     load_topology,
 )
 
@@ -148,25 +147,6 @@ def test_field_pattern_compiles_to_bit_positions():
         topo.field_pattern("tag", 8)
     with pytest.raises(TopologyError, match="unknown field"):
         topo.field_pattern("nope", 1)
-
-
-def test_classify_ports_partition():
-    topo = load_topology(SMALLEST)
-    kinds = classify_ports(topo)
-    assert kinds[("swA", "1")] == ("internal", None)
-    assert kinds[("swA", "2")] == ("access", "alice")
-    assert sum(1 for v in kinds.values() if v[0] == "internal") == 2
-    assert sum(1 for v in kinds.values() if v[0] == "access") == 2
-
-
-def test_classify_ports_total_over_fixture():
-    topo = load_topology(TRIANGLE)
-    kinds = classify_ports(topo)
-    assert len(kinds) == 9  # 3 switches x 3 ports
-    internal = [k for k, v in kinds.items() if v[0] == "internal"]
-    access = [k for k, v in kinds.items() if v[0] == "access"]
-    assert len(internal) + len(access) == 9
-    assert len(access) == 3
 
 
 # -- flow table lookup ---------------------------------------------------------

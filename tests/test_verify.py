@@ -198,9 +198,7 @@ def test_isolation_request_point_must_belong_to_client():
 
 def test_geo_no_rules_is_ingress_regions_only():
     topo, net = line_net()
-    report = geo_exposure(topo, snapshot_of(net), "alice")
-    assert report.regions == {"r1"}
-    assert report.witnesses == {"r1": "swA"}
+    assert geo_exposure(topo, snapshot_of(net), "alice") == {"r1"}
 
 
 def test_geo_path_collects_all_regions():
@@ -222,8 +220,7 @@ location swC r3
     net.apply_flow_mod("swA", "add", rule(5, "xxxx", "fwd:1"))
     net.apply_flow_mod("swB", "add", rule(5, "xxxx", "fwd:2"))
     net.apply_flow_mod("swC", "add", rule(5, "xxxx", "fwd:2"))
-    report = geo_exposure(topo, snapshot_of(net), "alice")
-    assert report.regions == {"r1", "r2", "r3"}
+    assert geo_exposure(topo, snapshot_of(net), "alice") == {"r1", "r2", "r3"}
 
 
 def test_geo_unlocated_switch_contributes_nothing():
@@ -231,8 +228,7 @@ def test_geo_unlocated_switch_contributes_nothing():
     topo = load_topology(doc)
     net = Network(topo)
     net.apply_flow_mod("swA", "add", rule(5, "xxxx", "fwd:1"))
-    report = geo_exposure(topo, snapshot_of(net), "alice")
-    assert report.regions == {"r1"}
+    assert geo_exposure(topo, snapshot_of(net), "alice") == {"r1"}
 
 
 def test_geo_monotone_under_rule_additions():
@@ -247,7 +243,7 @@ def test_geo_monotone_under_rule_additions():
             for sw in topo.switches():
                 for r in random_rules(rng, topo, sw, 2):
                     net.apply_flow_mod(sw, "add", r)
-            regions = geo_exposure(topo, snapshot_of(net), client).regions
+            regions = geo_exposure(topo, snapshot_of(net), client)
             assert prev <= regions
             prev = regions
 
@@ -258,13 +254,13 @@ def test_geo_traversal_agrees_with_walk_oracle():
         snap = snapshot_of(net)
         walk = traversal_oracle(topo, snap)
         for client in topo.clients():
-            report = geo_exposure(topo, snap, client)
+            regions = geo_exposure(topo, snap, client)
             visited = set()
             for ap in topo.client_aps(client):
                 for h in range(1 << topo.width):
                     visited |= set(walk(ap, h))
             expect = {topo.region_of(sw) for sw in visited if topo.region_of(sw)}
-            assert report.regions == expect
+            assert regions == expect
 
 
 # -- transfer summary --------------------------------------------------------------
@@ -272,7 +268,15 @@ def test_geo_traversal_agrees_with_walk_oracle():
 
 def test_summary_empty_net_has_zero_rows():
     topo, net = line_net()
-    assert transfer_summary(topo, snapshot_of(net), "alice").rows == []
+    assert transfer_summary(topo, snapshot_of(net), "alice") == []
+
+
+def test_geo_and_summary_refuse_an_unknown_client_alike():
+    topo, net = line_net()
+    snap = snapshot_of(net)
+    for query in (geo_exposure, transfer_summary):
+        with pytest.raises(ValueError, match="^client carol is not registered$"):
+            query(topo, snap, "carol")
 
 
 def test_summary_line_fixture_full_space_one_direction():
@@ -281,9 +285,9 @@ def test_summary_line_fixture_full_space_one_direction():
     net.apply_flow_mod("swB", "add", rule(5, "xxxx", "fwd:2"))
     full = HeaderSpace.full(4).denote()
     alice = transfer_summary(topo, snapshot_of(net), "alice")
-    assert [(r[0], r[1]) for r in alice.rows] == [("alice:ap1", "bob:ap1")]
-    assert alice.rows[0][2].denote() == full
-    assert alice.rows[0][3].denote() == full
+    assert [(r[0], r[1]) for r in alice] == [("alice:ap1", "bob:ap1")]
+    assert alice[0][2].denote() == full
+    assert alice[0][3].denote() == full
 
 
 def test_summary_line_fixture_row_per_direction_header_split():
@@ -297,10 +301,10 @@ def test_summary_line_fixture_row_per_direction_header_split():
     alice = transfer_summary(topo, snap, "alice")
     bob = transfer_summary(topo, snap, "bob")
     # alice 0xxx reaches bob; her 1xxx hairpins home
-    assert {(r[0], r[1]) for r in alice.rows} == {("alice:ap1", "bob:ap1"), ("alice:ap1", "alice:ap1")}
-    to_bob = [r for r in alice.rows if r[1] == "bob:ap1"][0]
+    assert {(r[0], r[1]) for r in alice} == {("alice:ap1", "bob:ap1"), ("alice:ap1", "alice:ap1")}
+    to_bob = [r for r in alice if r[1] == "bob:ap1"][0]
     assert to_bob[2].denote() == HeaderSpace.of("0xxx").denote()
-    to_alice = [r for r in bob.rows if r[1] == "alice:ap1"][0]
+    to_alice = [r for r in bob if r[1] == "alice:ap1"][0]
     assert to_alice[2].denote() == HeaderSpace.of("1xxx").denote()
 
 
