@@ -19,7 +19,7 @@ from .protocol import DEFAULT_POLL_RATE, DEFAULT_TIMEOUT
 from .scenario import QUERY_KINDS, ScenarioError, parse_scenario
 from .service import RunConfig, run_session
 from .snapshots import DEFAULT_WINDOW, export_snapshot, parse_snapshot_dump
-from .topology import TopologyError, load_topology, split_endpoint
+from .topology import TopologyError, load_topology
 from . import verify
 
 SEED_ENV = "RVAAS_SEED"
@@ -102,14 +102,9 @@ def cmd_run(args) -> int:
 def cmd_query(args) -> int:
     topo = load_topology(Path(args.topology).read_text())
     snap = parse_snapshot_dump(Path(args.snapshot).read_text(), topo)
-    aps = topo.client_aps(args.client)
-    if not aps:
-        raise TopologyError(f"unknown client {args.client!r}")
-    point = aps[0]
+    point = topo.client_aps(args.client)[0]
     if args.at is not None:
-        point = topo.access_point_at(*split_endpoint(args.at))
-        if point is None or point.client != args.client:
-            raise TopologyError(f"{args.at} is not an access point of {args.client}")
+        point = topo.access_point_of(args.client, args.at)
     print(verify.answer(topo, snap, args.kind, point).body)
     return 0
 

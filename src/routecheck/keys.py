@@ -41,11 +41,6 @@ class VerifyKey:
         except InvalidSignature:
             return False
 
-    def fingerprint(self) -> str:
-        digest = hashes.Hash(hashes.SHA256())
-        digest.update(self._raw)
-        return digest.finalize()[:8].hex()
-
 
 class SigningKey:
     def __init__(self, seed32: bytes):
@@ -130,7 +125,3 @@ class KeyRegistry:
             client_signing[client] = sk
             client_keys[client] = sk.verify_key
         return cls(controller_signing, controller_seal, client_keys), client_signing
-
-    def attestation(self) -> str:
-        """Static stand-in for remote attestation: key fingerprint + version."""
-        return f"controller_key={self.controller_signing.verify_key.fingerprint()} attestation_version=1"

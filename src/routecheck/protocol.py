@@ -89,8 +89,8 @@ def encode_query(
     return Packet(header=magic.value, payload=wire.frame_query(sealed))
 
 
-def verify_report(raw: bytes, controller_key: VerifyKey, expected_nonce: bytes | None = None):
-    """Client-side check of a report frame; (ok, parsed report or None)."""
+def verify_report(raw: bytes, controller_key: VerifyKey):
+    """Client-side check of a report frame's signature; (ok, parsed report or None)."""
     try:
         msg = wire.parse_frame(raw)
     except wire.WireError:
@@ -99,8 +99,6 @@ def verify_report(raw: bytes, controller_key: VerifyKey, expected_nonce: bytes |
         return False, None
     report = msg.report
     if not controller_key.verify(report.signature, report.signed_portion):
-        return False, report
-    if expected_nonce is not None and report.nonce != expected_nonce:
         return False, report
     return True, report
 
@@ -130,8 +128,7 @@ class ClientAgent:
         self.reports: list[tuple[int, bool, wire.Report]] = []
 
     def make_query(self, kind: str, at: tuple[str, str] | None = None, params=()) -> tuple[Packet, tuple[str, str]]:
-        aps = self.topo.client_aps(self.client)
-        point = at if at is not None else (aps[0].switch, aps[0].port)
+        point = at if at is not None else self.topo.client_aps(self.client)[0].key()
         nonce = self.rng.randbytes(wire.NONCE_LEN)
         self.outstanding[nonce] = kind
         packet = encode_query(
@@ -155,18 +152,11 @@ class ClientAgent:
             send_later(tick + 1, ap.switch, ap.port, Packet(self.magic.value, reply))
         elif msg.msgtype == wire.MSG_REPORT:
             nonce = msg.report.nonce
-            ok, report = verify_report(delivery.packet.payload, self.controller_key, expected_nonce=None)
+            ok, report = verify_report(delivery.packet.payload, self.controller_key)
             if ok and nonce not in self.outstanding:
                 ok = False
             self.outstanding.pop(nonce, None)
             self.reports.append((tick, ok, report))
-
-
-def magic_rule(width: int, magic: Ternary) -> FlowRule:
-    """The service-owned interception rule installed at access-point switches."""
-    if magic.width != width:
-        raise ValueError(f"magic pattern width {magic.width} != header width {width}")
-    return FlowRule(priority=65535, match=magic, action=Action("ctrl"))
 
 
 class Controller:
@@ -208,7 +198,7 @@ class Controller:
         The rules are part of the monitored configuration: if the
         adversary removes one, that shows up like any other table change.
         """
-        rule = magic_rule(self.topo.width, self.magic)
+        rule = FlowRule(priority=65535, match=self.magic, action=Action("ctrl"))
         for sw in sorted({ap.switch for ap in self.topo.access_points}):
             net.apply_flow_mod(sw, "add", rule)
 

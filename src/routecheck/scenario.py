@@ -103,18 +103,14 @@ class Script:
 
 def _client(kv: dict[str, str], topo: Topology) -> str:
     client = kv.get("client", "")
-    if client not in {ap.client for ap in topo.access_points}:
-        raise ScenarioError(f"unknown client {client!r}")
+    topo.client_aps(client)  # refuses an unknown client
     return client
 
 
 def _attack_match(kv: dict[str, str], topo: Topology) -> tuple[Ternary, int]:
     """The ``match=`` (default: every header) and ``prio=`` of a join or divert line."""
     match = parse_match(kv["match"], topo.width) if "match" in kv else Ternary.wildcard(topo.width)
-    prio = number(int, kv.get("prio", str(DEFAULT_ATTACK_PRIORITY)), "prio=")
-    if prio < 0:
-        raise ScenarioError(f"priority must be non-negative, got {prio}")
-    return match, prio
+    return match, number(int, kv.get("prio", str(DEFAULT_ATTACK_PRIORITY)), "prio=")
 
 
 def _endpoint(text: str, topo: Topology) -> tuple[str, str]:
@@ -175,10 +171,7 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                     raise ScenarioError(f"query kind must be one of {', '.join(QUERY_KINDS)}")
                 sw = port = ""
                 if "at" in kv:
-                    sw, port = _endpoint(kv["at"], topo)
-                    ap = topo.access_point_at(sw, port)
-                    if ap is None or ap.client != client:
-                        raise ScenarioError(f"{kv['at']} is not an access point of {client}")
+                    sw, port = topo.access_point_of(client, kv["at"]).key()
                 check_keys(kv, ("client", "kind", "at"))
                 script.directives.append(
                     Directive(tick, "query", client=client, query_kind=kind, switch=sw, port=port)

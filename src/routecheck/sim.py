@@ -18,8 +18,9 @@ from the injection point is longer than the limit.
 
 The walk is one loop over an explicit stack, so its cost per state is a
 handful of dict and set operations plus one scan of the switch's rules
-(``FlowTable.match_header``); rules whose match or rewrite width differs
-from the topology's header width are refused when applied.
+(``FlowTable.match_header``). A rule that ``Topology.check_rule`` finds
+unfit for its switch is refused when applied, so a walk leaves only by
+access points and linked ports.
 """
 
 from __future__ import annotations
@@ -118,17 +119,9 @@ class Network:
 
     def apply_flow_mod(self, switch: str, op: str, rule: FlowRule) -> SwitchEvent:
         """Apply an add/remove to a switch table; the event reflects applied state."""
-        if switch not in self.tables:
-            raise ValueError(f"unknown switch {switch}")
-        if op not in ("add", "remove"):
+        self.topo.check_rule(switch, rule)
+        if op not in ("add", "remove"):  # any other op would remove the rule
             raise ValueError(f"flowmod op must be add or remove, got {op!r}")
-        if rule.match.width != self.topo.width:
-            raise ValueError(f"rule match width {rule.match.width} != header width {self.topo.width}")
-        if rule.action.rewrite is not None and rule.action.rewrite.width != self.topo.width:
-            raise ValueError(f"rule rewrite width {rule.action.rewrite.width} != header width {self.topo.width}")
-        for p in rule.action.ports:
-            if p not in self.topo.switch_ports[switch]:
-                raise ValueError(f"switch {switch} has no port {p}")
         old = self.tables[switch]
         new = self.tables[switch] = old.add(rule) if op == "add" else old.remove(rule)
         return self._emit(switch, kind="flowmod", op=op, rule=rule, noop=new is old)
@@ -257,11 +250,7 @@ class Network:
             if ap is not None:
                 paths.append(TracePath(hops + [hop], "egress", egress=ap, header=h2))
                 continue
-            peer = peer_of.get((sw, out_port))
-            if peer is None:
-                # defensive: validated topologies cannot reach this
-                paths.append(TracePath(hops + [hop], "drop", header=h2))
-                continue
+            peer = peer_of[sw, out_port]  # every port is an access point or linked
             hops.append(hop)
             arrival = (peer[0], peer[1], h2)
 

@@ -23,6 +23,10 @@ share lives here too: ``numbered_lines``, the token helpers and
 ``parse_flowmod``, which reads the rule text ``FlowRule.__str__`` writes.
 Its helpers raise bare ValueErrors; each reader adds the line.
 
+A ``Topology`` alone decides whether a rule fits a switch (``check_rule``),
+a client exists (``client_aps``) or an endpoint is one of a client's access
+points (``access_point_of``), so every reader refuses a mistake alike.
+
 A ``FlowTable`` is an immutable value that memoises its own lookups: the
 split of a header space by winning rule is computed once per (table
 value, space) and lives as long as the table does. Anyone holding the
@@ -221,20 +225,14 @@ def parse_flowmod(
     rule_tokens = tuple(tokens[1:])
     if rule_tokens in parsed:
         return op, switch, parsed[rule_tokens]
-    if switch not in topo.switch_ports:
-        raise ValueError(f"unknown switch {switch}")
     kv = key_values(tokens[2:])
     for key in FLOWMOD_KEYS:
         if key not in kv:
             raise ValueError(f"flowmod missing {key}=")
-    match = parse_match(kv["match"], topo.width)
+    match = Ternary.parse(kv["match"])
     action = Action.parse(kv["action"])
     rule = FlowRule(priority=number(int, kv["prio"], "prio="), match=match, action=action)
-    if action.rewrite is not None and action.rewrite.width != topo.width:
-        raise ValueError(f"rewrite width {action.rewrite.width} != header width {topo.width}")
-    for p in action.ports:
-        if p not in topo.switch_ports[switch]:
-            raise ValueError(f"switch {switch} has no port {p}")
+    topo.check_rule(switch, rule)
     check_keys(kv, FLOWMOD_KEYS)
     parsed[rule_tokens] = rule
     return op, switch, rule
@@ -356,7 +354,32 @@ class Topology:
         return seen
 
     def client_aps(self, client: str) -> list[AccessPoint]:
-        return [ap for ap in self.access_points if ap.client == client]
+        """The client's access points, in document order; a client with none is unknown."""
+        aps = [ap for ap in self.access_points if ap.client == client]
+        if not aps:
+            raise TopologyError(f"unknown client {client!r}")
+        return aps
+
+    def access_point_of(self, client: str, text: str) -> AccessPoint:
+        """The access point of ``client`` that ``<switch>:<port>`` names."""
+        ap = self._ap_at.get(split_endpoint(text))
+        if ap is None or ap.client != client:
+            raise TopologyError(f"{text} is not an access point of {client}")
+        return ap
+
+    def check_rule(self, switch: str, rule: FlowRule) -> None:
+        """Refuse a rule that does not fit ``switch``: its widths or its ports."""
+        ports = self.switch_ports.get(switch)
+        if ports is None:
+            raise TopologyError(f"unknown switch {switch}")
+        if rule.match.width != self.width:
+            raise TopologyError(f"match width {rule.match.width} != header width {self.width}")
+        rewrite = rule.action.rewrite
+        if rewrite is not None and rewrite.width != self.width:
+            raise TopologyError(f"rewrite width {rewrite.width} != header width {self.width}")
+        for p in rule.action.ports:
+            if p not in ports:
+                raise TopologyError(f"switch {switch} has no port {p}")
 
     def region_of(self, switch: str) -> str | None:
         return self.locations.get(switch)

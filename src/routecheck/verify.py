@@ -116,9 +116,8 @@ def _propagate(
                         arriving.append(st2)
                         sent.append(orig2)
                         continue
-                    peer = topo.peer(sw, out_port)
-                    if peer is not None:
-                        arrive(peer[0], peer[1], st2, orig2, rwmask2)
+                    peer = topo.peer(sw, out_port)  # every port is an access point or linked
+                    arrive(peer[0], peer[1], st2, orig2, rwmask2)
 
     entries = []
     for ap in sorted(by_egress, key=lambda a: a.alias):
@@ -167,39 +166,30 @@ def reachable_sources(topo: Topology, snap: Snapshot, to_ap: AccessPoint) -> lis
 
 
 def isolation_candidates(
-    topo: Topology, snap: Snapshot, request_point: AccessPoint, client: str
+    topo: Topology, snap: Snapshot, request_point: AccessPoint
 ) -> tuple[set[AccessPoint], set[AccessPoint]]:
     """Access points that can communicate with the request point.
 
     "Communicate" covers either direction: reachable from the request
     point or able to reach it. Returns the full candidate set partitioned
-    into (own, foreign) relative to the requesting client.
+    into (own, foreign) relative to the request point's client.
     """
-    if request_point.client != client:
-        raise ValueError(f"request point {request_point.alias} does not belong to {client}")
     candidates: set[AccessPoint] = set()
     full = HeaderSpace.full(topo.width)
     for entry in reachable_endpoints(topo, snap, request_point, full).entries:
         candidates.add(entry.egress)
     for ap, _ in reachable_sources(topo, snap, request_point):
         candidates.add(ap)
-    own = {ap for ap in candidates if ap.client == client}
+    own = {ap for ap in candidates if ap.client == request_point.client}
     foreign = candidates - own
     return own, foreign
-
-
-def _client_aps(topo: Topology, client: str) -> list[AccessPoint]:
-    aps = topo.client_aps(client)
-    if not aps:
-        raise ValueError(f"client {client} is not registered")
-    return aps
 
 
 def geo_exposure(topo: Topology, snap: Snapshot, client: str) -> set[str]:
     """Regions of every switch on any feasible route for the client's traffic."""
     full = HeaderSpace.full(topo.width)
     traversed: set[str] = set()
-    for ap in _client_aps(topo, client):
+    for ap in topo.client_aps(client):
         traversed |= _propagate(topo, snap, ap, full)[1]
     return {region for region in map(topo.region_of, traversed) if region is not None}
 
@@ -212,7 +202,7 @@ def transfer_summary(topo: Topology, snap: Snapshot, client: str) -> list[tuple[
     """
     full = HeaderSpace.full(topo.width)
     rows = []
-    for ap in _client_aps(topo, client):
+    for ap in topo.client_aps(client):
         for entry in reachable_endpoints(topo, snap, ap, full).entries:
             rows.append((ap.alias, entry.egress.alias, entry.sent, entry.arriving))
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -265,7 +255,7 @@ def answer(topo: Topology, snap: Snapshot, kind: str, point: AccessPoint) -> Ans
     """Answer a query of one kind asked by ``point``'s client at ``point``."""
     client = point.client
     if kind == "isolation":
-        own, foreign = isolation_candidates(topo, snap, point, client)
+        own, foreign = isolation_candidates(topo, snap, point)
         return Answer(
             render_isolation(client, point.alias, own, foreign),
             candidates=tuple(sorted(own | foreign, key=lambda ap: ap.alias)),

@@ -87,13 +87,6 @@ def test_seal_unseal_roundtrip_and_tamper():
         other.unseal(blob)
 
 
-def test_attestation_names_controller_key():
-    topo = load_topology(DOC)
-    registry, _ = KeyRegistry.provision(topo, seed=5)
-    text = registry.attestation()
-    assert registry.controller_signing.verify_key.fingerprint() in text
-
-
 # -- encoding and interception -------------------------------------------------
 
 
@@ -275,8 +268,8 @@ def test_counting_soundness_against_transcript():
 # -- report verification negatives ---------------------------------------------
 
 
-def make_report(registry):
-    unsigned = wire.report_unsigned("isolation", bytes(range(16)), 2, 2, [("body", "kind=isolation")])
+def make_report(registry, nonce=bytes(range(16))):
+    unsigned = wire.report_unsigned("isolation", nonce, 2, 2, [("body", "kind=isolation")])
     return wire.frame_report(unsigned, registry.controller_signing.sign(unsigned))
 
 
@@ -284,7 +277,7 @@ def test_verify_report_untampered_true():
     topo = load_topology(DOC)
     registry, _ = KeyRegistry.provision(topo, seed=5)
     frame = make_report(registry)
-    ok, report = verify_report(frame, registry.controller_signing.verify_key, expected_nonce=bytes(range(16)))
+    ok, report = verify_report(frame, registry.controller_signing.verify_key)
     assert ok and report.requested == 2
 
 
@@ -306,12 +299,25 @@ def test_verify_report_wrong_key_false():
     assert not ok
 
 
-def test_verify_report_nonce_mismatch_false():
-    topo = load_topology(DOC)
-    registry, _ = KeyRegistry.provision(topo, seed=5)
-    frame = make_report(registry)
-    ok, _ = verify_report(frame, registry.controller_signing.verify_key, expected_nonce=bytes(16))
-    assert not ok
+def test_agent_marks_a_signed_report_bad_unless_it_answers_an_outstanding_query():
+    """A validly signed report is recorded as bad when its nonce names no
+    query the agent has outstanding: one it never asked, or one that an
+    earlier copy of the same report already answered."""
+    topo, registry, signing, magic, net, controller, agents = setup()
+    alice = agents["alice"]
+    alice.make_query("geo")
+    (asked,) = alice.outstanding
+
+    def deliver(tick, frame):
+        alice.on_delivery(Delivery(tick, "alice", "swA", "2", Packet(magic.value, frame)), tick, None)
+        return alice.reports[-1]
+
+    tick, ok, report = deliver(3, make_report(registry))
+    assert (tick, ok, report.nonce) == (3, False, bytes(range(16)))
+    answer = make_report(registry, nonce=asked)
+    assert deliver(4, answer)[:2] == (4, True)
+    assert deliver(5, answer)[:2] == (5, False)
+    assert alice.outstanding == {} and len(alice.reports) == 3
 
 
 # -- reply negatives ---------------------------------------------------------------

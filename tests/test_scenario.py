@@ -275,7 +275,7 @@ def test_join_attack_verified_by_engine_on_snapshot():
     script = parse_scenario("@0 attack join client=alice hidden=swC:2 match=11xxxxxx\n", t)
     net = Network(t)
     run_scenario(script, net, seed=1)
-    own, foreign = isolation_candidates(t, snapshot_of(net), next(ap for ap in t.access_points if ap.alias == "alice:ap1"), "alice")
+    own, foreign = isolation_candidates(t, snapshot_of(net), next(ap for ap in t.access_points if ap.alias == "alice:ap1"))
     assert "mallory:ap1" in {ap.alias for ap in foreign}
 
 

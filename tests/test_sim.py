@@ -172,7 +172,7 @@ def test_flowmod_validates_ports_and_width():
 
 def test_flowmod_rejects_a_rewrite_of_another_width():
     _, net = make_net()
-    with pytest.raises(ValueError, match="^rule rewrite width 2 != header width 4$"):
+    with pytest.raises(ValueError, match="^rewrite width 2 != header width 4$"):
         net.apply_flow_mod("swA", "add", rule(1, "xxxx", "rewrite:11/00:1"))
     assert net.tables["swA"].rules == () and net.events == []
 
