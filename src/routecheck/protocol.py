@@ -15,6 +15,11 @@ controller's ``outstanding`` index maps an open challenge nonce to that
 session. Sending the report removes the session and all its challenge
 nonces together, so a reply that arrives later is rejected as unknown and
 changes no count.
+The controller parses each packet-in once. Every packet-in it refuses
+(bytes that do not parse, a query or a reply that fails a check, or a
+message type that has no business arriving as a packet-in) becomes one
+``Controller.rejects`` record of its tick and reason; rejects are not
+yet written to an artifact (ROADMAP item 8).
 Every other kind is answered at once. The answer comes from
 ``verify.answer``, the same path as ``routecheck query``. An answer too
 large for a report field (``wire.MAX_STR`` bytes) is replaced by a signed
@@ -89,18 +94,20 @@ def encode_query(
     return Packet(header=magic.value, payload=wire.frame_query(sealed))
 
 
-def verify_report(raw: bytes, controller_key: VerifyKey):
-    """Client-side check of a report frame's signature; (ok, parsed report or None)."""
-    try:
-        msg = wire.parse_frame(raw)
-    except wire.WireError:
+def verify_report(frame: bytes | wire.Message, controller_key: VerifyKey):
+    """Client-side check of a report's signature; (ok, parsed report or None).
+
+    ``frame`` is the raw report frame, or the message already parsed from it.
+    """
+    if isinstance(frame, bytes):
+        try:
+            frame = wire.parse_frame(frame)
+        except wire.WireError:
+            return False, None
+    report = frame.report
+    if report is None:
         return False, None
-    if msg.msgtype != wire.MSG_REPORT or msg.report is None:
-        return False, None
-    report = msg.report
-    if not controller_key.verify(report.signature, report.signed_portion):
-        return False, report
-    return True, report
+    return controller_key.verify(report.signature, report.signed_portion), report
 
 
 class ClientAgent:
@@ -151,12 +158,9 @@ class ClientAgent:
             reply = wire.frame_reply(msg.nonce, self.client, ap.alias, self.signing.sign(signed))
             send_later(tick + 1, ap.switch, ap.port, Packet(self.magic.value, reply))
         elif msg.msgtype == wire.MSG_REPORT:
-            nonce = msg.report.nonce
-            ok, report = verify_report(delivery.packet.payload, self.controller_key)
-            if ok and nonce not in self.outstanding:
-                ok = False
-            self.outstanding.pop(nonce, None)
-            self.reports.append((tick, ok, report))
+            ok, report = verify_report(msg, self.controller_key)
+            asked = self.outstanding.pop(report.nonce, None) is not None
+            self.reports.append((tick, ok and asked, report))
 
 
 class Controller:
@@ -212,8 +216,15 @@ class Controller:
                 )
                 self.service.resync(ev.switch, ev.seq - 1)
                 self.service.ingest_event(ev)
-            if ev.kind == "packet_in":
-                self._handle_packet_in(ev, net)
+            if ev.kind != "packet_in":
+                continue
+            try:
+                query = self._handle_packet_in(ev)
+            except InterceptError as e:
+                self.rejects.append((ev.tick, str(e)))
+                continue
+            if query is not None:
+                self._start_session(query, ev.tick, net)
 
     def on_tick(self, tick: int, net: Network) -> None:
         while self._next_poll <= tick:
@@ -244,22 +255,15 @@ class Controller:
 
     # -- the protocol proper ----------------------------------------------
 
-    def intercept(self, event: SwitchEvent) -> ClientQuery:
-        """Decode + authenticate an intercepted query packet-in.
+    def intercept(self, event: SwitchEvent, msg: wire.Message) -> ClientQuery:
+        """Decrypt + authenticate the query frame ``msg`` parsed from a packet-in.
 
-        Raises InterceptError on undecryptable payloads, replayed nonces,
-        unenrolled clients, and queries arriving at a different client's
-        access point (spoofing).
+        Raises InterceptError on a header outside the magic pattern,
+        undecryptable payloads, replayed nonces, unenrolled clients, and
+        queries arriving at a different client's access point (spoofing).
         """
-        packet = event.packet
-        if not self.magic.matches(packet.header):
+        if not self.magic.matches(event.packet.header):
             raise InterceptError("header does not match the magic pattern")
-        try:
-            msg = wire.parse_frame(packet.payload)
-        except wire.WireError as e:
-            raise InterceptError(f"unparseable frame: {e}") from None
-        if msg.msgtype != wire.MSG_QUERY:
-            raise InterceptError(f"not a query frame (msgtype {msg.msgtype})")
         try:
             plaintext = self.registry.controller_seal.unseal(msg.sealed)
         except ValueError:
@@ -282,23 +286,21 @@ class Controller:
         del seen[:-REPLAY_WINDOW]
         return ClientQuery(client=client, kind=kind, nonce=nonce, params=params, request_point=ap)
 
-    def _handle_packet_in(self, event: SwitchEvent, net: Network) -> None:
+    def _handle_packet_in(self, event: SwitchEvent) -> ClientQuery | None:
+        """Parse a packet-in once: the query it authenticates, or None for a counted reply.
+
+        Raises InterceptError on every refusal, which ``on_events`` records.
+        """
         try:
             msg = wire.parse_frame(event.packet.payload)
         except wire.WireError as e:
-            self.rejects.append((event.tick, f"unparseable packet-in: {e}"))
-            return
+            raise InterceptError(f"unparseable packet-in: {e}") from None
         if msg.msgtype == wire.MSG_QUERY:
-            try:
-                query = self.intercept(event)
-            except InterceptError as e:
-                self.rejects.append((event.tick, str(e)))
-                return
-            self._start_session(query, event.tick, net)
-        elif msg.msgtype == wire.MSG_REPLY:
-            self._handle_reply(msg, event.tick)
-        else:
-            self.rejects.append((event.tick, f"unexpected in-band msgtype {msg.msgtype}"))
+            return self.intercept(event, msg)
+        if msg.msgtype != wire.MSG_REPLY:
+            raise InterceptError(f"unexpected in-band msgtype {msg.msgtype}")
+        self._handle_reply(msg)
+        return None
 
     def _start_session(self, query: ClientQuery, tick: int, net: Network) -> None:
         answer = verify.answer(self.topo, self.service.current(), query.kind, query.request_point)
@@ -331,25 +333,20 @@ class Controller:
             self.last_geo[query.client] = answer.regions
         self._finalize(session, tick, net)
 
-    def _handle_reply(self, msg: wire.Message, tick: int) -> None:
+    def _handle_reply(self, msg: wire.Message) -> None:
         session = self.outstanding.get(msg.nonce)
         if session is None:
-            self.rejects.append((tick, "reply with unknown or already-used challenge nonce"))
-            return
+            raise InterceptError("reply with unknown or already-used challenge nonce")
         target = session.challenges[msg.nonce]
         if msg.alias != target.alias:
-            self.rejects.append((tick, f"reply alias {msg.alias} does not match challenged endpoint"))
-            return
+            raise InterceptError(f"reply alias {msg.alias} does not match challenged endpoint")
         if msg.client != target.client:
-            self.rejects.append((tick, f"reply claims {msg.client} for {target.alias}"))
-            return
+            raise InterceptError(f"reply claims {msg.client} for {target.alias}")
         key = self.registry.client_keys.get(msg.client)
         if key is None:
-            self.rejects.append((tick, f"reply from unenrolled client {msg.client}"))
-            return
+            raise InterceptError(f"reply from unenrolled client {msg.client}")
         if not key.verify(msg.signature, msg.signed_portion):
-            self.rejects.append((tick, f"reply signature check failed for {msg.alias}"))
-            return
+            raise InterceptError(f"reply signature check failed for {msg.alias}")
         del self.outstanding[msg.nonce]
         session.verified.append(target.alias)
 

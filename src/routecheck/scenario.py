@@ -113,13 +113,6 @@ def _attack_match(kv: dict[str, str], topo: Topology) -> tuple[Ternary, int]:
     return match, number(int, kv.get("prio", str(DEFAULT_ATTACK_PRIORITY)), "prio=")
 
 
-def _endpoint(text: str, topo: Topology) -> tuple[str, str]:
-    sw, port = split_endpoint(text)
-    if not topo.has_port(sw, port):
-        raise ScenarioError(f"no such port {sw}:{port}")
-    return sw, port
-
-
 def parse_scenario(text: str, topo: Topology) -> Script:
     script = Script()
     parsed: dict[tuple[str, ...], FlowRule] = {}  # see topology.parse_flowmod
@@ -153,10 +146,7 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                     raise ScenarioError("expected inject <sw>:<port> header=<bits>")
                 ap = points.get(body[1])
                 if ap is None:
-                    ap = topo.access_point_at(*_endpoint(body[1], topo))
-                    if ap is None:
-                        raise ScenarioError(f"inject point {body[1]} is not an access point")
-                    points[body[1]] = ap
+                    ap = points[body[1]] = topo.access_point(*split_endpoint(body[1]))
                 kv = key_values(body[2:])
                 bits = kv.get("header", "")
                 if len(bits) != topo.width or bits.strip("01"):
@@ -166,6 +156,8 @@ def parse_scenario(text: str, topo: Topology) -> Script:
             elif kw == "query":
                 kv = key_values(body[1:])
                 client = _client(kv, topo)
+                if client in topo.unkeyed:
+                    raise ScenarioError(f"unkeyed client {client} cannot query")
                 kind = kv.get("kind", "")
                 if kind not in QUERY_KINDS:
                     raise ScenarioError(f"query kind must be one of {', '.join(QUERY_KINDS)}")
@@ -185,9 +177,7 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                     client = _client(kv, topo)
                     if "hidden" not in kv:
                         raise ScenarioError("join needs hidden=<sw>:<port>")
-                    hidden = _endpoint(kv["hidden"], topo)
-                    if topo.access_point_at(*hidden) is None:
-                        raise ScenarioError(f"hidden point {kv['hidden']} is not an access point")
+                    hidden = topo.access_point(*split_endpoint(kv["hidden"])).key()
                     match, prio = _attack_match(kv, topo)
                     check_keys(kv, ("client", "hidden", "match", "prio"))
                     join = JoinSpec(tick, client, hidden, match, prio)

@@ -41,7 +41,6 @@ class RunResult:
     net: Network
     controller: Controller
     agents: dict
-    script: Script
     findings: list[Finding] = field(default_factory=list)
 
     @property
@@ -86,7 +85,6 @@ def run_session(config: RunConfig) -> RunResult:
         net=net,
         controller=controller,
         agents=agents,
-        script=script,
         findings=sorted(controller.findings, key=lambda f: (f.tick, f.kind, f.detail)),
     )
     if config.out_dir:

@@ -128,16 +128,12 @@ class Network:
 
     def forward(self, packet: Packet, at: tuple[str, str]) -> list[TracePath]:
         """Predict where a packet injected at an access point goes (no side effects)."""
-        ap = self.topo.access_point_at(*at)
-        if ap is None:
-            raise ValueError(f"{at[0]}:{at[1]} is not an access point")
+        self.topo.access_point(*at)  # refuses any other endpoint
         return self._walk(packet.header, at[0], at[1])
 
     def inject(self, packet: Packet, at: tuple[str, str]) -> list[TracePath]:
         """Inject a packet at an access point; emits packet-ins and deliveries."""
-        ap = self.topo.access_point_at(*at)
-        if ap is None:
-            raise ValueError(f"{at[0]}:{at[1]} is not an access point")
+        self.topo.access_point(*at)  # refuses any other endpoint
         return self._run_live(packet, at[0], at[1])
 
     def packet_out(self, switch: str, port: str, packet: Packet) -> list[Delivery]:

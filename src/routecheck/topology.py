@@ -360,6 +360,13 @@ class Topology:
             raise TopologyError(f"unknown client {client!r}")
         return aps
 
+    def access_point(self, switch: str, port: str) -> AccessPoint:
+        """The access point at ``switch:port``; any other endpoint is refused."""
+        ap = self._ap_at.get((switch, port))
+        if ap is None:
+            raise TopologyError(f"{switch}:{port} is not an access point")
+        return ap
+
     def access_point_of(self, client: str, text: str) -> AccessPoint:
         """The access point of ``client`` that ``<switch>:<port>`` names."""
         ap = self._ap_at.get(split_endpoint(text))

@@ -133,10 +133,15 @@ def _propagate(
     return out
 
 
+def _check_registered(topo: Topology, ap: AccessPoint) -> None:
+    """Refuse an access point that is not the one the topology has at its port."""
+    if topo.access_point(*ap.key()) != ap:
+        raise ValueError(f"{ap.alias} is not the access point at {ap.switch}:{ap.port}")
+
+
 def reachable_endpoints(topo: Topology, snap: Snapshot, from_ap: AccessPoint, space: HeaderSpace) -> ReachResult:
     """All access points the given space can reach from one access point."""
-    if topo.access_point_at(from_ap.switch, from_ap.port) != from_ap:
-        raise ValueError(f"{from_ap.switch}:{from_ap.port} is not a registered access point")
+    _check_registered(topo, from_ap)
     if space.is_empty():
         raise ValueError("reachability needs a non-empty header space")
     if space.width != topo.width:
@@ -151,8 +156,7 @@ def reachable_sources(topo: Topology, snap: Snapshot, to_ap: AccessPoint) -> lis
     Computed by forward analysis from every other access point; the
     header space reported is the one at the source (as sent).
     """
-    if topo.access_point_at(to_ap.switch, to_ap.port) != to_ap:
-        raise ValueError(f"{to_ap.switch}:{to_ap.port} is not a registered access point")
+    _check_registered(topo, to_ap)
     full = HeaderSpace.full(topo.width)
     out = []
     for ap in topo.access_points:

@@ -212,6 +212,17 @@ class Message:
     report: Report | None = None
 
 
+def _unpack_signature(buf: bytes, off: int, what: str) -> tuple[bytes, bytes]:
+    """(signed portion, signature) of a frame whose signature block starts at ``off`` and ends it."""
+    if off + 2 > len(buf):
+        raise WireError(f"missing {what} signature")
+    (siglen,) = struct.unpack_from(">H", buf, off)
+    signature = buf[off + 2 : off + 2 + siglen]
+    if len(signature) != siglen or off + 2 + siglen != len(buf):
+        raise WireError(f"bad {what} signature block")
+    return buf[:off], signature
+
+
 def parse_frame(buf: bytes) -> Message:
     if len(buf) < 2:
         raise WireError("frame too short")
@@ -237,16 +248,10 @@ def parse_frame(buf: bytes) -> Message:
     if msgtype == MSG_REPLY:
         client, off = _unpack_str(buf, 2)
         alias, off = _unpack_str(buf, off)
-        if off + NONCE_LEN + 2 > len(buf):
+        if off + NONCE_LEN > len(buf):
             raise WireError("truncated reply")
         nonce = buf[off : off + NONCE_LEN]
-        off += NONCE_LEN
-        signed_portion = buf[:off]
-        (siglen,) = struct.unpack_from(">H", buf, off)
-        off += 2
-        signature = buf[off : off + siglen]
-        if len(signature) != siglen or off + siglen != len(buf):
-            raise WireError("bad reply signature block")
+        signed_portion, signature = _unpack_signature(buf, off + NONCE_LEN, "reply")
         return Message(
             MSG_REPLY,
             client=client,
@@ -267,14 +272,7 @@ def parse_frame(buf: bytes) -> Message:
         requested, received = struct.unpack_from(">II", buf, off)
         off += 8
         params, off = _unpack_params(buf, off)
-        signed_portion = buf[:off]
-        if off + 2 > len(buf):
-            raise WireError("missing report signature")
-        (siglen,) = struct.unpack_from(">H", buf, off)
-        off += 2
-        signature = buf[off : off + siglen]
-        if len(signature) != siglen or off + siglen != len(buf):
-            raise WireError("bad report signature block")
+        signed_portion, signature = _unpack_signature(buf, off, "report")
         report = Report(kind, nonce, requested, received, params, signed_portion, signature)
         return Message(MSG_REPORT, report=report)
     raise WireError(f"unknown message type {msgtype}")

@@ -272,9 +272,10 @@ def test_acceptance_6_crypto_negatives(tmp_path):
     for i in range(replay_total):
         packet, point = agent.make_query("geo")
         ev = SwitchEvent(seq=1000 + i, tick=99, switch=point[0], kind="packet_in", in_port=point[1], packet=packet)
-        result.controller.intercept(ev)
+        msg = wire.parse_frame(packet.payload)
+        result.controller.intercept(ev, msg)
         try:
-            result.controller.intercept(ev)  # identical packet again
+            result.controller.intercept(ev, msg)  # identical packet again
         except InterceptError:
             replay_hits += 1
 

@@ -13,12 +13,12 @@ import pytest
 
 from conftest import fixture_path
 from routecheck.cli import main
-from routecheck.hspace import Ternary
+from routecheck.hspace import HeaderSpace, Ternary
 from routecheck.scenario import ScenarioError, parse_scenario
-from routecheck.sim import Network
+from routecheck.sim import Network, Packet
 from routecheck.snapshots import parse_snapshot_dump, snapshot_of
-from routecheck.topology import Action, FlowRule, load_topology
-from routecheck.verify import geo_exposure, transfer_summary
+from routecheck.topology import AccessPoint, Action, FlowRule, load_topology
+from routecheck.verify import geo_exposure, reachable_endpoints, reachable_sources, transfer_summary
 
 TOPO = fixture_path("benign.topo")  # width 16; swA and swC have two ports, swB three
 ANY = "x" * 16
@@ -77,3 +77,21 @@ def test_a_rule_that_does_not_fit_its_switch_is_refused_alike():
         net = Network(topo)
         assert refusal(lambda: net.apply_flow_mod(switch, "add", rule)) == message
         assert net.events == []
+
+
+def test_an_endpoint_that_is_no_access_point_is_refused_alike():
+    """A script's inject point and join ``hidden=`` point, a packet injected
+    into the simulator and the reachability queries give one text, whether
+    the port does not exist or links two switches."""
+    topo = load_topology(Path(TOPO).read_text())
+    for at in ("swA:9", "swA:1"):
+        message = f"{at} is not an access point"
+        for line in (f"@3 inject {at} header={'0' * 16}", f"@3 attack join client=alice hidden={at}"):
+            assert refusal(lambda: parse_scenario(line, topo)) == f"line 1: {message}"
+        net = Network(topo)
+        assert refusal(lambda: net.inject(Packet(0), tuple(at.split(":")))) == message
+        assert net.events == [] and net.deliveries == []
+        stray = AccessPoint(*at.split(":"), "alice", "alice:ap9")
+        snap = snapshot_of(net)
+        assert refusal(lambda: reachable_endpoints(topo, snap, stray, HeaderSpace.full(16))) == message
+        assert refusal(lambda: reachable_sources(topo, snap, stray)) == message

@@ -1,6 +1,7 @@
 """In-band protocol: keys, sealing, interception, sessions, negatives."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,11 +14,11 @@ from routecheck.protocol import (
     encode_query,
     verify_report,
 )
-from routecheck.scenario import parse_scenario, run_scenario
+from routecheck.scenario import expand, parse_scenario, run_scenario
 from routecheck.sim import Delivery, Network, Packet, SwitchEvent
 from routecheck.snapshots import schedule_polls
 from routecheck.topology import load_topology
-from routecheck import wire
+from routecheck import verify, wire
 
 # alice spans swA/swB; bob and mallory sit behind switches that hold no
 # forwarding rules in the benign state, so nothing routes them inward
@@ -111,10 +112,14 @@ def pkt_in(net, switch, port, packet):
     return SwitchEvent(seq=99, tick=net.tick, switch=switch, kind="packet_in", in_port=port, packet=packet)
 
 
+def intercept(controller, event):
+    return controller.intercept(event, wire.parse_frame(event.packet.payload))
+
+
 def test_intercept_valid_query():
     topo, registry, signing, magic, net, controller, agents = setup()
     packet, point = agents["alice"].make_query("isolation")
-    q = controller.intercept(pkt_in(net, point[0], point[1], packet))
+    q = intercept(controller, pkt_in(net, point[0], point[1], packet))
     assert q.client == "alice"
     assert q.kind == "isolation"
     assert q.request_point.alias == "alice:ap1"
@@ -123,28 +128,28 @@ def test_intercept_valid_query():
 def test_intercept_rejects_replay():
     topo, registry, signing, magic, net, controller, agents = setup()
     packet, point = agents["alice"].make_query("isolation")
-    controller.intercept(pkt_in(net, point[0], point[1], packet))
+    intercept(controller, pkt_in(net, point[0], point[1], packet))
     with pytest.raises(InterceptError, match="replayed"):
-        controller.intercept(pkt_in(net, point[0], point[1], packet))
+        intercept(controller, pkt_in(net, point[0], point[1], packet))
 
 
 def test_intercept_rejects_spoofed_ingress():
     topo, registry, signing, magic, net, controller, agents = setup()
     packet, _ = agents["alice"].make_query("isolation")
     with pytest.raises(InterceptError, match="spoofed"):
-        controller.intercept(pkt_in(net, "swC", "2", packet))  # bob's port
+        intercept(controller, pkt_in(net, "swC", "2", packet))  # bob's port
 
 
-def test_intercept_rejects_garbage_and_unenrolled():
+def test_intercept_rejects_undecryptable_and_unenrolled():
+    """Bytes that do not parse never reach ``intercept``; the one-record
+    test below sends them through ``on_events``."""
     topo, registry, signing, magic, net, controller, agents = setup()
-    with pytest.raises(InterceptError, match="unparseable"):
-        controller.intercept(pkt_in(net, "swA", "2", Packet(magic.value, b"\xff")))
     with pytest.raises(InterceptError, match="decryption failed"):
-        controller.intercept(pkt_in(net, "swA", "2", Packet(magic.value, b"\x01\x01\x00\x05junk!")))
+        intercept(controller, pkt_in(net, "swA", "2", Packet(magic.value, b"\x01\x01\x00\x05junk!")))
     rng = random.Random(9)
     stray = encode_query("geo", "mallory", rng.randbytes(16), [], magic, registry.controller_seal.public_raw, rng)
     with pytest.raises(InterceptError, match="not enrolled"):
-        controller.intercept(pkt_in(net, "swD", "2", stray))
+        intercept(controller, pkt_in(net, "swD", "2", stray))
 
 
 # -- full in-band sessions -------------------------------------------------------
@@ -427,3 +432,146 @@ def test_non_positive_reply_timeout_is_refused(timeout):
     topo, registry, _, magic, _, _, _ = setup()
     with pytest.raises(ValueError, match=f"reply timeout must be positive, got {timeout}"):
         Controller(topo, registry, magic, seed=5, poll_rate=0.01, timeout=timeout)
+
+
+# -- refused packet-ins -------------------------------------------------------------
+
+
+JOIN_MALLORY = "@1 attack join client=alice hidden=swD:2 match=11xxxxxx prio=90\n"
+
+
+def reply_frame(nonce, client, alias, key):
+    return wire.frame_reply(nonce, client, alias, key.sign(wire.reply_signed_portion(nonce, client, alias)))
+
+
+def open_isolation_session():
+    """A controller, driven by hand, with one open isolation session of
+    alice's whose challenges target alice:ap1, alice:ap2 and the unkeyed
+    mallory:ap1. ``nonces`` maps each target alias to its challenge nonce."""
+    topo, registry, signing, magic, net, controller, agents = setup()
+    script = parse_scenario(BENIGN_RULES + JOIN_MALLORY, topo)
+    for d in expand(script, topo, random.Random(0), script.base_horizon()):
+        net.apply_flow_mod(d.switch, d.op, d.rule)
+    query, point = agents["alice"].make_query("isolation")
+    net.inject(query, point)
+    controller.on_events(list(net.events), net)
+    assert controller.rejects == [] and len(controller.sessions) == 1
+    (session,) = controller.sessions.values()
+    nonces = {ap.alias: nonce for nonce, ap in session.challenges.items()}
+    assert sorted(nonces) == ["alice:ap1", "alice:ap2", "mallory:ap1"]
+    return SimpleNamespace(controller=controller, net=net, signing=signing, magic=magic, agents=agents,
+                           query=query, nonces=nonces)
+
+
+def send_in(s, switch, payload):
+    """Inject a magic-header packet at ``switch``'s access port 2, where the
+    magic rule makes it a packet-in, and hand the controller its events."""
+    seen = len(s.net.events)
+    s.net.inject(Packet(s.magic.value, payload), (switch, "2"))
+    s.controller.on_events(s.net.events[seen:], s.net)
+
+
+def protocol_state(controller):
+    sessions = {n: (len(s.challenges), tuple(s.verified)) for n, s in controller.sessions.items()}
+    return sessions, dict(controller.outstanding), len(controller.reports_sent), len(controller.findings)
+
+
+ROGUE = SigningKey(random.Random(123).randbytes(32))
+REFUSED = {  # case -> (switch the packet enters at, its payload, the reject reason)
+    "garbage": ("swA", lambda s: b"\xff", "unparseable packet-in: frame too short"),
+    "challenge frame": (
+        "swA", lambda s: wire.frame_challenge(s.nonces["alice:ap1"], "alice:ap1"), "unexpected in-band msgtype 2"
+    ),
+    "replayed query": ("swA", lambda s: s.query.payload, "replayed query nonce"),
+    "spoofed query": (
+        "swC", lambda s: s.agents["alice"].make_query("geo")[0].payload, "spoofed query: claims alice but entered at bob:ap1"
+    ),
+    "unknown nonce": (
+        "swA", lambda s: reply_frame(bytes(16), "alice", "alice:ap1", s.signing["alice"]),
+        "reply with unknown or already-used challenge nonce",
+    ),
+    "wrong alias": (
+        "swA", lambda s: reply_frame(s.nonces["alice:ap1"], "alice", "alice:ap2", s.signing["alice"]),
+        "reply alias alice:ap2 does not match challenged endpoint",
+    ),
+    "wrong client": (
+        "swA", lambda s: reply_frame(s.nonces["alice:ap1"], "bob", "alice:ap1", s.signing["bob"]),
+        "reply claims bob for alice:ap1",
+    ),
+    "unenrolled client": (
+        "swA", lambda s: reply_frame(s.nonces["mallory:ap1"], "mallory", "mallory:ap1", ROGUE),
+        "reply from unenrolled client mallory",
+    ),
+    "bad signature": (
+        "swA", lambda s: reply_frame(s.nonces["alice:ap1"], "alice", "alice:ap1", s.signing["bob"]),
+        "reply signature check failed for alice:ap1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_each_refused_packet_in_is_one_reject_and_changes_nothing(case):
+    s = open_isolation_session()
+    switch, payload, reason = REFUSED[case]
+    before = protocol_state(s.controller)
+    send_in(s, switch, payload(s))
+    assert s.controller.rejects == [(s.net.tick, reason)]
+    assert protocol_state(s.controller) == before
+    # the session still counts the reply it is owed
+    send_in(s, "swA", reply_frame(s.nonces["alice:ap1"], "alice", "alice:ap1", s.signing["alice"]))
+    assert len(s.controller.rejects) == 1
+    assert [session.verified for session in s.controller.sessions.values()] == [["alice:ap1"]]
+
+
+def test_a_failure_while_answering_an_authenticated_query_propagates(monkeypatch):
+    """Only decoding and authentication are refusals; a fault in the answer
+    is the controller's own and is not recorded as a reject."""
+    s = open_isolation_session()
+
+    def broken(*args):
+        raise RuntimeError("answer failed")
+
+    monkeypatch.setattr(verify, "answer", broken)
+    with pytest.raises(RuntimeError, match="answer failed"):
+        send_in(s, "swA", s.agents["alice"].make_query("geo")[0].payload)
+    assert s.controller.rejects == []
+
+
+def test_each_in_band_frame_is_parsed_once(monkeypatch):
+    """The controller parses each packet-in once, and an agent each
+    magic-header delivery once, whatever the frame turns out to be."""
+    topo, registry, signing, magic, net, controller, agents = setup()
+    parsed = []
+    parse_frame = wire.parse_frame
+    monkeypatch.setattr(wire, "parse_frame", lambda raw: parsed.append(raw) or parse_frame(raw))
+    seen = {wire.MSG_QUERY: 0, wire.MSG_CHALLENGE: 0, wire.MSG_REPLY: 0, wire.MSG_REPORT: 0}
+    on_events = controller.on_events
+
+    def counted_on_events(events, net):
+        for ev in events:
+            before = len(parsed)
+            on_events([ev], net)
+            assert len(parsed) - before <= (ev.kind == "packet_in")
+            if ev.kind == "packet_in":
+                seen[parse_frame(ev.packet.payload).msgtype] += 1
+
+    def counted(agent):
+        on_delivery = agent.on_delivery
+
+        def counted_on_delivery(delivery, tick, send_later):
+            before = len(parsed)
+            on_delivery(delivery, tick, send_later)
+            assert len(parsed) - before <= magic.matches(delivery.packet.header)
+            if magic.matches(delivery.packet.header):
+                seen[parse_frame(delivery.packet.payload).msgtype] += 1
+
+        return counted_on_delivery
+
+    controller.on_events = counted_on_events
+    for agent in agents.values():
+        agent.on_delivery = counted(agent)
+    run_with_controller(
+        topo, net, controller, agents, BENIGN_RULES + "@2 query client=alice kind=isolation\n@3 query client=bob kind=geo\n"
+    )
+    assert seen == {wire.MSG_QUERY: 2, wire.MSG_CHALLENGE: 2, wire.MSG_REPLY: 2, wire.MSG_REPORT: 2}
+    assert len(controller.reports_sent) == 2 and controller.rejects == []

@@ -59,9 +59,9 @@ def test_parse_rejects_unknown_elements():
     t = topo()
     with pytest.raises(ScenarioError, match="unknown switch"):
         parse_scenario("@0 flowmod add nosuch prio=1 match=xxxxxxxx action=drop", t)
-    with pytest.raises(ScenarioError, match="no such port"):
+    with pytest.raises(ScenarioError, match="swA:9 is not an access point"):
         parse_scenario("@0 inject swA:9 header=00000000", t)
-    with pytest.raises(ScenarioError, match="not an access point"):
+    with pytest.raises(ScenarioError, match="swA:1 is not an access point"):
         parse_scenario("@0 inject swA:1 header=00000000", t)
     with pytest.raises(ScenarioError, match="unknown client"):
         parse_scenario("@0 query client=nobody kind=geo", t)
@@ -200,8 +200,8 @@ def test_rewrite_of_another_width_is_rejected_on_its_line(tmp_path, capsys):
     "line, message",
     [
         ("@3 inject swA2 header=00000001", "expected <switch>:<port>, got 'swA2'"),
-        ("@3 inject swA:9 header=00000001", "no such port swA:9"),
-        ("@3 inject swA:1 header=00000001", "inject point swA:1 is not an access point"),
+        ("@3 inject swA:9 header=00000001", "swA:9 is not an access point"),
+        ("@3 inject swA:1 header=00000001", "swA:1 is not an access point"),
         ("@3 inject swA:2 header=00000201", "header must be 8 bits of 0/1"),
         ("@3 inject swA:2 header=0000001", "header must be 8 bits of 0/1"),
         ("@3 inject swA:2 header=000000011", "header must be 8 bits of 0/1"),
@@ -277,6 +277,17 @@ def test_join_attack_verified_by_engine_on_snapshot():
     run_scenario(script, net, seed=1)
     own, foreign = isolation_candidates(t, snapshot_of(net), next(ap for ap in t.access_points if ap.alias == "alice:ap1"))
     assert "mallory:ap1" in {ap.alias for ap in foreign}
+
+
+def test_a_query_by_an_unkeyed_client_is_refused_when_the_script_is_read(tmp_path, capsys):
+    """mallory has no key, so no agent can send her query: ``scenario check``
+    refuses the line as ``run`` does, naming it."""
+    (tmp_path / "q.scn").write_text("@1 flowmod add swA prio=5 match=xxxxxxxxxxxxxxxx action=fwd:1\n"
+                                    "@4 query client=mallory kind=geo\n")
+    paths = ["--topology", fixture_path("joinattack.topo"), "--scenario", str(tmp_path / "q.scn")]
+    for command in (["scenario", "check"], ["run"]):
+        assert main([*command, *paths]) == 1
+        assert capsys.readouterr().err == "error: line 2: unkeyed client mallory cannot query\n"
 
 
 def test_divert_needs_two_access_points():
