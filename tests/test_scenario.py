@@ -197,6 +197,40 @@ def test_rewrite_of_another_width_is_rejected_on_its_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "rewrite, message",
+    [
+        ("10000000", "rewrite must look like <mask>/<value>, got '10000000'"),
+        ("1/0/1", "rewrite must look like <mask>/<value>, got '1/0/1'"),
+        ("1000000/10000000", "rewrite mask and value widths differ in '1000000/10000000'"),
+        ("1000000a/10000000", "bad mask character 'a' in '1000000a/10000000'"),
+        ("10000000/x0000000", "masked value bit must be 0 or 1 in '10000000/x0000000'"),
+        ("10000000/1000000a", "bad value character 'a' in '10000000/1000000a'"),
+    ],
+)
+def test_rewrite_text_refusals_name_their_line(rewrite, message):
+    """Each refusal of the ``<mask>/<value>`` reader, word for word, on its line."""
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(
+            "@0 flowmod add swA prio=5 match=xxxxxxxx action=fwd:1\n"
+            f"@1 flowmod add swA prio=5 match=xxxxxxxx action=rewrite:{rewrite}:1\n",
+            topo(),
+        )
+    assert str(info.value) == f"line 2: {message}"
+
+
+def test_rewrite_text_ignores_and_prints_unmasked_value_characters_as_x():
+    """Value characters 0, 1, x, _ and X at unmasked positions are ignored,
+    and the rule prints them back as x; the printed text reads back the same."""
+    text = "@0 flowmod add swA prio=5 match=xxxxxxxx action=rewrite:10100001/101x_X01:1,2\n"
+    (directive,) = parse_scenario(text, topo()).directives
+    rule = directive.rule
+    assert str(rule) == "prio=5 match=xxxxxxxx action=rewrite:10100001/1x1xxxx1:1,2"
+    (again,) = parse_scenario(f"@0 flowmod add swA {rule}\n", topo()).directives
+    assert again.rule == rule and hash(again.rule) == hash(rule)
+    assert str(again.rule) == str(rule)
+
+
+@pytest.mark.parametrize(
     "line, message",
     [
         ("@3 inject swA2 header=00000001", "expected <switch>:<port>, got 'swA2'"),
