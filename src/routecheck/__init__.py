@@ -9,7 +9,6 @@ an in-band authenticated probe protocol.
 
 from .hspace import (
     HeaderSpace,
-    Rewrite,
     Ternary,
     WidthMismatch,
 )

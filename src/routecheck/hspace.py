@@ -4,12 +4,14 @@ A term fixes some bit positions and leaves the rest as wildcards; a space
 is a finite union of terms. Operations are pure and denotation-exact: the
 result denotes exactly the set obtained by applying the corresponding
 boolean set operation header by header. Text form is most-significant bit
-first, e.g. "1xx0" fixes the outermost bits of a 4-bit header.
+first, e.g. "1xx0" fixes the outermost bits of a 4-bit header. A header
+rewrite is a term too: its fixed bits are the positions it writes and the
+values it writes there (``Ternary.rewrite`` and ``Ternary.apply``).
 
-Widths are checked at the public boundary. The ``Ternary`` and
-``Rewrite`` constructors reject a non-positive width and mask their
-fields to it, the ``HeaderSpace`` constructor also checks every term's
-width, every binary operation checks that its operands agree, and
+Widths are checked at the public boundary. The ``Ternary`` constructor
+rejects a non-positive width and masks its fields to it, the
+``HeaderSpace`` constructor also checks every term's width, every binary
+operation checks that its operands agree, and
 ``verify.reachable_endpoints`` checks the caller's space against the
 topology's width. A result derived from checked operands needs no check
 again: the module's own operations, ``topology.FlowTable.lookup`` and
@@ -103,13 +105,14 @@ class Ternary:
             out.append(_term(width, care | bit, value | (bit & flipped)))
         return out
 
-    def rewrite(self, rw: "Rewrite") -> "Ternary":
-        """Overwrite masked positions with the rewrite value; keep the rest."""
-        if rw.width != self.width:
-            raise WidthMismatch(f"width {self.width} vs rewrite width {rw.width}")
-        care = self.care | rw.mask
-        value = (self.value & ~rw.mask) | (rw.value & rw.mask)
-        return _term(self.width, care, value)
+    def rewrite(self, rw: "Ternary") -> "Ternary":
+        """The image under a rewrite: `rw`'s fixed bits overwrite these; the rest stay."""
+        _same_width(self, rw)
+        return _term(self.width, self.care | rw.care, (self.value & ~rw.care) | rw.value)
+
+    def apply(self, header: int) -> int:
+        """`header` with this term's fixed bits written into it, as a rewrite does."""
+        return (header & ~self.care) | self.value
 
     def restricted_to(self, positions: int) -> "Ternary":
         """Keep constraints only on the given bit positions (mask of bits)."""
@@ -163,81 +166,6 @@ def _term(width: int, care: int, value: int, _new=object.__new__) -> Ternary:
 def _same_width(a, b) -> None:
     if a.width != b.width:
         raise WidthMismatch(f"width {a.width} vs {b.width}")
-
-
-class Rewrite:
-    """Header rewrite: positions set in `mask` are overwritten with `value` bits."""
-
-    __slots__ = ("width", "mask", "value")
-
-    def __init__(self, width: int, mask: int, value: int):
-        _require_width(width)
-        full = (1 << width) - 1
-        self.width = width
-        self.mask = mask & full
-        self.value = value & self.mask
-
-    @classmethod
-    def parse(cls, text: str) -> "Rewrite":
-        """Parse "mask/value" where both are bit strings, MSB first.
-
-        Value characters at unmasked positions may be 0, 1, x or _ and are
-        ignored.
-        """
-        try:
-            mask_s, value_s = text.split("/")
-        except ValueError:
-            raise ValueError(f"rewrite must look like <mask>/<value>, got {text!r}") from None
-        if len(mask_s) != len(value_s):
-            raise ValueError(f"rewrite mask and value widths differ in {text!r}")
-        mask = 0
-        value = 0
-        for mc, vc in zip(mask_s, value_s):
-            mask <<= 1
-            value <<= 1
-            if mc == "1":
-                mask |= 1
-                if vc == "1":
-                    value |= 1
-                elif vc != "0":
-                    raise ValueError(f"masked value bit must be 0 or 1 in {text!r}")
-            elif mc == "0":
-                if vc not in "01x_X":
-                    raise ValueError(f"bad value character {vc!r} in {text!r}")
-                if vc == "1":
-                    value |= 1
-            else:
-                raise ValueError(f"bad mask character {mc!r} in {text!r}")
-        return cls(len(mask_s), mask, value)
-
-    def apply(self, header: int) -> int:
-        return (header & ~self.mask) | (self.value & self.mask)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Rewrite)
-            and self.width == other.width
-            and self.mask == other.mask
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.mask, self.value))
-
-    def __str__(self) -> str:
-        mask_s = []
-        value_s = []
-        for i in range(self.width - 1, -1, -1):
-            m = (self.mask >> i) & 1
-            mask_s.append("1" if m else "0")
-            if m:
-                value_s.append("1" if (self.value >> i) & 1 else "0")
-            else:
-                value_s.append("x")
-        return "".join(mask_s) + "/" + "".join(value_s)
-
-    def __repr__(self) -> str:
-        return f"Rewrite({self})"
 
 
 class HeaderSpace:

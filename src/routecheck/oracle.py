@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .hspace import HeaderSpace, Rewrite, Ternary
+from .hspace import HeaderSpace, Ternary
 from .sim import Network
 from .snapshots import Snapshot, snapshot_of
 from .topology import AccessPoint, Action, FlowRule, FlowTable, Topology, load_topology
@@ -124,7 +124,7 @@ def random_rules(rng: random.Random, topo: Topology, switch: str, max_rules: int
             if mask == 0:
                 mask = 1
             value = rng.getrandbits(topo.width)
-            action = Action("rewrite", (rng.choice(ports),), Rewrite(topo.width, mask, value))
+            action = Action("rewrite", (rng.choice(ports),), Ternary(topo.width, mask, value))
         elif r < 0.92:
             action = Action("drop")
         else:

@@ -42,7 +42,7 @@ import bisect
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .hspace import HeaderSpace, Rewrite, Ternary, _space
+from .hspace import HeaderSpace, Ternary, _space
 
 DEFAULT_WIDTH = 16
 
@@ -79,11 +79,16 @@ class Link:
 
 @dataclass(frozen=True)
 class Action:
-    """Rule action: forward, rewrite-then-forward, drop, or send to controller."""
+    """Rule action: forward, rewrite-then-forward, drop, or send to controller.
+
+    A rewrite action's ``rewrite`` is the term whose fixed bits are the
+    header positions it writes, fixed to the values it writes there; its
+    text is ``<mask>/<value>``, both bit strings most significant first.
+    """
 
     kind: str  # "fwd" | "rewrite" | "drop" | "ctrl"
     ports: tuple[str, ...] = ()
-    rewrite: Rewrite | None = None
+    rewrite: Ternary | None = None
 
     KINDS = ("fwd", "rewrite", "drop", "ctrl")
 
@@ -111,15 +116,43 @@ class Action:
             except ValueError:
                 raise ValueError(f"rewrite action must look like rewrite:<mask>/<value>:<ports>, got {text!r}") from None
             ports = tuple(p for p in ports_s.split(",") if p)
-            return cls("rewrite", ports, Rewrite.parse(spec))
+            return cls("rewrite", ports, _parse_rewrite(spec))
         raise ValueError(f"unknown action {text!r}")
 
     def __str__(self) -> str:
         if self.kind == "fwd":
             return "fwd:" + ",".join(self.ports)
         if self.kind == "rewrite":
-            return f"rewrite:{self.rewrite}:" + ",".join(self.ports)
+            written = str(self.rewrite)
+            return f"rewrite:{written.translate(_WRITTEN)}/{written}:" + ",".join(self.ports)
         return self.kind
+
+
+_WRITTEN = str.maketrans("01x", "110")  # a rewrite term's text to its mask text
+
+
+def _parse_rewrite(text: str) -> Ternary:
+    """The rewrite term of ``<mask>/<value>``; value characters at unmasked
+    positions may be 0, 1, x, _ or X and are ignored."""
+    try:
+        mask_s, value_s = text.split("/")
+    except ValueError:
+        raise ValueError(f"rewrite must look like <mask>/<value>, got {text!r}") from None
+    if len(mask_s) != len(value_s):
+        raise ValueError(f"rewrite mask and value widths differ in {text!r}")
+    term = []
+    for mc, vc in zip(mask_s, value_s):
+        if mc == "1":
+            if vc not in ("0", "1"):
+                raise ValueError(f"masked value bit must be 0 or 1 in {text!r}")
+            term.append(vc)
+        elif mc == "0":
+            if vc not in "01x_X":
+                raise ValueError(f"bad value character {vc!r} in {text!r}")
+            term.append("x")
+        else:
+            raise ValueError(f"bad mask character {mc!r} in {text!r}")
+    return Ternary.parse("".join(term))
 
 
 @dataclass(frozen=True)

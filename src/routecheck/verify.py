@@ -105,7 +105,7 @@ def _propagate(
                     continue
                 if rule.action.kind == "rewrite":
                     st2 = st.rewrite(rule.action.rewrite)
-                    rwmask2 = rwmask | rule.action.rewrite.mask
+                    rwmask2 = rwmask | rule.action.rewrite.care
                 else:
                     st2 = st
                     rwmask2 = rwmask

@@ -9,7 +9,7 @@ import random
 
 from conftest import fixture_path
 from routecheck import wire
-from routecheck.hspace import HeaderSpace, Rewrite, Ternary
+from routecheck.hspace import HeaderSpace, Ternary
 from routecheck.keys import SigningKey
 from routecheck.oracle import run_cases
 from routecheck.protocol import verify_report
@@ -84,7 +84,7 @@ def test_acceptance_2_set_algebra_laws():
         union = a.union(b)
         inter = a.intersect(b)
         diff = a.difference(b)
-        rw = Rewrite(width, rng.getrandbits(width), rng.getrandbits(width))
+        rw = Ternary(width, rng.getrandbits(width), rng.getrandbits(width))
         image = HeaderSpace(width, [t.rewrite(rw) for t in a.terms])
         image_expected = {rw.apply(h) for h in all_headers if a.member(h)}
         for h in all_headers:

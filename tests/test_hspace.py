@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from routecheck.hspace import (
     HeaderSpace,
-    Rewrite,
     Ternary,
     WidthMismatch,
     _space,
@@ -40,7 +39,7 @@ def random_space(rng, width=L, max_terms=4, allow_empty=True) -> HeaderSpace:
     return HeaderSpace(width, terms)
 
 
-def rewritten(s: HeaderSpace, rw: Rewrite) -> HeaderSpace:
+def rewritten(s: HeaderSpace, rw: Ternary) -> HeaderSpace:
     """The image of a space under a rewrite, term by term, as propagation takes it."""
     return HeaderSpace(s.width, [t.rewrite(rw) for t in s.terms])
 
@@ -159,9 +158,9 @@ def test_difference_term_growth_bound():
 
 def test_rewrite_examples():
     s = HeaderSpace.of("xx")
-    out = rewritten(s, Rewrite.parse("10/1x"))
+    out = rewritten(s, Ternary.parse("1x"))
     assert denote(out) == denote(HeaderSpace.of("1x"))
-    unchanged = rewritten(s, Rewrite(2, 0, 0))
+    unchanged = rewritten(s, Ternary(2, 0, 0))
     assert denote(unchanged) == denote(s)
 
 
@@ -171,7 +170,7 @@ def test_rewrite_matches_per_header_image():
         s = random_space(rng, allow_empty=False)
         mask = rng.getrandbits(L)
         value = rng.getrandbits(L)
-        rw = Rewrite(L, mask, value)
+        rw = Ternary(L, mask, value)
         image = denote(rewritten(s, rw))
         expected = frozenset(rw.apply(h) for h in denote(s))
         assert image == expected
@@ -182,7 +181,7 @@ def test_rewrite_monotone():
     for _ in range(30):
         s2 = random_space(rng, allow_empty=False)
         s1 = HeaderSpace(L, s2.terms[: max(1, len(s2.terms) // 2)])
-        rw = Rewrite(L, rng.getrandbits(L), rng.getrandbits(L))
+        rw = Ternary(L, rng.getrandbits(L), rng.getrandbits(L))
         assert denote(rewritten(s1, rw)) <= denote(rewritten(s2, rw))
 
 
@@ -232,7 +231,7 @@ def test_width_mismatch_raises():
         with pytest.raises(WidthMismatch):
             op(a, b)
     with pytest.raises(WidthMismatch):
-        rewritten(a, Rewrite(3, 1, 1))
+        rewritten(a, Ternary(3, 1, 1))
 
 
 def test_width_zero_rejected():
@@ -275,7 +274,7 @@ def test_prop_difference_membership(a, b):
 @settings(max_examples=60, deadline=None)
 @given(spaces(), st.integers(0, 31), st.integers(0, 31))
 def test_prop_rewrite_image(s, mask, value):
-    rw = Rewrite(5, mask, value)
+    rw = Ternary(5, mask, value)
     image = rewritten(s, rw)
     expected = {rw.apply(h) for h in range(32) if s.member(h)}
     got = {h for h in range(32) if image.member(h)}
@@ -404,7 +403,7 @@ def test_prop_one_terms_minus_pieces_never_subsume_each_other(pair):
 @given(term_pairs(), st.integers(0, (1 << 34) - 1), st.integers(0, (1 << 34) - 1))
 def test_prop_cached_hash_is_the_field_tuple_hash(pair, mask, value):
     a, b = pair
-    rw = Rewrite(a.width, mask, value)
+    rw = Ternary(a.width, mask, value)
     derived = [a, b, Ternary.parse(str(a)), Ternary.wildcard(a.width), a.rewrite(rw), a.restricted_to(mask)]
     derived += a.minus(b) + [t for t in (a.intersect(b),) if t is not None]
     for t in derived:

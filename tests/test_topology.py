@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routecheck.hspace import HeaderSpace, Rewrite, Ternary
+from routecheck.hspace import HeaderSpace, Ternary
 from routecheck.topology import (
     Action,
     FlowRule,
@@ -414,7 +414,7 @@ def rule_fields(draw):
     bits = st.integers(0, (1 << width) - 1)
     kind = draw(st.sampled_from(Action.KINDS))
     ports = tuple(draw(st.lists(st.sampled_from("1234"), min_size=1, max_size=3)))
-    rewrite = Rewrite(width, draw(bits), draw(bits)) if kind == "rewrite" else None
+    rewrite = Ternary(width, draw(bits), draw(bits)) if kind == "rewrite" else None
     action = Action(kind, ports if kind in ("fwd", "rewrite") else (), rewrite)
     return draw(st.integers(0, 1 << 16)), Ternary(width, draw(bits), draw(bits)), action
 
@@ -426,7 +426,7 @@ def copied(fields):
     return (
         prio,
         Ternary(match.width, match.care, match.value),
-        Action(action.kind, action.ports, rw and Rewrite(rw.width, rw.mask, rw.value)),
+        Action(action.kind, action.ports, rw and Ternary(rw.width, rw.care, rw.value)),
     )
 
 
