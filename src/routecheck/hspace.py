@@ -183,10 +183,6 @@ class HeaderSpace:
         self.terms = unique
 
     @classmethod
-    def empty(cls, width: int) -> "HeaderSpace":
-        return cls(width, ())
-
-    @classmethod
     def full(cls, width: int) -> "HeaderSpace":
         return cls(width, (Ternary.wildcard(width),))
 
@@ -194,20 +190,8 @@ class HeaderSpace:
     def of(cls, *texts: str) -> "HeaderSpace":
         terms = [Ternary.parse(t) for t in texts]
         if not terms:
-            raise ValueError("HeaderSpace.of needs at least one term; use empty()")
+            raise ValueError("HeaderSpace.of needs at least one term; use HeaderSpace(width)")
         return cls(terms[0].width, terms)
-
-    @classmethod
-    def parse(cls, text: str, width: int | None = None) -> "HeaderSpace":
-        """Parse a comma-separated term list; "-" or "" denote the empty set."""
-        text = text.strip()
-        if text in ("", "-"):
-            if width is None:
-                raise ValueError("empty header space needs an explicit width")
-            return cls.empty(width)
-        terms = [Ternary.parse(part) for part in text.split(",")]
-        w = width if width is not None else terms[0].width
-        return cls(w, terms)
 
     def is_empty(self) -> bool:
         return not self.terms

@@ -55,9 +55,7 @@ def test_parse_roundtrip():
     for text in ("1xx0", "0000", "xxxx", "1x"):
         assert str(Ternary.parse(text)) == text
     assert str(HeaderSpace.of("1x", "0x")) == "1x,0x"
-    assert str(HeaderSpace.empty(4)) == "-"
-    assert HeaderSpace.parse("-", width=4) == HeaderSpace.empty(4)
-    assert HeaderSpace.parse("1x,0x") == HeaderSpace.of("1x", "0x")
+    assert str(HeaderSpace(4)) == "-"
 
 
 def test_parse_rejects_bad_characters():
@@ -89,7 +87,7 @@ def test_member_union_is_or():
 
 def test_union_identity_and_cover():
     s = HeaderSpace.of("1x")
-    assert denote(s.union(HeaderSpace.empty(2))) == denote(s)
+    assert denote(s.union(HeaderSpace(2))) == denote(s)
     both = HeaderSpace.of("0x").union(HeaderSpace.of("1x"))
     assert denote(both) == frozenset(range(4))
 
@@ -123,7 +121,7 @@ def test_intersect_is_and():
 
 def test_difference_basics():
     s = HeaderSpace.of("1x")
-    assert denote(s.difference(HeaderSpace.empty(2))) == denote(s)
+    assert denote(s.difference(HeaderSpace(2))) == denote(s)
     assert HeaderSpace.of("xx").difference(HeaderSpace.of("xx")).is_empty()
 
 
@@ -191,7 +189,7 @@ def test_rewrite_monotone():
 def test_identities_by_enumeration():
     rng = random.Random(31)
     full = HeaderSpace.full(L)
-    empty = HeaderSpace.empty(L)
+    empty = HeaderSpace(L)
     for _ in range(30):
         s = random_space(rng)
         assert denote(s.union(empty)) == denote(s)
@@ -238,7 +236,7 @@ def test_width_zero_rejected():
     with pytest.raises(ValueError):
         Ternary(0, 0, 0)
     with pytest.raises(ValueError):
-        HeaderSpace.empty(0)
+        HeaderSpace(0)
 
 
 # -- hypothesis: the same laws under generated operands ------------------------------

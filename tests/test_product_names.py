@@ -1,9 +1,11 @@
 """Every function, class and method in the package is used by the package itself.
 
 The scan reads the code of ``src/``, not its words: a method counts as
-used only where it is read as an attribute (``x.name``), and a
-module-level function or class only where it is read by name, imported,
-or read as an attribute of its module (``verify.answer``). A name in a
+used only where it is read as an attribute (``x.name``), a classmethod
+only where it is read through its own class (``Ternary.parse``) or as
+``cls.name`` inside that class, and a module-level function or class
+only where it is read by name, imported, or read as an attribute of its
+module (``verify.answer``). A name in a
 docstring or comment is no use, and neither are the re-exports in
 ``src/routecheck/__init__.py``. A helper that only tests or the benchmark
 read is product code that no product path runs. ``TEST_ONLY`` names the
@@ -31,20 +33,22 @@ TEST_ONLY = {
 
 
 def callables():
-    """(path, line number, name, is a method) of every module-level function
-    and class, and every non-dunder method."""
+    """(path, line number, name, owner) of every module-level function and
+    class, and every non-dunder method. The owner is None for a module-level
+    name, "" for a method, and the class name for a classmethod."""
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield path, node.lineno, node.name, False
+                yield path, node.lineno, node.name, None
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not (
                         item.name.startswith("__") and item.name.endswith("__")
                     ):
-                        yield path, item.lineno, item.name, True
+                        decorators = [d.id for d in item.decorator_list if isinstance(d, ast.Name)]
+                        yield path, item.lineno, item.name, node.name if "classmethod" in decorators else ""
 
 
 def reads():
@@ -64,12 +68,42 @@ def reads():
     return names, attributes
 
 
+def class_reads():
+    """(class, name) of every attribute read through a class by its name
+    (``Ternary.parse``, ``hspace.Ternary.parse``), or as ``cls.name`` inside
+    the class, in the code of ``src/``."""
+    pairs: set[tuple[str, str]] = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path == PACKAGE / "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                pairs.update(
+                    (node.name, sub.attr) for sub in ast.walk(node)
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id == "cls"
+                )
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                owner = node.value
+                if isinstance(owner, ast.Name):
+                    pairs.add((owner.id, node.attr))
+                elif isinstance(owner, ast.Attribute):
+                    pairs.add((owner.attr, node.attr))
+    return pairs
+
+
+def used(name, owner, names, attributes, through) -> bool:
+    if owner is None:
+        return name in names or name in attributes
+    if owner:
+        return (owner, name) in through
+    return name in attributes
+
+
 def test_every_callable_is_used_by_the_package():
     defs = list(callables())
     assert len(defs) > 150
     names, attributes = reads()
-    unused = sorted(
-        name for _, _, name, method in defs if name not in attributes and (method or name not in names)
-    )
+    through = class_reads()
+    unused = sorted(name for _, _, name, owner in defs if not used(name, owner, names, attributes, through))
     assert unused == sorted(TEST_ONLY)
 

@@ -69,7 +69,7 @@ def test_reachable_requires_valid_inputs():
     topo, net = line_net()
     snap = snapshot_of(net)
     with pytest.raises(ValueError, match="non-empty"):
-        reachable_endpoints(topo, snap, ap_of(topo, "alice:ap1"), HeaderSpace.empty(4))
+        reachable_endpoints(topo, snap, ap_of(topo, "alice:ap1"), HeaderSpace(4))
 
 
 @pytest.mark.parametrize("with_rule", [False, True])
