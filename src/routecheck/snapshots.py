@@ -173,11 +173,11 @@ class SnapshotService:
             rule, old = event.rule, self._tables[sw]
             if event.op == "add":
                 self._tables[sw] = old.add(rule)
-                if rule not in old.rules:
+                if not old.count(rule):
                     self._record(sw, rule)
             elif not event.noop and (new := old.remove(rule)) is not old:
                 self._tables[sw] = new
-                if rule not in new.rules:
+                if not new.count(rule):
                     self._record(sw, rule)
             return self._new_version()
         # packet_in / port_status advance the sequence but not the view
@@ -266,7 +266,7 @@ class SnapshotService:
         for (sw, rule), ticks in sorted(per_rule.items(), key=lambda item: item[0][0]):
             if len(ticks) < 2:
                 continue
-            at_end = rule in self._tables[sw].rules
+            at_end = self._tables[sw].count(rule) > 0
             at_start = at_end != (len(ticks) % 2 == 1)
             polls_seen = sum(1 for p in self.polls if p.switch == sw and p.tick >= cutoff and rule in p.rules)
             findings.append(

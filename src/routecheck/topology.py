@@ -39,6 +39,7 @@ scan of the rules. No module-level cache exists.
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -279,10 +280,15 @@ class FlowTable:
     breaking ties (earlier wins). The constructor trusts the order it is
     given; ``add`` and ``remove`` return new tables and leave this one as
     it is. It memoises its ``lookup`` results by input space, and the
-    tables that ``add`` and ``remove`` make start without them.
+    tables that ``add`` and ``remove`` make start without them. It also
+    keeps how many copies of each rule it holds, built on first need for
+    a table constructed directly, and derived from the parent's by one
+    dict copy for a table that ``add`` or ``remove`` makes, so no presence
+    test scans the rules.
     """
 
     rules: tuple[FlowRule, ...] = ()
+    _copies: dict[FlowRule, int] | None = field(default=None, compare=False, repr=False)
     _splits: dict[HeaderSpace, tuple[tuple[FlowRule | None, HeaderSpace], ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -290,15 +296,32 @@ class FlowTable:
     def add(self, rule: FlowRule) -> "FlowTable":
         """A table with `rule` after every rule of equal or higher priority."""
         i = bisect.bisect_right(self.rules, -rule.priority, key=lambda r: -r.priority)
-        return FlowTable(self.rules[:i] + (rule,) + self.rules[i:])
+        copies = self._counted().copy()
+        copies[rule] = copies.get(rule, 0) + 1
+        return FlowTable(self.rules[:i] + (rule,) + self.rules[i:], copies)
 
     def remove(self, rule: FlowRule) -> "FlowTable":
         """A table without the first rule equal to `rule`; this very table when absent."""
-        try:
-            i = self.rules.index(rule)
-        except ValueError:
+        copies = self._counted()
+        n = copies.get(rule, 0)
+        if not n:
             return self
-        return FlowTable(self.rules[:i] + self.rules[i + 1:])
+        copies = copies.copy()
+        if n == 1:
+            del copies[rule]
+        else:
+            copies[rule] = n - 1
+        i = self.rules.index(rule)
+        return FlowTable(self.rules[:i] + self.rules[i + 1:], copies)
+
+    def count(self, rule: FlowRule) -> int:
+        """How many rules equal `rule`, as ``rules.count(rule)`` says, without a scan."""
+        return self._counted().get(rule, 0)
+
+    def _counted(self) -> dict[FlowRule, int]:
+        if self._copies is None:
+            object.__setattr__(self, "_copies", dict(Counter(self.rules)))
+        return self._copies
 
     def match_header(self, header: int) -> FlowRule | None:
         """The first rule, in lookup order, whose match holds `header`; None if none does."""

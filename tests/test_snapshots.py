@@ -55,6 +55,30 @@ def test_ingest_add_builds_table():
     assert snap.tables["swA"].rules == (r,)
 
 
+def test_ingest_finds_a_rules_presence_without_scanning_the_table(monkeypatch):
+    """Adding n distinct equal-priority rules to one switch and removing them
+    in insertion order compares rules O(n) times, not once per rule held."""
+    topo = load_topology(DOC.replace("headerwidth 4", "headerwidth 16"))
+    svc = SnapshotService(topo)
+    n = 2000
+    rules = [FlowRule(5, Ternary(16, 0xFFFF, i), Action("fwd", ("1",))) for i in range(n)]
+    calls = 0
+    eq = FlowRule.__eq__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(FlowRule, "__eq__", counted)
+    ops = [("add", r) for r in rules] + [("remove", r) for r in rules]
+    for seq, (op, r) in enumerate(ops, 1):
+        svc.ingest_event(SwitchEvent(seq, 0, "swA", "flowmod", op=op, rule=r))
+    assert calls <= 2 * n
+    assert svc.current().tables["swA"].rules == ()
+    assert [(sw, r) for _, sw, r, _ in svc.changes] == [("swA", r) for _, r in ops]
+
+
 def test_ingest_seq_gap_raises():
     topo, net, svc = fresh()
     net.apply_flow_mod("swA", "add", rule(1, "xxxx", "drop"))
