@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from .hspace import Ternary
 from .sim import Network, Packet
 from .topology import AccessPoint, Action, FlowRule, Topology
-from .topology import check_keys, key_values, number, numbered_lines, parse_flowmod, parse_match, split_endpoint
+from .topology import check_keys, key_values, number, numbered_lines, parse_flowmod, split_endpoint
 from .wire import KIND_CODES
 
 QUERY_KINDS = tuple(KIND_CODES)
@@ -109,7 +109,7 @@ def _client(kv: dict[str, str], topo: Topology) -> str:
 
 def _attack_match(kv: dict[str, str], topo: Topology) -> tuple[Ternary, int]:
     """The ``match=`` (default: every header) and ``prio=`` of a join or divert line."""
-    match = parse_match(kv["match"], topo.width) if "match" in kv else Ternary.wildcard(topo.width)
+    match = Ternary.parse(kv["match"]) if "match" in kv else Ternary.wildcard(topo.width)
     return match, number(int, kv.get("prio", str(DEFAULT_ATTACK_PRIORITY)), "prio=")
 
 
@@ -234,13 +234,15 @@ def parse_scenario(text: str, topo: Topology) -> Script:
 # -- template expansion ------------------------------------------------
 
 
-def _route_flowmods(spec: JoinSpec | DivertSpec, hops: list[tuple[str, str]]) -> list[Directive]:
-    """One forwarding flowmod per distinct (switch, out port) hop of a route, in route order."""
-    return [
-        Directive(spec.tick, "flowmod", op="add", switch=sw,
-                  rule=FlowRule(spec.priority, spec.match, Action("fwd", (port,))))
-        for sw, port in dict.fromkeys(hops)
-    ]
+def _route_flowmods(spec: JoinSpec | DivertSpec, hops: list[tuple[str, str]], topo: Topology) -> list[Directive]:
+    """One forwarding flowmod per distinct (switch, out port) hop of a route, in route order;
+    each rule is checked against its switch, which refuses a ``match=`` of another width."""
+    out = []
+    for sw, port in dict.fromkeys(hops):
+        rule = FlowRule(spec.priority, spec.match, Action("fwd", (port,)))
+        topo.check_rule(sw, rule)
+        out.append(Directive(spec.tick, "flowmod", op="add", switch=sw, rule=rule))
+    return out
 
 
 def _expand_join(spec: JoinSpec, topo: Topology) -> list[Directive]:
@@ -248,7 +250,7 @@ def _expand_join(spec: JoinSpec, topo: Topology) -> list[Directive]:
     route = topo.path_between(spec.hidden[0], target.switch)
     if route is None:
         raise ScenarioError(f"no path from hidden point {spec.hidden[0]} to {target.switch}")
-    return _route_flowmods(spec, route + [target.key()])
+    return _route_flowmods(spec, route + [target.key()], topo)
 
 
 def _expand_divert(spec: DivertSpec, topo: Topology) -> list[Directive]:
@@ -261,7 +263,7 @@ def _expand_divert(spec: DivertSpec, topo: Topology) -> list[Directive]:
     leg2 = topo.path_between(det, a2.switch)
     if leg1 is None or leg2 is None:
         raise ScenarioError(f"no path through region {spec.via} for client {spec.client}")
-    return _route_flowmods(spec, leg1 + leg2 + [a2.key()])
+    return _route_flowmods(spec, leg1 + leg2 + [a2.key()], topo)
 
 
 def transient_pattern(spec: TransientSpec, horizon: int, rng: random.Random) -> list[bool]:

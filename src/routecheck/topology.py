@@ -231,13 +231,6 @@ def split_endpoint(text: str) -> tuple[str, str]:
     return sw, port
 
 
-def parse_match(text: str, width: int) -> Ternary:
-    match = Ternary.parse(text)
-    if match.width != width:
-        raise ValueError(f"match width {match.width} != header width {width}")
-    return match
-
-
 FLOWMOD_KEYS = ("prio", "match", "action")
 
 
