@@ -289,17 +289,17 @@ class FlowTable:
     def add(self, rule: FlowRule) -> "FlowTable":
         """A table with `rule` after every rule of equal or higher priority."""
         i = bisect.bisect_right(self.rules, -rule.priority, key=lambda r: -r.priority)
-        copies = self._counted().copy()
-        copies[rule] = copies.get(rule, 0) + 1
+        n = self.count(rule)
+        copies = self._copies.copy()
+        copies[rule] = n + 1
         return FlowTable(self.rules[:i] + (rule,) + self.rules[i:], copies)
 
     def remove(self, rule: FlowRule) -> "FlowTable":
         """A table without the first rule equal to `rule`; this very table when absent."""
-        copies = self._counted()
-        n = copies.get(rule, 0)
+        n = self.count(rule)
         if not n:
             return self
-        copies = copies.copy()
+        copies = self._copies.copy()
         if n == 1:
             del copies[rule]
         else:
@@ -309,12 +309,9 @@ class FlowTable:
 
     def count(self, rule: FlowRule) -> int:
         """How many rules equal `rule`, as ``rules.count(rule)`` says, without a scan."""
-        return self._counted().get(rule, 0)
-
-    def _counted(self) -> dict[FlowRule, int]:
         if self._copies is None:
             object.__setattr__(self, "_copies", dict(Counter(self.rules)))
-        return self._copies
+        return self._copies.get(rule, 0)
 
     def match_header(self, header: int) -> FlowRule | None:
         """The first rule, in lookup order, whose match holds `header`; None if none does."""
