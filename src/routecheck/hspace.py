@@ -35,6 +35,9 @@ def _require_width(width: int) -> None:
         raise ValueError(f"header width must be positive, got {width}")
 
 
+_TERM_TEXT = str.maketrans("023", "x01")  # a bit's hex digit 2*care + value -> its character
+
+
 class Ternary:
     """A single wildcard term: fixed bits where `care` is set, 'x' elsewhere.
 
@@ -140,13 +143,10 @@ class Ternary:
         return self._hash
 
     def __str__(self) -> str:
-        chars = []
-        for i in range(self.width - 1, -1, -1):
-            if (self.care >> i) & 1:
-                chars.append("1" if (self.value >> i) & 1 else "0")
-            else:
-                chars.append("x")
-        return "".join(chars)
+        # Read the binary digits of care and value as hex, so each bit of the
+        # term becomes one hex digit 2*care + value (0, 2 or 3), then name them.
+        digits = int(bin(self.care)[2:], 16) * 2 + int(bin(self.value)[2:], 16)
+        return ("%0*x" % (self.width, digits)).translate(_TERM_TEXT)
 
     def __repr__(self) -> str:
         return f"Ternary({self})"

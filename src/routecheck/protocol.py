@@ -216,6 +216,8 @@ class Controller:
                 )
                 self.service.resync(ev.switch, ev.seq - 1)
                 self.service.ingest_event(ev)
+                # the view lacks the withheld change: re-read the switch before answering from it
+                self.service.active_poll(ev.switch, net)
             if ev.kind != "packet_in":
                 continue
             try:

@@ -16,7 +16,11 @@ A key may appear once per line, and only where its directive's grammar
 names it. The token helpers and the flowmod rule reader live in
 ``topology``, beside ``FlowRule.__str__``.
 
-Templates expand into concrete flowmod directives before execution. The
+Each directive is a ``Directive`` named tuple, immutable and equal by
+value, built once per script line or expanded template step. Templates
+expand into concrete flowmod directives before execution. A join or
+divert builds its route's flowmods when its line is read, which also
+refuses one that cannot expand, and ``expand`` reuses them. The
 transient template keeps the rule installed for exactly round(f*period)
 ticks per period, at a per-period random offset drawn from the run seed,
 so each period carries the same duty cycle while the on-window placement
@@ -29,11 +33,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .hspace import Ternary
 from .sim import Network, Packet
 from .topology import AccessPoint, Action, FlowRule, Topology
-from .topology import check_keys, key_values, number, numbered_lines, parse_flowmod, split_endpoint
+from .topology import check_keys, key_values, number, parse_flowmod, split_endpoint
 from .wire import KIND_CODES
 
 QUERY_KINDS = tuple(KIND_CODES)
@@ -45,8 +50,10 @@ class ScenarioError(ValueError):
     """Malformed script or directive referencing missing topology elements."""
 
 
-@dataclass(frozen=True)
-class Directive:
+class Directive(NamedTuple):
+    """One timed directive; a named tuple because every script line and
+    every expanded template step makes one."""
+
     tick: int
     kind: str  # "flowmod" | "inject" | "query" | "suppress"
     op: str = ""
@@ -73,8 +80,7 @@ class JoinSpec:
     tick: int
     client: str
     hidden: tuple[str, str]
-    match: Ternary
-    priority: int
+    flowmods: tuple[Directive, ...]  # the route's rules, built once by ``join_spec``
 
 
 @dataclass(frozen=True)
@@ -82,8 +88,7 @@ class DivertSpec:
     tick: int
     client: str
     via: str
-    match: Ternary
-    priority: int
+    flowmods: tuple[Directive, ...]  # the route's rules, built once by ``divert_spec``
 
 
 @dataclass
@@ -114,11 +119,17 @@ def _attack_match(kv: dict[str, str], topo: Topology) -> tuple[Ternary, int]:
 
 
 def parse_scenario(text: str, topo: Topology) -> Script:
+    """The script ``text`` describes, read in one pass over its lines; a
+    refusal is a ScenarioError that names its line."""
     script = Script()
+    add = script.directives.append
+    width = topo.width
     parsed: dict[tuple[str, ...], FlowRule] = {}  # see topology.parse_flowmod
     points: dict[str, AccessPoint] = {}  # inject endpoint token -> the access point it names
-    for lineno, line in numbered_lines(text):
-        toks = line.split()
+    for lineno, line in enumerate(text.splitlines(), 1):
+        toks = (line.split("#", 1)[0] if "#" in line else line).split()
+        if not toks:
+            continue
         try:
             if toks[0] == "horizon":
                 if len(toks) != 2:
@@ -133,28 +144,26 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                 raise ScenarioError(f"bad tick {toks[0]!r}") from None
             if tick < 0:
                 raise ScenarioError("tick must be non-negative")
-            body = toks[1:]
-            if not body:
+            if len(toks) < 2:
                 raise ScenarioError("empty directive")
-            kw = body[0]
+            kw = toks[1]
 
             if kw == "flowmod":
-                op, switch, rule = parse_flowmod(body[1:], topo, parsed)
-                script.directives.append(Directive(tick, "flowmod", op=op, switch=switch, rule=rule))
+                op, switch, rule = parse_flowmod(toks[2:], topo, parsed)
+                add(Directive(tick, "flowmod", op, switch, "", rule))
             elif kw == "inject":
-                if len(body) != 3:
+                if len(toks) != 4:
                     raise ScenarioError("expected inject <sw>:<port> header=<bits>")
-                ap = points.get(body[1])
+                ap = points.get(toks[2])
                 if ap is None:
-                    ap = points[body[1]] = topo.access_point(*split_endpoint(body[1]))
-                kv = key_values(body[2:])
-                bits = kv.get("header", "")
-                if len(bits) != topo.width or bits.strip("01"):
-                    raise ScenarioError(f"header must be {topo.width} bits of 0/1")
-                header = int(bits, 2)
-                script.directives.append(Directive(tick, "inject", switch=ap.switch, port=ap.port, header=header))
+                    ap = points[toks[2]] = topo.access_point(*split_endpoint(toks[2]))
+                tok = toks[3]
+                bits = tok[7:] if tok.startswith("header=") else key_values(toks[3:]).get("header", "")
+                if len(bits) != width or bits.strip("01"):
+                    raise ScenarioError(f"header must be {width} bits of 0/1")
+                add(Directive(tick, "inject", "", ap.switch, ap.port, None, int(bits, 2)))
             elif kw == "query":
-                kv = key_values(body[1:])
+                kv = key_values(toks[2:])
                 client = _client(kv, topo)
                 if client in topo.unkeyed:
                     raise ScenarioError(f"unkeyed client {client} cannot query")
@@ -165,39 +174,33 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                 if "at" in kv:
                     sw, port = topo.access_point_of(client, kv["at"]).key()
                 check_keys(kv, ("client", "kind", "at"))
-                script.directives.append(
-                    Directive(tick, "query", client=client, query_kind=kind, switch=sw, port=port)
-                )
+                add(Directive(tick, "query", switch=sw, port=port, client=client, query_kind=kind))
             elif kw == "attack":
-                if len(body) < 2:
+                if len(toks) < 3:
                     raise ScenarioError("attack needs a template name")
-                template = body[1]
+                template = toks[2]
                 if template == "join":
-                    kv = key_values(body[2:])
+                    kv = key_values(toks[3:])
                     client = _client(kv, topo)
                     if "hidden" not in kv:
                         raise ScenarioError("join needs hidden=<sw>:<port>")
                     hidden = topo.access_point(*split_endpoint(kv["hidden"])).key()
                     match, prio = _attack_match(kv, topo)
                     check_keys(kv, ("client", "hidden", "match", "prio"))
-                    join = JoinSpec(tick, client, hidden, match, prio)
-                    _expand_join(join, topo)  # a template that cannot expand is refused here, not at run time
-                    script.joins.append(join)
+                    script.joins.append(join_spec(tick, client, hidden, match, prio, topo))
                 elif template == "divert":
-                    kv = key_values(body[2:])
+                    kv = key_values(toks[3:])
                     client = _client(kv, topo)
                     via = kv.get("via", "")
                     if via not in set(topo.locations.values()):
                         raise ScenarioError(f"no switch located in region {via!r}")
                     match, prio = _attack_match(kv, topo)
                     check_keys(kv, ("client", "via", "match", "prio"))
-                    divert = DivertSpec(tick, client, via, match, prio)
-                    _expand_divert(divert, topo)
-                    script.diverts.append(divert)
+                    script.diverts.append(divert_spec(tick, client, via, match, prio, topo))
                 elif template == "transient":
-                    if len(body) < 3 or body[2] != "flowmod":
+                    if len(toks) < 4 or toks[3] != "flowmod":
                         raise ScenarioError("transient wraps a flowmod directive")
-                    tail = body[3:]
+                    tail = toks[4:]
                     extras = key_values([tok for tok in tail if tok.startswith(("f=", "period="))])
                     core = [tok for tok in tail if not tok.startswith(("f=", "period="))]
                     if "f" not in extras or "period" not in extras:
@@ -213,7 +216,7 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                         raise ScenarioError("period must be at least 2 ticks")
                     script.transients.append(TransientSpec(tick, switch, rule, duty, period))
                 elif template == "suppress":
-                    kv = key_values(body[2:])
+                    kv = key_values(toks[3:])
                     sw = kv.get("sw", "")
                     if sw not in topo.switch_ports:
                         raise ScenarioError(f"unknown switch {sw!r}")
@@ -221,7 +224,7 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                     if count < 1:
                         raise ScenarioError("suppress count must be positive")
                     check_keys(kv, ("sw", "count"))
-                    script.directives.append(Directive(tick, "suppress", switch=sw, count=count))
+                    add(Directive(tick, "suppress", switch=sw, count=count))
                 else:
                     raise ScenarioError(f"unknown attack template {template!r}")
             else:
@@ -234,36 +237,48 @@ def parse_scenario(text: str, topo: Topology) -> Script:
 # -- template expansion ------------------------------------------------
 
 
-def _route_flowmods(spec: JoinSpec | DivertSpec, hops: list[tuple[str, str]], topo: Topology) -> list[Directive]:
+def _route_flowmods(
+    tick: int, match: Ternary, priority: int, hops: list[tuple[str, str]], topo: Topology
+) -> tuple[Directive, ...]:
     """One forwarding flowmod per distinct (switch, out port) hop of a route, in route order;
     each rule is checked against its switch, which refuses a ``match=`` of another width."""
     out = []
     for sw, port in dict.fromkeys(hops):
-        rule = FlowRule(spec.priority, spec.match, Action("fwd", (port,)))
+        rule = FlowRule(priority, match, Action("fwd", (port,)))
         topo.check_rule(sw, rule)
-        out.append(Directive(spec.tick, "flowmod", op="add", switch=sw, rule=rule))
-    return out
+        out.append(Directive(tick, "flowmod", "add", sw, "", rule))
+    return tuple(out)
 
 
-def _expand_join(spec: JoinSpec, topo: Topology) -> list[Directive]:
-    target = topo.client_aps(spec.client)[0]
-    route = topo.path_between(spec.hidden[0], target.switch)
+def join_spec(
+    tick: int, client: str, hidden: tuple[str, str], match: Ternary, priority: int, topo: Topology
+) -> JoinSpec:
+    """A join template with its route's flowmods: from ``hidden`` to the
+    client's first access point. One that cannot expand is refused here,
+    not at run time."""
+    target = topo.client_aps(client)[0]
+    route = topo.path_between(hidden[0], target.switch)
     if route is None:
-        raise ScenarioError(f"no path from hidden point {spec.hidden[0]} to {target.switch}")
-    return _route_flowmods(spec, route + [target.key()], topo)
+        raise ScenarioError(f"no path from hidden point {hidden[0]} to {target.switch}")
+    flowmods = _route_flowmods(tick, match, priority, route + [target.key()], topo)
+    return JoinSpec(tick, client, hidden, flowmods)
 
 
-def _expand_divert(spec: DivertSpec, topo: Topology) -> list[Directive]:
-    aps = topo.client_aps(spec.client)
+def divert_spec(tick: int, client: str, via: str, match: Ternary, priority: int, topo: Topology) -> DivertSpec:
+    """A divert template with its route's flowmods: from the client's first
+    access point through the first switch of region ``via`` to its second.
+    One that cannot expand is refused here, not at run time."""
+    aps = topo.client_aps(client)
     if len(aps) < 2:
-        raise ScenarioError(f"divert needs a client with at least two access points, {spec.client} has {len(aps)}")
+        raise ScenarioError(f"divert needs a client with at least two access points, {client} has {len(aps)}")
     a1, a2 = aps[0], aps[1]
-    det = min(sw for sw, region in topo.locations.items() if region == spec.via)
+    det = min(sw for sw, region in topo.locations.items() if region == via)
     leg1 = topo.path_between(a1.switch, det)
     leg2 = topo.path_between(det, a2.switch)
     if leg1 is None or leg2 is None:
-        raise ScenarioError(f"no path through region {spec.via} for client {spec.client}")
-    return _route_flowmods(spec, leg1 + leg2 + [a2.key()], topo)
+        raise ScenarioError(f"no path through region {via} for client {client}")
+    flowmods = _route_flowmods(tick, match, priority, leg1 + leg2 + [a2.key()], topo)
+    return DivertSpec(tick, client, via, flowmods)
 
 
 def transient_pattern(spec: TransientSpec, horizon: int, rng: random.Random) -> list[bool]:
@@ -292,19 +307,19 @@ def _expand_transient(spec: TransientSpec, horizon: int, rng: random.Random) -> 
     prev = False
     for t in range(spec.tick, horizon + 1):
         if present[t] and not prev:
-            out.append(Directive(t, "flowmod", op="add", switch=spec.switch, rule=spec.rule))
+            out.append(Directive(t, "flowmod", "add", spec.switch, "", spec.rule))
         elif prev and not present[t]:
-            out.append(Directive(t, "flowmod", op="remove", switch=spec.switch, rule=spec.rule))
+            out.append(Directive(t, "flowmod", "remove", spec.switch, "", spec.rule))
         prev = present[t]
     return out
 
 
-def expand(script: Script, topo: Topology, rng: random.Random, horizon: int) -> list[Directive]:
+def expand(script: Script, rng: random.Random, horizon: int) -> list[Directive]:
+    """Every directive of the script, templates expanded, in tick order;
+    within a tick: script lines, joins, diverts, transients."""
     out = list(script.directives)
-    for spec in script.joins:
-        out.extend(_expand_join(spec, topo))
-    for spec in script.diverts:
-        out.extend(_expand_divert(spec, topo))
+    for spec in script.joins + script.diverts:
+        out.extend(spec.flowmods)
     for spec in script.transients:
         out.extend(_expand_transient(spec, horizon, rng))
     out.sort(key=lambda d: d.tick)
@@ -326,7 +341,7 @@ def run_scenario(script: Script, net: Network, seed: int, controller=None, agent
     agents = agents or {}
     rng = random.Random(f"{seed}:scenario")
     horizon = script.base_horizon()
-    directives = expand(script, topo=net.topo, rng=rng, horizon=horizon)
+    directives = expand(script, rng, horizon)
     if any(d.kind == "query" for d in directives) and controller is None:
         raise ScenarioError("query directives need a running verification controller")
 

@@ -6,6 +6,10 @@ event stream (the controller's input) plus a delivery log of packets
 handed to clients at access points. Time is a discrete tick counter owned
 by the scenario driver; the simulator itself never advances it.
 
+Packets, switch events, deliveries and trace hops are named tuples:
+immutable, equal by value and built as one tuple each, since a run makes
+one per injected packet, per event, per delivery and per walked port.
+
 Delivery semantics: lookups ignore the ingress port, so a packet's fate
 at a switch depends only on its (switch, header) state, and one injection
 walks each reachable state once. A client receives one copy per
@@ -35,14 +39,14 @@ HOP_LIMIT_FACTOR = 4
 State = tuple[str, int]  # (switch, header): all a lookup depends on
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
     header: int
     payload: bytes = b""
 
 
-@dataclass(frozen=True)
-class SwitchEvent:
+class SwitchEvent(NamedTuple):
+    """One entry of a switch's ordered event stream."""
+
     seq: int
     tick: int
     switch: str
@@ -66,8 +70,9 @@ class SwitchEvent:
         return f"{head} port_status"
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
+    """A packet handed to a client at one of its access points."""
+
     tick: int
     client: str
     switch: str
@@ -111,9 +116,11 @@ class Network:
         self.deliveries: list[Delivery] = []
         self._seq: dict[str, int] = {sw: 0 for sw in topo.switch_ports}
 
-    def _emit(self, switch: str, **kw) -> SwitchEvent:
-        self._seq[switch] += 1
-        ev = SwitchEvent(seq=self._seq[switch], tick=self.tick, switch=switch, **kw)
+    def _emit(self, switch: str, *fields) -> SwitchEvent:
+        """Log the next event of ``switch``: its seq and the tick, then
+        ``fields`` in ``SwitchEvent`` order from ``kind`` on."""
+        seq = self._seq[switch] = self._seq[switch] + 1
+        ev = SwitchEvent(seq, self.tick, switch, *fields)
         self.events.append(ev)
         return ev
 
@@ -124,7 +131,7 @@ class Network:
             raise ValueError(f"flowmod op must be add or remove, got {op!r}")
         old = self.tables[switch]
         new = self.tables[switch] = old.add(rule) if op == "add" else old.remove(rule)
-        return self._emit(switch, kind="flowmod", op=op, rule=rule, noop=new is old)
+        return self._emit(switch, "flowmod", op, rule, new is old)
 
     def forward(self, packet: Packet, at: tuple[str, str]) -> list[TracePath]:
         """Predict where a packet injected at an access point goes (no side effects)."""
@@ -170,7 +177,7 @@ class Network:
                 self.deliveries.append(Delivery(self.tick, ap.client, ap.switch, ap.port, out))
             else:
                 last = path.hops[-1]
-                self._emit(last.switch, kind="packet_in", in_port=last.in_port, packet=out)
+                self._emit(last.switch, "packet_in", "", None, False, last.in_port, out)
         return paths
 
     def _walk(self, header: int, switch: str, in_port: str) -> list[TracePath]:

@@ -21,6 +21,8 @@ service (it holds no key). An error that a line causes starts with
 The line grammar that the topology, scenario and snapshot-dump readers
 share lives here too: ``numbered_lines``, the token helpers and
 ``parse_flowmod``, which reads the rule text ``FlowRule.__str__`` writes.
+The scenario reader, whose scripts run to thousands of lines, cuts
+comments the same way inline instead of through ``numbered_lines``.
 Its helpers raise bare ValueErrors; each reader adds the line.
 
 A ``Topology`` alone decides whether a rule fits a switch (``check_rule``),

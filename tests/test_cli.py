@@ -96,6 +96,38 @@ def test_gap_run_flags_missing_event(tmp_path, capsys):
     assert "kind=gap" in out
 
 
+def test_a_sequence_gap_makes_the_controller_reread_the_switch(tmp_path, capsys):
+    """The event that reveals a gap comes with a poll of its switch, so the
+    withheld change is in the view before the next query is answered; the
+    poll rate is pinned so low that no random poll finds it first."""
+    setup = [l for l in Path(fixture_path("joinattack.scn")).read_text().splitlines() if l.startswith("@0 ")]
+    scenario = tmp_path / "gap_then_query.scn"
+    scenario.write_text("\n".join(setup + [
+        "@10 attack suppress sw=swD count=1",
+        "@12 attack join client=alice hidden=swD:2 match=01xxxxxxxxxxxxxx prio=90",
+        "@14 flowmod add swD prio=5 match=0011xxxxxxxxxxxx action=drop",
+        "@16 query client=alice kind=isolation",
+        "horizon 40",
+    ]) + "\n")
+    out_dir = tmp_path / "art"
+    code, _, _ = run_cli(
+        capsys,
+        "run",
+        "--topology", fixture_path("joinattack.topo"),
+        "--scenario", str(scenario),
+        "--poll-rate", "0.001",
+        "--seed", "3",
+        "--out", str(out_dir),
+    )
+    assert code == 2
+    findings = (out_dir / "findings.txt").read_text().splitlines()
+    assert [f for f in findings if f.startswith("t=14 kind=gap sw=swD ")]
+    assert [f for f in findings if f.startswith("t=14 kind=transient poll_disagreement sw=swD status=appeared ")]
+    assert "t=16 kind=isolation client=alice foreign=mallory:ap1" in findings
+    (report,) = (out_dir / "reports").glob("*_alice_isolation.txt")
+    assert "foreign=mallory:ap1" in report.read_text().splitlines()
+
+
 def test_transient_run_flags_flapping_rule(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -311,7 +343,7 @@ GOLDEN_DIGESTS = {
     ("geodivert.topo", "geodivert.scn"):
         "6690bb925cd8f6f1891cb00308122b441a031e3a687b77dab5864e352ed04dcb",
     ("benign.topo", "gap.scn"):
-        "22ba40c43223b7d62eb756804a8cd0561733ff148a656d2ed489890d4eaa9609",
+        "6ea2e2e9d816c2b535708383c909d49501b4037b5c02fa80996a597b0a1102b3",
     ("benign.topo", "transient.scn"):
         "3b65e3a455381d5e04b21c8a5d5e7ba0dec2745e31b95e3d9377ef3fad0b786a",
 }

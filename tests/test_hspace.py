@@ -58,6 +58,33 @@ def test_parse_roundtrip():
     assert str(HeaderSpace(4)) == "-"
 
 
+def reference_text(t: Ternary) -> str:
+    """A term's text built bit by bit, most significant first."""
+    chars = []
+    for i in range(t.width - 1, -1, -1):
+        if (t.care >> i) & 1:
+            chars.append("1" if (t.value >> i) & 1 else "0")
+        else:
+            chars.append("x")
+    return "".join(chars)
+
+
+@st.composite
+def ternaries(draw):
+    width = draw(st.integers(1, 64))
+    care = draw(st.integers(0, (1 << width) - 1))
+    value = draw(st.integers(0, (1 << width) - 1))
+    return Ternary(width, care, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ternaries())
+def test_prop_text_matches_the_per_bit_reference(t):
+    text = str(t)
+    assert text == reference_text(t)
+    assert Ternary.parse(text) == t
+
+
 def test_parse_rejects_bad_characters():
     with pytest.raises(ValueError):
         Ternary.parse("1석0")

@@ -450,7 +450,7 @@ def open_isolation_session():
     mallory:ap1. ``nonces`` maps each target alias to its challenge nonce."""
     topo, registry, signing, magic, net, controller, agents = setup()
     script = parse_scenario(BENIGN_RULES + JOIN_MALLORY, topo)
-    for d in expand(script, topo, random.Random(0), script.base_horizon()):
+    for d in expand(script, random.Random(0), script.base_horizon()):
         net.apply_flow_mod(d.switch, d.op, d.rule)
     query, point = agents["alice"].make_query("isolation")
     net.inject(query, point)

@@ -10,7 +10,7 @@ from conftest import fixture_path
 from routecheck.cli import main
 from routecheck.hspace import Ternary
 from routecheck.oracle import random_topology_text
-from routecheck.scenario import DivertSpec, JoinSpec, ScenarioError, Script, expand, parse_scenario, run_scenario
+from routecheck.scenario import ScenarioError, Script, divert_spec, expand, join_spec, parse_scenario, run_scenario
 from routecheck.scenario import transient_pattern
 from routecheck.sim import Network
 from routecheck.topology import load_topology
@@ -408,7 +408,7 @@ def test_every_table_change_logged_exactly_once():
     script = parse_scenario(text, t)
     net = Network(t)
     events, _ = run_scenario(script, net, seed=3)
-    expected = expand(script, t, _random.Random("3:scenario"), script.base_horizon())
+    expected = expand(script, _random.Random("3:scenario"), script.base_horizon())
     flowmods = [e for e in events if e.kind == "flowmod"]
     assert len(flowmods) == len(expected)
     for sw in t.switches():
@@ -470,12 +470,12 @@ def template_digest() -> tuple[str, dict[str, int]]:
             for ap in t.access_points:
                 if ap.client != client:
                     n = len(script.joins)
-                    script.joins.append(JoinSpec(n % 5, client, ap.key(), wild, 100 + n))
+                    script.joins.append(join_spec(n % 5, client, ap.key(), wild, 100 + n, t))
             if len(t.client_aps(client)) >= 2:
                 for region in sorted(set(t.locations.values())):
                     n = len(script.diverts)
-                    script.diverts.append(DivertSpec(n % 7, client, region, wild, 200 + n))
-        directives = expand(script, t, random.Random(0), script.base_horizon())
+                    script.diverts.append(divert_spec(n % 7, client, region, wild, 200 + n, t))
+        directives = expand(script, random.Random(0), script.base_horizon())
         seen["joins"] += len(script.joins)
         seen["diverts"] += len(script.diverts)
         seen["directives"] += len(directives)

@@ -7,7 +7,8 @@ import pytest
 
 from routecheck.hspace import Ternary
 from routecheck.oracle import egress_oracle, random_network, random_rules
-from routecheck.sim import Network, Packet
+from routecheck.scenario import Directive
+from routecheck.sim import Delivery, Network, Packet, SwitchEvent, TraceHop
 from routecheck.snapshots import snapshot_of
 from routecheck.topology import Action, FlowRule, load_topology
 
@@ -496,3 +497,55 @@ def test_traces_match_the_recorded_characterisation():
     digest, seen = trace_digest()
     assert {"egress", "drop", "controller", "loop", "rewrite"} <= set(seen), seen
     assert digest == "b2bb2e4f4c1812889184ca0f72a5b6e88d6987761a1dc27c9f3a01045c2e6aa9", (digest, seen)
+
+
+# -- records ----------------------------------------------------------------------
+
+
+def test_event_and_delivery_lines_keep_their_text():
+    """The text ``events.log`` and ``deliveries.log`` carry, for a flowmod, a
+    removal of an absent rule, a packet-in and a delivery."""
+    _, net = make_net()
+    net.tick = 3
+    added = net.apply_flow_mod("swA", "add", rule(5, "1xxx", "fwd:2"))
+    noop = net.apply_flow_mod("swA", "remove", rule(7, "0xxx", "drop"))
+    net.apply_flow_mod("swA", "add", rule(6, "0xxx", "ctrl"))
+    net.inject(Packet(0b1010, b"hi"), ("swB", "2"))  # swB has no rules: dropped
+    net.apply_flow_mod("swB", "add", rule(5, "xxxx", "fwd:1"))
+    net.tick = 4
+    net.inject(Packet(0b1001, b"abc"), ("swB", "2"))
+    net.inject(Packet(0b0110), ("swB", "2"))
+    assert added.line(4) == "seq=1 t=3 sw=swA flowmod add prio=5 match=1xxx action=fwd:2"
+    assert noop.line(4) == "seq=2 t=3 sw=swA flowmod remove prio=7 match=0xxx action=drop noop=1"
+    assert [ev.line(4) for ev in net.events[3:]] == [
+        "seq=1 t=3 sw=swB flowmod add prio=5 match=xxxx action=fwd:1",
+        "seq=4 t=4 sw=swA packet_in port=1 header=0110 payload_len=0",
+    ]
+    assert [d.line(4) for d in net.deliveries] == ["t=4 client=alice at=swA:2 header=1001 payload_len=3"]
+
+
+def records():
+    """One value of each named-tuple record."""
+    r = rule(5, "1xxx", "fwd:2")
+    return [
+        Packet(3, b"x"),
+        SwitchEvent(1, 0, "swA", "flowmod", "add", r),
+        SwitchEvent(2, 0, "swA", "packet_in", in_port="1", packet=Packet(3)),
+        Delivery(4, "alice", "swA", "2", Packet(3, b"x")),
+        TraceHop("swA", "2", r, "fwd:1"),
+        Directive(2, "flowmod", "add", "swA", "", r),
+        Directive(2, "suppress", switch="swA", count=1),
+    ]
+
+
+@pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
+def test_records_refuse_assignment_and_compare_and_hash_by_value(record):
+    cls = type(record)
+    field = cls._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    twin = cls(*record)
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    assert {record: 1}[twin] == 1
+    other = record._replace(**{field: "changed"})
+    assert other != record

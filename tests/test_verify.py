@@ -400,7 +400,7 @@ def test_termination_bound_on_random_nets():
 def test_isolation_sees_join_ingested_after_a_memoised_answer(fixtures):
     topo = load_topology((fixtures / "joinattack.topo").read_text())
     script = parse_scenario((fixtures / "joinattack.scn").read_text(), topo)
-    flowmods = [d for d in expand(script, topo, random.Random(0), 50) if d.kind == "flowmod"]
+    flowmods = [d for d in expand(script, random.Random(0), 50) if d.kind == "flowmod"]
     net = Network(topo)
     svc = SnapshotService(topo)
     alice = ap_of(topo, "alice:ap1")
