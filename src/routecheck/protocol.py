@@ -207,17 +207,27 @@ class Controller:
             net.apply_flow_mod(sw, "add", rule)
 
     def on_events(self, events: list[SwitchEvent], net: Network) -> None:
+        """Fold a batch of events into the view, in order, and serve its packet-ins.
+
+        A sequence gap is recorded and its switch re-read from ``net`` at
+        once, so no later query is answered from a view known to lack a
+        change. The re-read copies the table as the whole batch left it,
+        so the batch's later events of that switch only advance its
+        sequence.
+        """
+        reread: set[str] = set()
         for ev in events:
+            apply = ev.switch not in reread
             try:
-                self.service.ingest_event(ev)
+                self.service.ingest_event(ev, apply)
             except GapDetected as gap:
                 self.findings.append(
                     Finding(ev.tick, "gap", f"sw={gap.switch} expected_seq={gap.expected} got_seq={gap.got}")
                 )
                 self.service.resync(ev.switch, ev.seq - 1)
-                self.service.ingest_event(ev)
-                # the view lacks the withheld change: re-read the switch before answering from it
+                self.service.ingest_event(ev, apply)
                 self.service.active_poll(ev.switch, net)
+                reread.add(ev.switch)
             if ev.kind != "packet_in":
                 continue
             try:

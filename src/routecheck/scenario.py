@@ -38,7 +38,7 @@ from typing import NamedTuple
 from .hspace import Ternary
 from .sim import Network, Packet
 from .topology import AccessPoint, Action, FlowRule, Topology
-from .topology import check_keys, key_values, number, parse_flowmod, split_endpoint
+from .topology import check_keys, key_values, number, numbered_lines, parse_flowmod, split_endpoint
 from .wire import KIND_CODES
 
 QUERY_KINDS = tuple(KIND_CODES)
@@ -58,8 +58,8 @@ class Directive(NamedTuple):
     kind: str  # "flowmod" | "inject" | "query" | "suppress"
     op: str = ""
     switch: str = ""
-    port: str = ""
     rule: FlowRule | None = None
+    port: str = ""
     header: int = 0
     client: str = ""
     query_kind: str = ""
@@ -126,10 +126,8 @@ def parse_scenario(text: str, topo: Topology) -> Script:
     width = topo.width
     parsed: dict[tuple[str, ...], FlowRule] = {}  # see topology.parse_flowmod
     points: dict[str, AccessPoint] = {}  # inject endpoint token -> the access point it names
-    for lineno, line in enumerate(text.splitlines(), 1):
-        toks = (line.split("#", 1)[0] if "#" in line else line).split()
-        if not toks:
-            continue
+    for lineno, line in numbered_lines(text):
+        toks = line.split()
         try:
             if toks[0] == "horizon":
                 if len(toks) != 2:
@@ -150,7 +148,7 @@ def parse_scenario(text: str, topo: Topology) -> Script:
 
             if kw == "flowmod":
                 op, switch, rule = parse_flowmod(toks[2:], topo, parsed)
-                add(Directive(tick, "flowmod", op, switch, "", rule))
+                add(Directive(tick, "flowmod", op, switch, rule))
             elif kw == "inject":
                 if len(toks) != 4:
                     raise ScenarioError("expected inject <sw>:<port> header=<bits>")
@@ -161,7 +159,8 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                 bits = tok[7:] if tok.startswith("header=") else key_values(toks[3:]).get("header", "")
                 if len(bits) != width or bits.strip("01"):
                     raise ScenarioError(f"header must be {width} bits of 0/1")
-                add(Directive(tick, "inject", "", ap.switch, ap.port, None, int(bits, 2)))
+                # positional: keywords cost about 0.5 us more a line, and inject scripts run to thousands of lines
+                add(Directive(tick, "inject", "", ap.switch, None, ap.port, int(bits, 2)))
             elif kw == "query":
                 kv = key_values(toks[2:])
                 client = _client(kv, topo)
@@ -246,7 +245,7 @@ def _route_flowmods(
     for sw, port in dict.fromkeys(hops):
         rule = FlowRule(priority, match, Action("fwd", (port,)))
         topo.check_rule(sw, rule)
-        out.append(Directive(tick, "flowmod", "add", sw, "", rule))
+        out.append(Directive(tick, "flowmod", "add", sw, rule))
     return tuple(out)
 
 
@@ -307,9 +306,9 @@ def _expand_transient(spec: TransientSpec, horizon: int, rng: random.Random) -> 
     prev = False
     for t in range(spec.tick, horizon + 1):
         if present[t] and not prev:
-            out.append(Directive(t, "flowmod", "add", spec.switch, "", spec.rule))
+            out.append(Directive(t, "flowmod", "add", spec.switch, spec.rule))
         elif prev and not present[t]:
-            out.append(Directive(t, "flowmod", "remove", spec.switch, "", spec.rule))
+            out.append(Directive(t, "flowmod", "remove", spec.switch, spec.rule))
         prev = present[t]
     return out
 

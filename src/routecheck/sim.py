@@ -116,11 +116,11 @@ class Network:
         self.deliveries: list[Delivery] = []
         self._seq: dict[str, int] = {sw: 0 for sw in topo.switch_ports}
 
-    def _emit(self, switch: str, *fields) -> SwitchEvent:
-        """Log the next event of ``switch``: its seq and the tick, then
-        ``fields`` in ``SwitchEvent`` order from ``kind`` on."""
+    def _emit(self, switch: str, *fields, **named) -> SwitchEvent:
+        """Log the next event of ``switch`` with its seq and the tick;
+        ``fields`` and ``named`` are the event's fields from ``kind`` on."""
         seq = self._seq[switch] = self._seq[switch] + 1
-        ev = SwitchEvent(seq, self.tick, switch, *fields)
+        ev = SwitchEvent(seq, self.tick, switch, *fields, **named)
         self.events.append(ev)
         return ev
 
@@ -177,7 +177,7 @@ class Network:
                 self.deliveries.append(Delivery(self.tick, ap.client, ap.switch, ap.port, out))
             else:
                 last = path.hops[-1]
-                self._emit(last.switch, "packet_in", "", None, False, last.in_port, out)
+                self._emit(last.switch, "packet_in", in_port=last.in_port, packet=out)
         return paths
 
     def _walk(self, header: int, switch: str, in_port: str) -> list[TracePath]:

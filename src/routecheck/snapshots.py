@@ -154,12 +154,14 @@ class SnapshotService:
 
     # -- operations ------------------------------------------------------
 
-    def ingest_event(self, event: SwitchEvent) -> int:
+    def ingest_event(self, event: SwitchEvent, apply: bool = True) -> int:
         """Fold one switch event into the view; returns the latest version.
 
         A sequence gap raises GapDetected: a missed update is itself a
         security signal and is never silently repaired here. Callers that
-        choose to continue must resync() explicitly.
+        choose to continue must resync() explicitly. With ``apply`` false
+        the event only advances the sequence: for a change that a poll of
+        its switch already copied.
         """
         sw = event.switch
         if sw not in self._tables:
@@ -169,7 +171,7 @@ class SnapshotService:
             raise GapDetected(sw, expected, event.seq)
         self._last_seq[sw] = event.seq
         self._tick = max(self._tick, event.tick)
-        if event.kind == "flowmod":
+        if event.kind == "flowmod" and apply:
             rule, old = event.rule, self._tables[sw]
             if event.op == "add":
                 self._tables[sw] = old.add(rule)
@@ -180,7 +182,7 @@ class SnapshotService:
                 if not new.count(rule):
                     self._record(sw, rule)
             return self._new_version()
-        # packet_in / port_status advance the sequence but not the view
+        # packet_in / port_status, or a flowmod left unapplied, advance the sequence but not the view
         return self._version
 
     def resync(self, switch: str, seq: int) -> None:

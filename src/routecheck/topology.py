@@ -21,8 +21,6 @@ service (it holds no key). An error that a line causes starts with
 The line grammar that the topology, scenario and snapshot-dump readers
 share lives here too: ``numbered_lines``, the token helpers and
 ``parse_flowmod``, which reads the rule text ``FlowRule.__str__`` writes.
-The scenario reader, whose scripts run to thousands of lines, cuts
-comments the same way inline instead of through ``numbered_lines``.
 Its helpers raise bare ValueErrors; each reader adds the line.
 
 A ``Topology`` alone decides whether a rule fits a switch (``check_rule``),
@@ -194,7 +192,7 @@ class FlowRule:
 def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
     """(line number, line) of each line left with text once its ``#`` comment is cut."""
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if line:
             yield lineno, line
 

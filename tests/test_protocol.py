@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from routecheck.hspace import Ternary
 from routecheck.keys import KeyRegistry, SealKeyPair, SigningKey, seal
 from routecheck.protocol import (
     Controller,
@@ -17,7 +18,7 @@ from routecheck.protocol import (
 from routecheck.scenario import expand, parse_scenario, run_scenario
 from routecheck.sim import Delivery, Network, Packet, SwitchEvent
 from routecheck.snapshots import schedule_polls
-from routecheck.topology import load_topology
+from routecheck.topology import Action, FlowRule, load_topology
 from routecheck import verify, wire
 
 # alice spans swA/swB; bob and mallory sit behind switches that hold no
@@ -179,6 +180,23 @@ def test_controller_polls_at_schedule_polls_ticks(seed, rate):
         net.tick = tick
         controller.on_tick(tick, net)
     assert polled == schedule_polls(seed, rate, horizon)
+
+
+def test_a_flowmod_after_a_gap_in_one_batch_is_not_applied_twice():
+    """The re-read at a gap copies the switch's table as the whole batch
+    left it, so a later flowmod of that switch in the same batch must not
+    be folded in a second time."""
+    topo, _, _, _, net, controller, _ = setup()
+    controller.on_events(list(net.events), net)
+    start = len(net.events)
+    for prio in (7, 8, 9):  # the first event is withheld, the second reveals the gap
+        net.apply_flow_mod("swD", "add", FlowRule(prio, Ternary.parse("1xxxxxxx"), Action("drop")))
+    controller.on_events(net.events[start + 1 :], net)
+    assert [f.kind for f in controller.findings] == ["gap"]
+    assert controller.service.current().tables["swD"] == net.tables["swD"]
+    controller.service.poll_findings.clear()
+    controller.service.active_poll("swD", net)
+    assert controller.service.poll_findings == []
 
 
 def test_encoded_query_travels_in_band_to_exactly_one_packet_in():

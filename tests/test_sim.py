@@ -533,7 +533,7 @@ def records():
         SwitchEvent(2, 0, "swA", "packet_in", in_port="1", packet=Packet(3)),
         Delivery(4, "alice", "swA", "2", Packet(3, b"x")),
         TraceHop("swA", "2", r, "fwd:1"),
-        Directive(2, "flowmod", "add", "swA", "", r),
+        Directive(2, "flowmod", "add", "swA", r),
         Directive(2, "suppress", switch="swA", count=1),
     ]
 
