@@ -44,7 +44,7 @@ from .verify import (
     transfer_summary,
 )
 from .keys import KeyRegistry, SealKeyPair, SigningKey, VerifyKey, seal
-from .protocol import ClientAgent, ClientQuery, Controller, Finding, default_magic, encode_query, verify_report
+from .protocol import ClientAgent, Controller, Finding, default_magic, encode_query, verify_report
 from .service import RunConfig, RunResult, run_session
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: run, query, snapshot dump, oracle, scenario check. Exit
+Subcommands: run, query, oracle, scenario check. Exit
 codes: 0 clean, 1 config/usage errors, 2 security findings (run) or
 oracle mismatches, 141 (128 + SIGPIPE, the status a shell gives a
 process killed by a closed pipe) when the reader of stdout went away, as
@@ -16,20 +16,11 @@ from pathlib import Path
 
 from .oracle import MUTATIONS, run_cases
 from .protocol import DEFAULT_POLL_RATE, DEFAULT_TIMEOUT
-from .scenario import QUERY_KINDS, ScenarioError, parse_scenario
+from .scenario import ScenarioError, parse_scenario
 from .service import RunConfig, run_session
-from .snapshots import DEFAULT_WINDOW, export_snapshot, parse_snapshot_dump
+from .snapshots import DEFAULT_WINDOW, parse_snapshot_dump
 from .topology import TopologyError, load_topology
-from . import verify
-
-SEED_ENV = "RVAAS_SEED"
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--topology", required=True, help="topology document path")
-    p.add_argument("--scenario", required=True, help="scenario script path")
-    p.add_argument("--seed", type=int, default=0, help=f"run seed (overridden by ${SEED_ENV})")
-    p.add_argument("--magic", default=None, help="magic ternary pattern for protocol traffic")
+from . import verify, wire
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,25 +28,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a scenario with the verification controller attached")
-    _add_common(p_run)
+    p_run.add_argument("--topology", required=True, help="topology document path")
+    p_run.add_argument("--scenario", required=True, help="scenario script path")
+    p_run.add_argument("--seed", type=int, default=0, help="run seed")
+    p_run.add_argument("--magic", default=None, help="magic ternary pattern for protocol traffic")
     p_run.add_argument("--poll-rate", type=float, default=DEFAULT_POLL_RATE, help="active poll rate per tick")
     p_run.add_argument("--timeout", type=int, default=DEFAULT_TIMEOUT, help="auth reply timeout in ticks")
     p_run.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="transient detection window in ticks")
     p_run.add_argument("--out", default=None, help="artifact output directory")
 
-    p_query = sub.add_parser("query", help="answer a client query from a snapshot dump")
+    p_query = sub.add_parser("query", help="answer a client query from a snapshot dump "
+                             "(run --out writes the final one as snapshot_final.txt)")
     p_query.add_argument("--topology", required=True)
     p_query.add_argument("--snapshot", required=True, help="snapshot dump path")
-    p_query.add_argument("--kind", required=True, choices=QUERY_KINDS)
+    p_query.add_argument("--kind", required=True, choices=wire.KIND_CODES)
     p_query.add_argument("--client", required=True)
     p_query.add_argument("--at", default=None, metavar="SWITCH:PORT",
                          help="the client's access point to answer at (default: its first)")
-
-    p_snap = sub.add_parser("snapshot", help="snapshot tooling")
-    p_snap.add_argument("action", choices=["dump"])
-    _add_common(p_snap)
-    p_snap.add_argument("--poll-rate", type=float, default=DEFAULT_POLL_RATE)
-    p_snap.add_argument("--out", default=None, help="write the dump here instead of stdout")
 
     p_oracle = sub.add_parser("oracle", help="engine-vs-simulation equivalence over random networks")
     p_oracle.add_argument("--count", type=int, default=20)
@@ -74,18 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed_of(args) -> int:
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        return int(env)
-    return args.seed
-
-
 def cmd_run(args) -> int:
     config = RunConfig(
         topology_path=args.topology,
         scenario_path=args.scenario,
-        seed=_seed_of(args),
+        seed=args.seed,
         poll_rate=args.poll_rate,
         magic=args.magic,
         window=args.window,
@@ -109,27 +91,10 @@ def cmd_query(args) -> int:
     return 0
 
 
-def cmd_snapshot(args) -> int:
-    config = RunConfig(
-        topology_path=args.topology,
-        scenario_path=args.scenario,
-        seed=_seed_of(args),
-        poll_rate=args.poll_rate,
-        magic=args.magic,
-    )
-    result = run_session(config)
-    dump = export_snapshot(result.final_snapshot())
-    if args.out:
-        Path(args.out).write_text(dump)
-    else:
-        sys.stdout.write(dump)
-    return 0
-
-
 def cmd_oracle(args) -> int:
     cases = run_cases(
         count=args.count,
-        seed=_seed_of(args),
+        seed=args.seed,
         width=args.width,
         max_switches=args.switches,
         max_rules=args.rules,
@@ -156,7 +121,6 @@ def cmd_scenario(args) -> int:
 COMMANDS = {
     "run": cmd_run,
     "query": cmd_query,
-    "snapshot": cmd_snapshot,
     "oracle": cmd_oracle,
     "scenario": cmd_scenario,
 }

@@ -108,7 +108,7 @@ def _random_ternary(rng: random.Random, width: int) -> Ternary:
 
 
 def random_rules(rng: random.Random, topo: Topology, switch: str, max_rules: int) -> list[FlowRule]:
-    ports = topo.ports_of(switch)
+    ports = topo.switch_ports[switch]
     rules = []
     for _ in range(rng.randint(0, max_rules)):
         match = _random_ternary(rng, topo.width)
@@ -137,7 +137,7 @@ def random_network(seed: str, width: int = 8, max_switches: int = 6, max_rules: 
     rng = random.Random(seed)
     topo = load_topology(random_topology_text(rng, width, max_switches))
     net = Network(topo)
-    for sw in topo.switches():
+    for sw in topo.switch_ports:
         for rule in random_rules(rng, topo, sw, max_rules):
             net.apply_flow_mod(sw, "add", rule)
     return topo, net
@@ -146,7 +146,7 @@ def random_network(seed: str, width: int = 8, max_switches: int = 6, max_rules: 
 # -- the per-header oracle -------------------------------------------------
 
 
-def _state_walk(topo: Topology, snap: Snapshot):
+def state_walk(topo: Topology, snap: Snapshot):
     """Exact per-header behaviour by walking the (switch, header) graph.
 
     Returns walk(access_point, header) -> (frozenset of egress aliases,
@@ -182,18 +182,6 @@ def _state_walk(topo: Topology, snap: Snapshot):
         return frozenset(egress), frozenset(visited)
 
     return walk
-
-
-def egress_oracle(topo: Topology, snap: Snapshot):
-    """walk(access_point, header) -> frozenset of the egress aliases it reaches."""
-    walk = _state_walk(topo, snap)
-    return lambda ap, header: walk(ap, header)[0]
-
-
-def traversal_oracle(topo: Topology, snap: Snapshot):
-    """walk(access_point, header) -> frozenset of the switches the header visits."""
-    walk = _state_walk(topo, snap)
-    return lambda ap, header: walk(ap, header)[1]
 
 
 # -- mutations (deliberate analysis bugs) -----------------------------------
@@ -235,13 +223,13 @@ def _compare(topo: Topology, net: Network, mutation: str | None, headers) -> lis
     a fresh ``headers()`` call gives for each access point in turn."""
     truth = snapshot_of(net)
     analyzed = mutate_snapshot(truth, mutation) if mutation else truth
-    walk = egress_oracle(topo, truth)
+    walk = state_walk(topo, truth)
     full = HeaderSpace.full(topo.width)
     mismatches = []
     for ap in topo.access_points:
         entries = reachable_endpoints(topo, analyzed, ap, full).entries
         for h in headers():
-            expect = walk(ap, h)
+            expect = walk(ap, h)[0]
             got = frozenset(e.egress.alias for e in entries if e.sent.member(h))
             if got != expect:
                 mismatches.append(

@@ -49,15 +49,6 @@ class InterceptError(ValueError):
 
 
 @dataclass(frozen=True)
-class ClientQuery:
-    client: str
-    kind: str
-    nonce: bytes
-    params: list[tuple[str, str]]
-    request_point: AccessPoint
-
-
-@dataclass(frozen=True)
 class Finding:
     tick: int
     kind: str  # "gap" | "transient" | "isolation" | "geo"
@@ -69,12 +60,14 @@ class Finding:
 
 @dataclass
 class Session:
+    """One authenticated query, from its packet-in to its signed report."""
+
     nonce: bytes
     client: str
     kind: str
     request_point: AccessPoint
-    body: str
-    deadline: int
+    body: str = ""
+    deadline: int = 0  # the tick an isolation session reports at
     challenges: dict[bytes, AccessPoint] = field(default_factory=dict)  # challenge nonce -> target
     verified: list[str] = field(default_factory=list)
 
@@ -231,12 +224,12 @@ class Controller:
             if ev.kind != "packet_in":
                 continue
             try:
-                query = self._handle_packet_in(ev)
+                session = self._handle_packet_in(ev)
             except InterceptError as e:
                 self.rejects.append((ev.tick, str(e)))
                 continue
-            if query is not None:
-                self._start_session(query, ev.tick, net)
+            if session is not None:
+                self._start_session(session, ev.tick, net)
 
     def on_tick(self, tick: int, net: Network) -> None:
         while self._next_poll <= tick:
@@ -267,8 +260,9 @@ class Controller:
 
     # -- the protocol proper ----------------------------------------------
 
-    def intercept(self, event: SwitchEvent, msg: wire.Message) -> ClientQuery:
-        """Decrypt + authenticate the query frame ``msg`` parsed from a packet-in.
+    def intercept(self, event: SwitchEvent, msg: wire.Message) -> Session:
+        """Decrypt + authenticate the query frame ``msg`` parsed from a packet-in;
+        the session it opens, not yet answered.
 
         Raises InterceptError on a header outside the magic pattern,
         undecryptable payloads, replayed nonces, unenrolled clients, and
@@ -281,7 +275,7 @@ class Controller:
         except ValueError:
             raise InterceptError("decryption failed") from None
         try:
-            kind, client, nonce, params = wire.decode_query_plaintext(plaintext)
+            kind, client, nonce, _ = wire.decode_query_plaintext(plaintext)
         except wire.WireError as e:
             raise InterceptError(f"bad query payload: {e}") from None
         if client not in self.registry.client_keys:
@@ -296,9 +290,9 @@ class Controller:
         seen = self.seen_nonces.setdefault(client, [])
         seen.append(nonce)
         del seen[:-REPLAY_WINDOW]
-        return ClientQuery(client=client, kind=kind, nonce=nonce, params=params, request_point=ap)
+        return Session(nonce, client, kind, ap)
 
-    def _handle_packet_in(self, event: SwitchEvent) -> ClientQuery | None:
+    def _handle_packet_in(self, event: SwitchEvent) -> Session | None:
         """Parse a packet-in once: the query it authenticates, or None for a counted reply.
 
         Raises InterceptError on every refusal, which ``on_events`` records.
@@ -314,19 +308,12 @@ class Controller:
         self._handle_reply(msg)
         return None
 
-    def _start_session(self, query: ClientQuery, tick: int, net: Network) -> None:
-        answer = verify.answer(self.topo, self.service.current(), query.kind, query.request_point)
-        session = Session(
-            nonce=query.nonce,
-            client=query.client,
-            kind=query.kind,
-            request_point=query.request_point,
-            body=answer.body,
-            deadline=tick,
-        )
-        if query.kind == "isolation":
+    def _start_session(self, session: Session, tick: int, net: Network) -> None:
+        answer = verify.answer(self.topo, self.service.current(), session.kind, session.request_point)
+        session.body = answer.body
+        if session.kind == "isolation":
             if answer.foreign:
-                detail = f"client={query.client} foreign={','.join(answer.foreign)}"
+                detail = f"client={session.client} foreign={','.join(answer.foreign)}"
                 self.findings.append(Finding(tick, "isolation", detail))
             session.deadline = tick + self.timeout
             for ap in answer.candidates:
@@ -335,14 +322,14 @@ class Controller:
                 self.outstanding[nonce_a] = session
                 challenge = Packet(self.magic.value, wire.frame_challenge(nonce_a, ap.alias))
                 net.packet_out(ap.switch, ap.port, challenge)
-            self.sessions[query.nonce] = session
+            self.sessions[session.nonce] = session
             return
-        if query.kind == "geo":
-            prev = self.last_geo.get(query.client)
+        if session.kind == "geo":
+            prev = self.last_geo.get(session.client)
             if prev is not None and answer.regions - prev:
                 grown = ",".join(sorted(answer.regions - prev))
-                self.findings.append(Finding(tick, "geo", f"client={query.client} new_regions={grown}"))
-            self.last_geo[query.client] = answer.regions
+                self.findings.append(Finding(tick, "geo", f"client={session.client} new_regions={grown}"))
+            self.last_geo[session.client] = answer.regions
         self._finalize(session, tick, net)
 
     def _handle_reply(self, msg: wire.Message) -> None:

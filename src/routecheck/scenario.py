@@ -41,7 +41,6 @@ from .topology import AccessPoint, Action, FlowRule, Topology
 from .topology import check_keys, key_values, number, numbered_lines, parse_flowmod, split_endpoint
 from .wire import KIND_CODES
 
-QUERY_KINDS = tuple(KIND_CODES)
 DEFAULT_ATTACK_PRIORITY = 100
 SETTLE_TICKS = 12
 
@@ -137,7 +136,7 @@ def parse_scenario(text: str, topo: Topology) -> Script:
             if not toks[0].startswith("@"):
                 raise ScenarioError("directives start with @<tick>")
             try:
-                tick = int(toks[0][1:])
+                tick = number(int, toks[0][1:], "tick")
             except ValueError:
                 raise ScenarioError(f"bad tick {toks[0]!r}") from None
             if tick < 0:
@@ -167,8 +166,8 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                 if client in topo.unkeyed:
                     raise ScenarioError(f"unkeyed client {client} cannot query")
                 kind = kv.get("kind", "")
-                if kind not in QUERY_KINDS:
-                    raise ScenarioError(f"query kind must be one of {', '.join(QUERY_KINDS)}")
+                if kind not in KIND_CODES:
+                    raise ScenarioError(f"query kind must be one of {', '.join(KIND_CODES)}")
                 sw = port = ""
                 if "at" in kv:
                     sw, port = topo.access_point_of(client, kv["at"]).key()
@@ -349,12 +348,12 @@ def run_scenario(script: Script, net: Network, seed: int, controller=None, agent
         by_tick.setdefault(d.tick, []).append(d)
 
     suppress: dict[str, int] = {}
-    pending: list[tuple[int, str, str, Packet]] = []  # (tick, sw, port, packet)
+    sends: dict[int, list[tuple[str, str, Packet]]] = {}  # tick -> (sw, port, packet), in send order
     seen_ev = 0
     seen_del = 0
 
     def send_later(tick: int, sw: str, port: str, packet: Packet) -> None:
-        pending.append((tick, sw, port, packet))
+        sends.setdefault(tick, []).append((sw, port, packet))
 
     def drain(tick: int) -> None:
         nonlocal seen_ev, seen_del
@@ -379,9 +378,7 @@ def run_scenario(script: Script, net: Network, seed: int, controller=None, agent
 
     for tick in range(horizon + 1):
         net.tick = tick
-        due_sends = [p for p in pending if p[0] == tick]
-        pending[:] = [p for p in pending if p[0] != tick]
-        for (_, sw, port, packet) in due_sends:
+        for sw, port, packet in sends.pop(tick, ()):
             net.inject(packet, (sw, port))
         for d in by_tick.get(tick, ()):
             if d.kind == "flowmod":

@@ -149,7 +149,7 @@ class Network:
         At an access point the attached client receives it directly; at an
         internal port the packet enters the neighbor switch pipeline.
         """
-        if not self.topo.has_port(switch, port):
+        if port not in self.topo.switch_ports.get(switch, ()):
             raise ValueError(f"switch {switch} has no port {port}")
         ap = self.topo.access_point_at(switch, port)
         n_before = len(self.deliveries)
@@ -159,9 +159,6 @@ class Network:
             peer = self.topo.peer(switch, port)
             self._run_live(packet, peer[0], peer[1])
         return self.deliveries[n_before:]
-
-    def snapshot_tables(self) -> dict[str, FlowTable]:
-        return dict(self.tables)
 
     # -- packet walk ---------------------------------------------------
 

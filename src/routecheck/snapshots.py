@@ -323,4 +323,4 @@ def parse_snapshot_dump(text: str, topo: Topology) -> Snapshot:
 
 def snapshot_of(net: Network, version: int = 0) -> Snapshot:
     """A snapshot taken directly from simulator state (test/tool helper)."""
-    return Snapshot(version=version, tick=net.tick, tables=net.snapshot_tables())
+    return Snapshot(version=version, tick=net.tick, tables=dict(net.tables))

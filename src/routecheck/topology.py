@@ -217,11 +217,13 @@ def check_keys(kv: dict[str, str], keys: tuple[str, ...]) -> None:
 
 
 def number(kind: type, text: str, what: str):
-    """``kind(text)``; a ValueError naming ``what`` when it is no number."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise ValueError(f"{what} must be a number, got {text!r}") from None
+    """``kind(text)`` for ASCII digits, which an int may lead with ``-`` and a
+    float may break with one ``.``; a ValueError naming ``what`` for any
+    other text, even text that Python's ``int`` or ``float`` would read."""
+    digits = text.removeprefix("-") if kind is int else text.replace(".", "", 1)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} must be a number, got {text!r}")
+    return kind(text)
 
 
 def split_endpoint(text: str) -> tuple[str, str]:
@@ -377,15 +379,6 @@ class Topology:
         for ap in self.access_points:
             self._ap_at[ap.key()] = ap
 
-    def switches(self) -> list[str]:
-        return list(self.switch_ports)
-
-    def ports_of(self, switch: str) -> tuple[str, ...]:
-        return self.switch_ports[switch]
-
-    def has_port(self, switch: str, port: str) -> bool:
-        return switch in self.switch_ports and port in self.switch_ports[switch]
-
     def peer(self, switch: str, port: str) -> tuple[str, str] | None:
         return self._peer.get((switch, port))
 
@@ -433,9 +426,6 @@ class Topology:
         for p in rule.action.ports:
             if p not in ports:
                 raise TopologyError(f"switch {switch} has no port {p}")
-
-    def region_of(self, switch: str) -> str | None:
-        return self.locations.get(switch)
 
     def field_pattern(self, name: str, value: int) -> Ternary:
         """Compile a named-field constraint to a match pattern.

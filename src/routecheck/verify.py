@@ -195,7 +195,7 @@ def geo_exposure(topo: Topology, snap: Snapshot, client: str) -> set[str]:
     traversed: set[str] = set()
     for ap in topo.client_aps(client):
         traversed |= _propagate(topo, snap, ap, full)[1]
-    return {region for region in map(topo.region_of, traversed) if region is not None}
+    return {region for region in map(topo.locations.get, traversed) if region is not None}
 
 
 def transfer_summary(topo: Topology, snap: Snapshot, client: str) -> list[tuple[str, str, HeaderSpace, HeaderSpace]]:

@@ -306,7 +306,7 @@ def test_acceptance_7_confidentiality_of_responses(tmp_path):
     for name in ("benign", "joinattack", "geodivert"):
         out = tmp_path / name
         result = run_fixture(name, out_dir=out)
-        secrets = set(result.topo.switches()) | {l.name for l in result.topo.links}
+        secrets = set(result.topo.switch_ports) | {l.name for l in result.topo.links}
         client_texts = [p.read_text() for p in sorted((out / "reports").glob("*.txt"))]
         for _, _, _, _, body in result.controller.reports_sent:
             client_texts.append(body)
@@ -346,7 +346,7 @@ def test_acceptance_8_snapshot_fidelity_and_gap_detection():
         svc = SnapshotService(result.topo, window=1 << 20)
         for ev in events:
             svc.ingest_event(ev)
-        if svc.current().tables == result.net.snapshot_tables():
+        if svc.current().tables == result.net.tables:
             replay_ok += 1
 
         # drop each non-final flowmod event of its switch: a gap every time

@@ -12,7 +12,6 @@ import pytest
 from conftest import fixture_path
 from routecheck import wire
 from routecheck.cli import build_parser, main
-from routecheck.scenario import QUERY_KINDS
 from routecheck.service import RunConfig, run_session
 
 
@@ -251,10 +250,9 @@ def test_non_positive_timeout_exits_one(tmp_path, capsys, timeout):
     assert err == f"error: reply timeout must be positive, got {timeout}\n"
 
 
-@pytest.mark.parametrize("command", [["run"], ["snapshot", "dump"]])
-def test_nan_poll_rate_exits_one(tmp_path, capsys, command):
+def test_nan_poll_rate_exits_one(tmp_path, capsys):
     code, out, err = run_cli(
-        capsys, *command, "--topology", fixture_path("benign.topo"),
+        capsys, "run", "--topology", fixture_path("benign.topo"),
         "--scenario", fixture_path("benign.scn"), "--poll-rate", "nan", "--out", str(tmp_path / "out"),
     )
     assert code == 1 and out == ""
@@ -313,7 +311,6 @@ def test_run_artifacts_independent_of_hash_seed(tmp_path):
     for hash_seed in ("1", "2"):
         out = tmp_path / f"hashseed{hash_seed}"
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
-        env.pop("RVAAS_SEED", None)
         proc = subprocess.run(
             [
                 sys.executable, "-m", "routecheck.cli",
@@ -350,8 +347,7 @@ GOLDEN_DIGESTS = {
 
 
 @pytest.mark.parametrize(("topology", "scenario"), list(GOLDEN_DIGESTS))
-def test_run_artifacts_match_golden_digests(tmp_path, capsys, monkeypatch, topology, scenario):
-    monkeypatch.delenv("RVAAS_SEED", raising=False)
+def test_run_artifacts_match_golden_digests(tmp_path, capsys, topology, scenario):
     out = tmp_path / "art"
     code, _, err = run_cli(
         capsys,
@@ -365,40 +361,15 @@ def test_run_artifacts_match_golden_digests(tmp_path, capsys, monkeypatch, topol
     assert tree_digest(out) == GOLDEN_DIGESTS[(topology, scenario)]
 
 
-def test_seed_env_var_overrides_flag(tmp_path, capsys, monkeypatch):
-    out1 = tmp_path / "env"
-    monkeypatch.setenv("RVAAS_SEED", "11")
-    code, _, _ = run_cli(
-        capsys,
-        "run",
-        "--topology", fixture_path("joinattack.topo"),
-        "--scenario", fixture_path("joinattack.scn"),
-        "--seed", "999",
-        "--out", str(out1),
-    )
-    assert code == 2
-    monkeypatch.delenv("RVAAS_SEED")
-    out2 = tmp_path / "flag"
-    code, _, _ = run_cli(
-        capsys,
-        "run",
-        "--topology", fixture_path("joinattack.topo"),
-        "--scenario", fixture_path("joinattack.scn"),
-        "--seed", "11",
-        "--out", str(out2),
-    )
-    assert (out1 / "events.log").read_bytes() == (out2 / "events.log").read_bytes()
-    assert (out1 / "reports").exists()
-
-
 @pytest.mark.parametrize(
     ("topology", "scenario", "kind"),
-    [("benign.topo", "benign.scn", kind) for kind in QUERY_KINDS] + [("joinattack.topo", "joinattack.scn", "isolation")],
+    [("benign.topo", "benign.scn", kind) for kind in wire.KIND_CODES] + [("joinattack.topo", "joinattack.scn", "isolation")],
 )
 def test_snapshot_dump_and_query_match_inband_body(tmp_path, capsys, topology, scenario, kind):
     """The last in-band report of a kind equals ``routecheck query`` on the
-    final snapshot. benign.scn's tables stop changing at tick 0; joinattack.scn's
-    second isolation query runs on the post-attack snapshot, the final one."""
+    final snapshot that ``run --out`` dumps. benign.scn's tables stop changing
+    at tick 0; joinattack.scn's second isolation query runs on the post-attack
+    snapshot, the final one."""
     art = tmp_path / "art"
     config = RunConfig(
         topology_path=fixture_path(topology),
@@ -412,20 +383,9 @@ def test_snapshot_dump_and_query_match_inband_body(tmp_path, capsys, topology, s
 
     code, out, _ = run_cli(
         capsys,
-        "snapshot", "dump",
-        "--topology", fixture_path(topology),
-        "--scenario", fixture_path(scenario),
-        "--seed", "4",
-        "--out", str(tmp_path / "dump.txt"),
-    )
-    assert code == 0
-    assert (tmp_path / "dump.txt").read_text() == (art / "snapshot_final.txt").read_text()
-
-    code, out, _ = run_cli(
-        capsys,
         "query",
         "--topology", fixture_path(topology),
-        "--snapshot", str(tmp_path / "dump.txt"),
+        "--snapshot", str(art / "snapshot_final.txt"),
         "--kind", kind,
         "--client", "alice",
     )
@@ -493,14 +453,14 @@ def test_query_at_names_the_access_point_of_an_inband_answer(tmp_path, capsys):
 
 
 def test_query_sources_consistent_with_isolation(tmp_path, capsys):
-    dump = tmp_path / "dump.txt"
     run_cli(
         capsys,
-        "snapshot", "dump",
+        "run",
         "--topology", fixture_path("joinattack.topo"),
         "--scenario", fixture_path("joinattack.scn"),
-        "--out", str(dump),
+        "--out", str(tmp_path / "art"),
     )
+    dump = tmp_path / "art" / "snapshot_final.txt"
     _, iso, _ = run_cli(
         capsys, "query",
         "--topology", fixture_path("joinattack.topo"),
@@ -524,15 +484,15 @@ def test_query_sources_consistent_with_isolation(tmp_path, capsys):
 def test_query_summary_empty_net(tmp_path, capsys):
     empty_scn = tmp_path / "empty.scn"
     empty_scn.write_text("horizon 5\n")
-    dump = tmp_path / "dump.txt"
     run_cli(
         capsys,
-        "snapshot", "dump",
+        "run",
         "--topology", fixture_path("benign.topo"),
         "--scenario", str(empty_scn),
         "--magic", "1111111111111111",  # keep full wildcard space clear of ctrl rules
-        "--out", str(dump),
+        "--out", str(tmp_path / "art"),
     )
+    dump = tmp_path / "art" / "snapshot_final.txt"
     code, out, _ = run_cli(
         capsys,
         "query",
@@ -586,13 +546,13 @@ def readme_cli_commands():
 
 def test_readme_cli_lines_parse():
     commands = readme_cli_commands()
-    assert {argv[0] for argv in commands} == {"run", "query", "snapshot", "oracle", "scenario"}
+    assert {argv[0] for argv in commands} == {"run", "query", "oracle", "scenario"}
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
 
 
-@pytest.mark.parametrize("command", [["run", "--scenario", "x"], ["snapshot", "dump", "--scenario", "x"],
+@pytest.mark.parametrize("command", [["run", "--scenario", "x"],
                                      ["query", "--snapshot", "x", "--kind", "geo", "--client", "c"],
                                      ["scenario", "check", "--scenario", "x"]])
 def test_header_width_comes_only_from_the_topology(capsys, command):

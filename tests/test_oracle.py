@@ -23,9 +23,9 @@ from routecheck.topology import Action, FlowRule, load_topology
 def test_generator_produces_valid_desk_scale_nets():
     for i in range(20):
         topo, net = random_network(f"gen-{i}")
-        assert 2 <= len(topo.switches()) <= 6
+        assert 2 <= len(topo.switch_ports) <= 6
         assert len(topo.access_points) >= 2
-        for sw in topo.switches():
+        for sw in topo.switch_ports:
             assert len(net.tables[sw].rules) <= 12
 
 
@@ -33,7 +33,7 @@ def test_generator_deterministic_per_seed():
     t1, n1 = random_network("same-seed")
     t2, n2 = random_network("same-seed")
     assert t1.switch_ports == t2.switch_ports
-    assert n1.snapshot_tables() == n2.snapshot_tables()
+    assert n1.tables == n2.tables
 
 
 def test_cases_pass_without_mutation():

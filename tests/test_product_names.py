@@ -1,4 +1,5 @@
-"""Every function, class and method in the package is used by the package itself.
+"""Every function, class and method in the package is used by the package itself,
+and the package reads no environment variable.
 
 The scan reads the code of ``src/``, not its words: a method counts as
 used only where it is read as an attribute (``x.name``), a classmethod
@@ -20,7 +21,6 @@ PACKAGE = ROOT / "src" / "routecheck"
 
 TEST_ONLY = {
     "schedule_polls": "the reference poll schedule that the protocol tests check the controller against",
-    "traversal_oracle": "the reference walk that the geo answers are checked against",
     "last_seq": "tests build the next in-sequence switch event with it",
     "field_pattern": "the hook for header-restricted queries, ROADMAP item 6",
     "of": "HeaderSpace.of builds a space from pattern text, the algebra and oracle tests' shorthand",
@@ -107,3 +107,24 @@ def test_every_callable_is_used_by_the_package():
     unused = sorted(name for _, _, name, owner in defs if not used(name, owner, names, attributes, through))
     assert unused == sorted(TEST_ONLY)
 
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_src_reads_no_environment_variable():
+    """A run depends on its files and options alone: no name, attribute or
+    import of ``src/`` reaches the process environment, so no hidden knob
+    can change an artifact."""
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.relative_to(ROOT)}:{node.lineno} {n}" for n in names if n in ENVIRONMENT]
+    assert found == []

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -104,10 +105,38 @@ def test_scenario_check_rejects_join_lines_that_run_would_reject(tmp_path, capsy
         ("@0 attack transient flowmod add swA prio=1 match=xxxxxxxx action=drop f=0.5 period=ten", "period= must be"),
         ("@0 attack suppress sw=swA count=many", "count= must be a number"),
         ("horizon soon", "horizon must be a number"),
+        ("horizon 1 2", "horizon takes one argument"),
+        ("5 inject swA:2 header=00000000", "directives start with @<tick>"),
+        ("@x inject swA:2 header=00000000", "bad tick '@x'"),
+        ("@-1 inject swA:2 header=00000000", "tick must be non-negative"),
+        ("@3", "empty directive"),
+        ("@0 query client=alice kind=route", "query kind must be one of isolation, sources, geo, summary"),
+        ("@0 attack", "attack needs a template name"),
+        ("@0 attack flood", "unknown attack template 'flood'"),
+        ("@0 attack join client=alice", "join needs hidden=<sw>:<port>"),
+        ("@0 attack divert client=alice via=r9", "no switch located in region 'r9'"),
+        ("@0 attack transient inject swA:2 header=00000000", "transient wraps a flowmod directive"),
+        ("@0 attack transient flowmod add swA prio=1 match=xxxxxxxx action=drop period=10",
+         "transient needs f= and period="),
+        ("@0 attack transient flowmod remove swA prio=1 match=xxxxxxxx action=drop f=0.5 period=10",
+         "transient template installs rules (op must be add)"),
+        ("@0 attack transient flowmod add swA prio=1 match=xxxxxxxx action=drop f=0.5 period=1",
+         "period must be at least 2 ticks"),
+        ("@0 attack suppress sw=swZ", "unknown switch 'swZ'"),
+        ("@0 attack suppress sw=swA count=0", "suppress count must be positive"),
+        ("@0 reboot swA", "unknown directive 'reboot'"),
+        # numbers are ASCII digits, though Python's int reads each of these
+        ("@1_0 inject swA:2 header=00000000", "bad tick '@1_0'"),
+        ("@٣ inject swA:2 header=00000000", "bad tick '@٣'"),
+        ("@0 flowmod add swA prio=+1_0 match=xxxxxxxx action=drop", "prio= must be a number, got '+1_0'"),
+        ("horizon 0_5", "horizon must be a number, got '0_5'"),
+        ("@0 attack suppress sw=swA count=٢", "count= must be a number, got '٢'"),
+        ("@0 attack transient flowmod add swA prio=1 match=xxxxxxxx action=drop f=0_5 period=10",
+         "f= must be a number, got '0_5'"),
     ],
 )
 def test_parse_names_the_line_of_a_bad_attack_field(line, message):
-    with pytest.raises(ScenarioError, match=f"^line 2: .*{message}"):
+    with pytest.raises(ScenarioError, match=f"^line 2: .*{re.escape(message)}"):
         parse_scenario("@0 flowmod add swA prio=5 match=xxxxxxxx action=fwd:1\n" + line, topo())
 
 
@@ -411,7 +440,7 @@ def test_every_table_change_logged_exactly_once():
     expected = expand(script, _random.Random("3:scenario"), script.base_horizon())
     flowmods = [e for e in events if e.kind == "flowmod"]
     assert len(flowmods) == len(expected)
-    for sw in t.switches():
+    for sw in t.switch_ports:
         seqs = [e.seq for e in flowmods if e.switch == sw]
         assert seqs == list(range(1, len(seqs) + 1))
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from routecheck.hspace import Ternary
-from routecheck.oracle import egress_oracle, random_network, random_rules
+from routecheck.oracle import random_network, random_rules, state_walk
 from routecheck.scenario import Directive
 from routecheck.sim import Delivery, Network, Packet, SwitchEvent, TraceHop
 from routecheck.snapshots import snapshot_of
@@ -298,24 +298,24 @@ def test_forward_egress_agrees_with_state_walk_oracle():
     """
     for i in range(10):
         topo, net = random_network(f"sim-oracle-{i}", width=6, max_switches=4, max_rules=8)
-        walk = egress_oracle(topo, snapshot_of(net))
+        walk = state_walk(topo, snapshot_of(net))
         rng = random.Random(i)
         for ap in topo.access_points:
             for _ in range(40):
                 h = rng.getrandbits(topo.width)
                 got = {p.egress.alias for p in net.forward(Packet(h), (ap.switch, ap.port)) if p.outcome == "egress"}
-                assert got == set(walk(ap, h)), f"ap={ap.alias} header={h:06b}"
+                assert got == walk(ap, h)[0], f"ap={ap.alias} header={h:06b}"
                 assert_walk_matches_reference(topo, net, ap, h)
     for rules in (DIAMOND_RULES, REWRITE_LOOP_RULES):
         topo, net = make_net(RING)
         for sw, rs in rules.items():
             for r in rs:
                 net.apply_flow_mod(sw, "add", r)
-        walk = egress_oracle(topo, snapshot_of(net))
+        walk = state_walk(topo, snapshot_of(net))
         for ap in topo.access_points:
             for h in range(1 << topo.width):
                 paths = net.forward(Packet(h), (ap.switch, ap.port))
-                assert {p.egress.alias for p in paths if p.outcome == "egress"} == set(walk(ap, h))
+                assert {p.egress.alias for p in paths if p.outcome == "egress"} == walk(ap, h)[0]
                 assert_walk_matches_reference(topo, net, ap, h)
 
 
@@ -338,7 +338,7 @@ def test_flood_on_full_mesh_delivers_once_per_access_point():
     topo = full_mesh(8)
     net = Network(topo)
     flood = "fwd:" + ",".join(str(p) for p in range(1, 9))
-    for sw in topo.switches():
+    for sw in topo.switch_ports:
         net.apply_flow_mod(sw, "add", rule(5, "xxxx", flood))
     paths = net.inject(Packet(0b0110), ("s0", "8"))
     assert sorted(d.client for d in net.deliveries) == [f"c{i}" for i in range(8)]
@@ -426,10 +426,10 @@ def test_hop_limit_sets_match_per_path_walk():
         rng = random.Random(i)
         topo = full_mesh(rng.randint(3, 5))
         net = Network(topo)
-        for sw in topo.switches():
+        for sw in topo.switch_ports:
             for r in random_rules(rng, topo, sw, 4):
                 net.apply_flow_mod(sw, "add", r)
-            ports = topo.ports_of(sw)
+            ports = topo.switch_ports[sw]
             flood = Action("fwd", tuple(rng.sample(ports, rng.randint(1, len(ports)))))
             net.apply_flow_mod(sw, "add", FlowRule(0, Ternary.parse("xxxx"), flood))
         for hop_limit in (1, 2, 3, 5):
@@ -447,7 +447,7 @@ def test_long_chain_walks_without_recursion():
     lines += ["access s0:1 client alice", f"access s{n - 1}:2 client bob"]
     topo = load_topology("\n".join(lines) + "\n")
     net = Network(topo)
-    for sw in topo.switches():
+    for sw in topo.switch_ports:
         net.apply_flow_mod(sw, "add", rule(5, "xxxx", "fwd:2"))
     paths = net.inject(Packet(0b1001), ("s0", "1"))
     assert [p.outcome for p in paths] == ["egress"]
@@ -474,8 +474,8 @@ def trace_digest() -> tuple[str, dict[str, int]]:
     for i in range(16):
         topo, net = random_network(f"trace-char-{i}", width=5, max_switches=5, max_rules=8)
         if i % 2:
-            for sw in topo.switches():
-                net.apply_flow_mod(sw, "add", FlowRule(0, Ternary.wildcard(topo.width), Action("fwd", topo.ports_of(sw))))
+            for sw in topo.switch_ports:
+                net.apply_flow_mod(sw, "add", FlowRule(0, Ternary.wildcard(topo.width), Action("fwd", topo.switch_ports[sw])))
         for hop_limit in (2, 3, 4):
             net.hop_limit = hop_limit
             for ap in topo.access_points:

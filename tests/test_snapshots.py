@@ -108,7 +108,7 @@ def test_replay_of_event_log_matches_simulator_tables():
             net.apply_flow_mod(sw, "add", r)
     for ev in net.events:
         svc.ingest_event(ev)
-    assert svc.current().tables == net.snapshot_tables()
+    assert svc.current().tables == net.tables
 
 
 def test_version_monotone_under_interleaving():
@@ -247,15 +247,15 @@ def test_flowmod_on_one_switch_keeps_every_other_table_value_and_its_splits():
     before = svc.current()
     alice = topo.client_aps("alice")[0]
     assert reachable_endpoints(topo, before, alice, HeaderSpace.full(4)).entries
-    assert all(before.tables[sw]._splits for sw in topo.switches())
-    for changed in topo.switches():
+    assert all(before.tables[sw]._splits for sw in topo.switch_ports)
+    for changed in topo.switch_ports:
         prev = svc.current()
         svc.ingest_event(net.apply_flow_mod(changed, "add", rule(1, "0xxx", "drop")))
         after = svc.current()
         assert after.version == prev.version + 1
         assert after.tables[changed] is not prev.tables[changed]
         assert after.tables[changed]._splits == {}
-        for sw in topo.switches():
+        for sw in topo.switch_ports:
             if sw != changed:
                 assert after.tables[sw] is prev.tables[sw]
 
@@ -612,6 +612,8 @@ def test_snapshot_dump_roundtrip():
     [
         ("version=abc tick=0", "line 2: version= must be a number, got 'abc'"),
         ("version=1 tick=x", "line 2: tick= must be a number, got 'x'"),
+        ("version=٣ tick=0", "line 2: version= must be a number, got '٣'"),
+        ("version=1 tick=1_0", "line 2: tick= must be a number, got '1_0'"),
         ("version=1 tick", "line 2: expected key=value, got 'tick'"),
         ("version=1 tick=0 when=now", "line 2: unknown key when="),
         ("version=1 tick=0 version=2", "line 2: repeated key version="),
@@ -633,6 +635,7 @@ def test_snapshot_dump_rewrite_of_another_width_names_its_line():
 
 def test_snapshot_dump_priority_that_is_no_number_names_its_line():
     topo = load_topology(DOC)
-    with pytest.raises(ValueError) as info:
-        parse_snapshot_dump("version=1 tick=0\nflowmod add swA prio=high match=xxxx action=drop\n", topo)
-    assert str(info.value) == "line 2: prio= must be a number, got 'high'"
+    for prio in ("high", "+1_0", "٣"):
+        with pytest.raises(ValueError) as info:
+            parse_snapshot_dump(f"version=1 tick=0\nflowmod add swA prio={prio} match=xxxx action=drop\n", topo)
+        assert str(info.value) == f"line 2: prio= must be a number, got '{prio}'"

@@ -44,7 +44,7 @@ location swB r2
 def test_smallest_topology():
     topo = load_topology(SMALLEST)
     assert topo.width == 4
-    assert set(topo.switches()) == {"swA", "swB"}
+    assert set(topo.switch_ports) == {"swA", "swB"}
     assert len(topo.links) == 1
     assert [ap.client for ap in topo.access_points] == ["alice", "bob"]
     assert topo.access_points[0].alias == "alice:ap1"
@@ -56,8 +56,8 @@ def test_triangle_counts():
     topo = load_topology(TRIANGLE)
     assert len(topo.links) == 3
     assert len(topo.access_points) == 3
-    assert topo.region_of("swA") == "r1"
-    assert topo.region_of("swC") is None
+    assert topo.locations.get("swA") == "r1"
+    assert topo.locations.get("swC") is None
 
 
 def test_default_width_applies():
@@ -109,6 +109,9 @@ def test_nokey_unknown_client():
         ("switch s ports three", "line 1: port count must be a number, got 'three'"),
         ("field dst 0 z", "line 1: end bit must be a number, got 'z'"),
         ("field dst y 3", "line 1: start bit must be a number, got 'y'"),
+        ("headerwidth 1_6", "line 1: header width must be a number, got '1_6'"),
+        ("switch s ports ２", "line 1: port count must be a number, got '２'"),
+        ("field dst +0 3", "line 1: start bit must be a number, got '+0'"),
     ],
 )
 def test_non_numeric_fields_name_their_line(line, message):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from routecheck.hspace import HeaderSpace, Ternary, WidthMismatch
-from routecheck.oracle import check_case, random_network, traversal_oracle
+from routecheck.oracle import check_case, random_network, state_walk
 from routecheck.scenario import expand, parse_scenario
 from routecheck.sim import Network
 from routecheck.snapshots import Snapshot, SnapshotService, snapshot_of
@@ -233,7 +233,7 @@ def test_geo_monotone_under_rule_additions():
         for step in range(4):
             from routecheck.oracle import random_rules
 
-            for sw in topo.switches():
+            for sw in topo.switch_ports:
                 for r in random_rules(rng, topo, sw, 2):
                     net.apply_flow_mod(sw, "add", r)
             regions = geo_exposure(topo, snapshot_of(net), client)
@@ -245,14 +245,14 @@ def test_geo_traversal_agrees_with_walk_oracle():
     for i in range(8):
         topo, net = random_network(f"geo-oracle-{i}", width=6, max_switches=4, max_rules=8)
         snap = snapshot_of(net)
-        walk = traversal_oracle(topo, snap)
+        walk = state_walk(topo, snap)
         for client in topo.clients():
             regions = geo_exposure(topo, snap, client)
             visited = set()
             for ap in topo.client_aps(client):
                 for h in range(1 << topo.width):
-                    visited |= set(walk(ap, h))
-            expect = {topo.region_of(sw) for sw in visited if topo.region_of(sw)}
+                    visited |= walk(ap, h)[1]
+            expect = {topo.locations[sw] for sw in visited if sw in topo.locations}
             assert regions == expect
 
 
@@ -307,17 +307,15 @@ def test_summary_contains_no_internal_identifiers():
         snap = snapshot_of(net)
         for client in topo.clients():
             text = render_summary(client, transfer_summary(topo, snap, client))
-            for sw in topo.switches():
+            for sw in topo.switch_ports:
                 assert sw not in text
             for link in topo.links:
                 assert link.name not in text
 
 
 def _assert_engine_equals_walk(topo, net):
-    from routecheck.oracle import egress_oracle
-
     snap = snapshot_of(net)
-    walk = egress_oracle(topo, snap)
+    walk = state_walk(topo, snap)
     for ap in topo.access_points:
         result = reachable_endpoints(topo, snap, ap, HeaderSpace.full(topo.width))
         predicted = {}
@@ -325,7 +323,7 @@ def _assert_engine_equals_walk(topo, net):
             for h in entry.sent.denote():
                 predicted.setdefault(h, set()).add(entry.egress.alias)
         for h in range(1 << topo.width):
-            assert frozenset(predicted.get(h, set())) == walk(ap, h), (ap.alias, h)
+            assert frozenset(predicted.get(h, set())) == walk(ap, h)[0], (ap.alias, h)
 
 
 def test_cyclic_rewrites_terminate_and_match_oracle():
@@ -437,7 +435,7 @@ def test_service_snapshots_answer_like_fresh_snapshots():
     for i in range(25):
         topo, truth = random_network(f"memo-{i}", width=6, max_switches=4, max_rules=8)
         rng = random.Random(i)
-        changes = [(sw, r) for sw in topo.switches() for r in truth.tables[sw].rules]
+        changes = [(sw, r) for sw in topo.switch_ports for r in truth.tables[sw].rules]
         rng.shuffle(changes)
         net = Network(topo)
         svc = SnapshotService(topo)

@@ -1,6 +1,8 @@
 """Wire formats: byte-exact round trips and malformed-input rejection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routecheck import wire
 
@@ -58,18 +60,53 @@ def test_report_roundtrip():
     assert r.signature == b"controller-sig"
 
 
-def test_parse_rejects_malformed():
+NONCES = st.binary(min_size=wire.NONCE_LEN, max_size=wire.NONCE_LEN)
+TEXTS = st.text(max_size=12)
+PARAMS = st.lists(st.tuples(TEXTS, TEXTS), max_size=3)
+KINDS = st.sampled_from(list(wire.KIND_CODES))
+
+# One well-formed frame of each of the four message types, from drawn fields.
+FRAMES = st.one_of(
+    st.binary(max_size=40).map(wire.frame_query),
+    st.builds(wire.frame_challenge, NONCES, TEXTS),
+    st.builds(wire.frame_reply, NONCES, TEXTS, TEXTS, st.binary(max_size=40)),
+    st.builds(
+        wire.frame_report,
+        st.builds(wire.report_unsigned, KINDS, NONCES, st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), PARAMS),
+        st.binary(max_size=40),
+    ),
+)
+PLAINTEXTS = st.builds(wire.encode_query_plaintext, KINDS, TEXTS, NONCES, PARAMS)
+
+
+def assert_malformed_refused(parse, buf, data):
+    """``buf`` parses; cut short or extended it raises WireError; with one
+    byte flipped it parses or raises WireError, never anything else."""
+    parse(buf)
     with pytest.raises(wire.WireError):
-        wire.parse_frame(b"")
+        parse(buf[: data.draw(st.integers(0, len(buf) - 1), label="cut")])
     with pytest.raises(wire.WireError):
-        wire.parse_frame(bytes([9, wire.MSG_QUERY, 0, 0]))  # bad version
-    with pytest.raises(wire.WireError):
-        wire.parse_frame(bytes([wire.WIRE_VERSION, 200]))  # unknown msgtype
-    with pytest.raises(wire.WireError):
-        wire.parse_frame(bytes([wire.WIRE_VERSION, wire.MSG_QUERY, 0, 9]) + b"xx")  # length lies
-    good = wire.frame_report(wire.report_unsigned("geo", bytes(16), 0, 0, []), b"s")
-    with pytest.raises(wire.WireError):
-        wire.parse_frame(good[:-1])  # truncated signature
+        parse(buf + data.draw(st.binary(min_size=1, max_size=8), label="tail"))
+    # half the flips land in the first three bytes, the version, type and kind codes
+    at = data.draw(st.integers(0, min(2, len(buf) - 1)) | st.integers(0, len(buf) - 1), label="at")
+    flipped = buf[:at] + bytes([buf[at] ^ data.draw(st.integers(1, 255), label="mask")]) + buf[at + 1 :]
+    try:
+        parse(flipped)
+    except wire.WireError:
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(FRAMES, st.data())
+def test_parse_rejects_malformed(frame, data):
+    """The controller's packet-in path reads adversarial bytes with ``parse_frame``."""
+    assert_malformed_refused(wire.parse_frame, frame, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PLAINTEXTS, st.data())
+def test_query_plaintext_rejects_malformed(plaintext, data):
+    assert_malformed_refused(wire.decode_query_plaintext, plaintext, data)
 
 
 def test_every_nonce_length_checked():
