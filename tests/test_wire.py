@@ -79,9 +79,14 @@ FRAMES = st.one_of(
 PLAINTEXTS = st.builds(wire.encode_query_plaintext, KINDS, TEXTS, NONCES, PARAMS)
 
 
-def assert_malformed_refused(parse, buf, data):
+MSG_TYPES = {wire.MSG_QUERY, wire.MSG_CHALLENGE, wire.MSG_REPLY, wire.MSG_REPORT}
+
+
+def assert_malformed_refused(parse, buf, header, data):
     """``buf`` parses; cut short or extended it raises WireError; with one
-    byte flipped it parses or raises WireError, never anything else."""
+    byte flipped it parses or raises WireError, never anything else.
+    ``header`` holds the values each leading byte may take: a flip to any
+    other value there must be refused."""
     parse(buf)
     with pytest.raises(wire.WireError):
         parse(buf[: data.draw(st.integers(0, len(buf) - 1), label="cut")])
@@ -90,6 +95,10 @@ def assert_malformed_refused(parse, buf, data):
     # half the flips land in the first three bytes, the version, type and kind codes
     at = data.draw(st.integers(0, min(2, len(buf) - 1)) | st.integers(0, len(buf) - 1), label="at")
     flipped = buf[:at] + bytes([buf[at] ^ data.draw(st.integers(1, 255), label="mask")]) + buf[at + 1 :]
+    if at < len(header) and flipped[at] not in header[at]:
+        with pytest.raises(wire.WireError):
+            parse(flipped)
+        return
     try:
         parse(flipped)
     except wire.WireError:
@@ -100,13 +109,38 @@ def assert_malformed_refused(parse, buf, data):
 @given(FRAMES, st.data())
 def test_parse_rejects_malformed(frame, data):
     """The controller's packet-in path reads adversarial bytes with ``parse_frame``."""
-    assert_malformed_refused(wire.parse_frame, frame, data)
+    header = [{wire.WIRE_VERSION}, MSG_TYPES]
+    if frame[1] == wire.MSG_REPORT:
+        header.append(set(wire.KIND_NAMES))
+    assert_malformed_refused(wire.parse_frame, frame, header, data)
 
 
 @settings(max_examples=200, deadline=None)
 @given(PLAINTEXTS, st.data())
 def test_query_plaintext_rejects_malformed(plaintext, data):
-    assert_malformed_refused(wire.decode_query_plaintext, plaintext, data)
+    assert_malformed_refused(wire.decode_query_plaintext, plaintext, [{wire.WIRE_VERSION}, set(wire.KIND_NAMES)], data)
+
+
+GOOD_REPORT = wire.frame_report(wire.report_unsigned("geo", bytes(16), 0, 0, []), b"s")
+GOOD_PLAINTEXT = wire.encode_query_plaintext("geo", "c", bytes(16), [])
+
+
+@pytest.mark.parametrize(
+    "parse, buf, text",
+    [
+        (wire.parse_frame, b"", "frame too short"),
+        (wire.parse_frame, bytes([9, wire.MSG_QUERY, 0, 0]), "unsupported wire version 9"),
+        (wire.parse_frame, bytes([wire.WIRE_VERSION, 200]), "unknown message type 200"),
+        (wire.parse_frame, bytes([wire.WIRE_VERSION, wire.MSG_QUERY, 0, 9]) + b"xx", "bad query frame length"),
+        (wire.parse_frame, GOOD_REPORT[:2] + bytes([99]) + GOOD_REPORT[3:], "unknown report kind code 99"),
+        (wire.parse_frame, GOOD_REPORT[:-1], "bad report signature block"),
+        (wire.decode_query_plaintext, bytes([9]) + GOOD_PLAINTEXT[1:], "bad query version"),
+        (wire.decode_query_plaintext, GOOD_PLAINTEXT[:1] + bytes([99]) + GOOD_PLAINTEXT[2:], "unknown kind code 99"),
+    ],
+)
+def test_malformed_header_is_refused(parse, buf, text):
+    with pytest.raises(wire.WireError, match=f"^{text}$"):
+        parse(buf)
 
 
 def test_every_nonce_length_checked():
