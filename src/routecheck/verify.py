@@ -57,11 +57,17 @@ def _propagate(
     """Fixpoint propagation from one access point, memoised in ``snap.reach``.
 
     Work items carry (switch, ingress port, current term, origin term,
-    rewritten-bit mask). An item revisiting a (switch, port) contributes
-    only the part of its current space not already propagated there for
-    the same origin lane, which guarantees termination. Constraints
-    discovered by matches are mirrored onto the origin term at positions
-    that have not been overwritten yet.
+    rewritten-bit mask), and each item is propagated once, breadth first.
+    Constraints discovered by matches are mirrored onto the origin term at
+    positions that have not been overwritten yet.
+
+    A set of items reaches the fixpoint because of one invariant of a lane,
+    the items sharing an (origin, mask) pair: each current term equals the
+    origin outside the mask and fixes every bit inside it, since a rewrite
+    fixes the bits it writes and a match only adds constraints. Two current
+    terms of one lane are therefore equal or disjoint, so an arriving term
+    either repeats an item already propagated or is wholly new, and the
+    finite set of items guarantees termination.
     """
     key = (start, space)
     if key in snap.reach:
@@ -70,32 +76,11 @@ def _propagate(
     full_mask = (1 << width) - 1
 
     by_egress: dict[AccessPoint, tuple[list[Ternary], list[Ternary]]] = {}
-    traversed: set[str] = set()
-    visited: dict[tuple[str, str], dict[tuple[Ternary, int], HeaderSpace]] = {}
-    work: deque[tuple[str, str, Ternary, Ternary, int]] = deque()
-
-    def arrive(sw: str, port: str, cur: Ternary, orig: Ternary, rwmask: int) -> None:
-        lanes = visited.setdefault((sw, port), {})
-        lane = (orig, rwmask)
-        seen = lanes.get(lane)
-        cur_space = _space(width, (cur,))
-        if seen is None:
-            residual = cur_space
-        else:
-            residual = cur_space.difference(seen)
-        if residual.is_empty():
-            return
-        lanes[lane] = residual if seen is None else seen.union(residual)
-        for term in residual.terms:
-            work.append((sw, port, term, orig, rwmask))
-
-    for term in space.terms:
-        arrive(start.switch, start.port, term, term, 0)
-    traversed.add(start.switch)
+    work = deque((start.switch, start.port, term, term, 0) for term in space.terms)
+    seen = set(work)
 
     while work:
         sw, port, cur, orig, rwmask = work.popleft()
-        traversed.add(sw)
         for rule, sub in snap.tables[sw].lookup(_space(width, (cur,))):
             if rule is None or rule.action.kind in ("drop", "ctrl"):
                 continue
@@ -117,7 +102,10 @@ def _propagate(
                         sent.append(orig2)
                         continue
                     peer = topo.peer(sw, out_port)  # every port is an access point or linked
-                    arrive(peer[0], peer[1], st2, orig2, rwmask2)
+                    item = (peer[0], peer[1], st2, orig2, rwmask2)
+                    if item not in seen:
+                        seen.add(item)
+                        work.append(item)
 
     entries = []
     for ap in sorted(by_egress, key=lambda a: a.alias):
@@ -129,7 +117,7 @@ def _propagate(
                 sent=_space(width, sent).compact(),
             )
         )
-    out = snap.reach[key] = (tuple(entries), frozenset(traversed))
+    out = snap.reach[key] = (tuple(entries), frozenset(item[0] for item in seen))
     return out
 
 

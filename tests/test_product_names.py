@@ -25,6 +25,10 @@ TEST_ONLY = {
     "field_pattern": "the hook for header-restricted queries, ROADMAP item 6",
     "of": "HeaderSpace.of builds a space from pattern text, the algebra and oracle tests' shorthand",
     "denote": "the set of concrete headers a term stands for, the ground truth of the algebra-law checks",
+    "difference": "bench/spans.py wraps HeaderSpace.difference by name, and the algebra-law tests check it; "
+    "drop it once ROADMAP item 1 unpins the benchmark's names",
+    "union": "bench/spans.py wraps HeaderSpace.union by name, and the algebra-law tests check it; "
+    "drop it once ROADMAP item 1 unpins the benchmark's names",
     "raw": "VerifyKey.raw lets the key tests compare provisioned keys byte for byte",
     "check_case_sampled": "the width-16 oracle referee that tier-1 runs; the CLI's oracle is exhaustive",
     "forward": "Network.forward predicts a packet's traces without side effects, for the simulator tests",
