@@ -56,18 +56,15 @@ def _propagate(
 ) -> tuple[tuple[ReachEntry, ...], frozenset[str]]:
     """Fixpoint propagation from one access point, memoised in ``snap.reach``.
 
-    Work items carry (switch, ingress port, current term, origin term,
-    rewritten-bit mask), and each item is propagated once, breadth first.
-    Constraints discovered by matches are mirrored onto the origin term at
-    positions that have not been overwritten yet.
-
-    A set of items reaches the fixpoint because of one invariant of a lane,
-    the items sharing an (origin, mask) pair: each current term equals the
-    origin outside the mask and fixes every bit inside it, since a rewrite
-    fixes the bits it writes and a match only adds constraints. Two current
-    terms of one lane are therefore equal or disjoint, so an arriving term
-    either repeats an item already propagated or is wholly new, and the
-    finite set of items guarantees termination.
+    Work items carry (switch, current term, origin term, rewritten-bit
+    mask); lookups ignore the ingress port, so items carry none. Each item
+    is propagated once, and that suffices: within one lane (origin, mask)
+    every current term equals the origin outside the mask and fixes every
+    bit inside it, as a rewrite fixes the bits it writes and a match only
+    adds constraints, so two terms of a lane are equal or disjoint and an
+    arriving term is either wholly new or already propagated. Constraints
+    discovered by matches are mirrored onto the origin term at positions
+    that have not been overwritten yet.
     """
     key = (start, space)
     if key in snap.reach:
@@ -76,11 +73,11 @@ def _propagate(
     full_mask = (1 << width) - 1
 
     by_egress: dict[AccessPoint, tuple[list[Ternary], list[Ternary]]] = {}
-    work = deque((start.switch, start.port, term, term, 0) for term in space.terms)
+    work = deque((start.switch, term, term, 0) for term in space.terms)
     seen = set(work)
 
     while work:
-        sw, port, cur, orig, rwmask = work.popleft()
+        sw, cur, orig, rwmask = work.popleft()
         for rule, sub in snap.tables[sw].lookup(_space(width, (cur,))):
             if rule is None or rule.action.kind in ("drop", "ctrl"):
                 continue
@@ -102,7 +99,7 @@ def _propagate(
                         sent.append(orig2)
                         continue
                     peer = topo.peer(sw, out_port)  # every port is an access point or linked
-                    item = (peer[0], peer[1], st2, orig2, rwmask2)
+                    item = (peer[0], st2, orig2, rwmask2)
                     if item not in seen:
                         seen.add(item)
                         work.append(item)

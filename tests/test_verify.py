@@ -627,7 +627,11 @@ def kernel_digest(monkeypatch) -> tuple[str, dict[str, int]]:
 def test_kernel_matches_the_recorded_characterisation(monkeypatch):
     """Splits and answers, byte for byte, as recorded before the kernel's
     internal constructors, ``lookup``'s term loop and ``compact``'s wide
-    path changed: any change to a split, a term list or a term order shows."""
+    path changed: any change to a split, a term list or a term order shows.
+    Re-recorded once since, when propagation stopped repeating a switch's
+    lookup for a term that arrives again through another port: every
+    ``reach|`` line stayed the same, and the ``lookup|`` lines became a
+    subsequence of the earlier run's (4,759 -> 4,753)."""
     digest, seen = kernel_digest(monkeypatch)
     assert min(seen.values()) > 0, seen
-    assert digest == "9b09ab09877efcb754bd395a2e7b35617a544fc8e04a4b53b9aacf6f14f9caba", (digest, seen)
+    assert digest == "b810a21527ab9ce9e999e5f3a0e83ffaf02af1b0881bacb5e91140748aa8519e", (digest, seen)
