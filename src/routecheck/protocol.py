@@ -265,8 +265,11 @@ class Controller:
         the session it opens, not yet answered.
 
         Raises InterceptError on a header outside the magic pattern,
-        undecryptable payloads, replayed nonces, unenrolled clients, and
-        queries arriving at a different client's access point (spoofing).
+        undecryptable payloads, replayed nonces, unenrolled clients,
+        queries arriving at a different client's access point (spoofing),
+        and queries with parameters: no query kind reads any yet, so a
+        restricted question is refused rather than answered for the full
+        header space.
         """
         if not self.magic.matches(event.packet.header):
             raise InterceptError("header does not match the magic pattern")
@@ -275,7 +278,7 @@ class Controller:
         except ValueError:
             raise InterceptError("decryption failed") from None
         try:
-            kind, client, nonce, _ = wire.decode_query_plaintext(plaintext)
+            kind, client, nonce, params = wire.decode_query_plaintext(plaintext)
         except wire.WireError as e:
             raise InterceptError(f"bad query payload: {e}") from None
         if client not in self.registry.client_keys:
@@ -287,6 +290,8 @@ class Controller:
             raise InterceptError("query did not enter at an access point")
         if ap.client != client:
             raise InterceptError(f"spoofed query: claims {client} but entered at {ap.alias}")
+        if params:
+            raise InterceptError(f"query parameters are not supported: {', '.join(key for key, _ in params)}")
         seen = self.seen_nonces.setdefault(client, [])
         seen.append(nonce)
         del seen[:-REPLAY_WINDOW]

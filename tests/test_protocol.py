@@ -541,6 +541,17 @@ def test_each_refused_packet_in_is_one_reject_and_changes_nothing(case):
     assert [session.verified for session in s.controller.sessions.values()] == [["alice:ap1"]]
 
 
+def test_a_query_with_parameters_is_refused_and_its_nonce_is_not_remembered():
+    """No query kind reads parameters yet: a restricted question is one
+    reject, not a full-space answer, and its nonce stays free."""
+    s = open_isolation_session()
+    before = protocol_state(s.controller), {c: list(n) for c, n in s.controller.seen_nonces.items()}
+    packet, _ = s.agents["alice"].make_query("geo", params=[("match", "1" * 16), ("field", "dst")])
+    send_in(s, "swA", packet.payload)
+    assert s.controller.rejects == [(s.net.tick, "query parameters are not supported: match, field")]
+    assert (protocol_state(s.controller), s.controller.seen_nonces) == before
+
+
 def test_a_failure_while_answering_an_authenticated_query_propagates(monkeypatch):
     """Only decoding and authentication are refusals; a fault in the answer
     is the controller's own and is not recorded as a reject."""
