@@ -29,6 +29,8 @@ from .verify import reachable_endpoints
 
 MUTATIONS = ("ignore-priority", "ignore-rewrite", "drop-top-rule")
 SAMPLED_RANDOMS = 20  # random headers per access point in check_case_sampled
+MAX_ENUMERATED_WIDTH = 10  # run_cases checks every header up to this width
+MAX_SAMPLED_WIDTH = 16  # and samples headers up to this one, the product width
 
 
 @dataclass
@@ -275,12 +277,30 @@ def run_cases(
     max_rules: int = 12,
     mutation: str | None = None,
 ) -> list[OracleCase]:
-    if width > 10:
-        raise ValueError("oracle enumeration is limited to widths up to 10")
+    """Referee `count` random networks, each seeded from `seed` and its index.
+
+    Up to ``MAX_ENUMERATED_WIDTH`` a case checks every header; above it, up
+    to ``MAX_SAMPLED_WIDTH``, ``check_case_sampled`` checks the headers it
+    picks, drawn from a generator seeded from the case seed. Each argument
+    out of range is refused naming its ``routecheck oracle`` option.
+    """
+    for option, value, least in (
+        ("--count", count, 0),
+        ("--width", width, 1),
+        ("--switches", max_switches, 2),
+        ("--rules", max_rules, 0),
+    ):
+        if value < least:
+            raise ValueError(f"{option} must be at least {least}, got {value}")
+    if width > MAX_SAMPLED_WIDTH:
+        raise ValueError(f"--width must be at most {MAX_SAMPLED_WIDTH}, got {width}")
     cases = []
     for i in range(count):
         case_seed = f"{seed}:oracle:{i}"
         topo, net = random_network(case_seed, width=width, max_switches=max_switches, max_rules=max_rules)
-        mismatches = check_case(topo, net, mutation=mutation)
+        if width <= MAX_ENUMERATED_WIDTH:
+            mismatches = check_case(topo, net, mutation=mutation)
+        else:
+            mismatches = check_case_sampled(topo, net, random.Random(f"{case_seed}:headers"), mutation=mutation)
         cases.append(OracleCase(index=i, seed=case_seed, mismatches=mismatches))
     return cases

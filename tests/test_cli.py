@@ -12,6 +12,7 @@ import pytest
 from conftest import fixture_path
 from routecheck import wire
 from routecheck.cli import build_parser, main
+from routecheck.oracle import MUTATIONS
 from routecheck.service import RunConfig, run_session
 
 
@@ -525,8 +526,30 @@ def test_oracle_count_zero_trivially_passes(capsys):
 
 
 def test_oracle_rejects_wide_headers(capsys):
-    code, _, err = run_cli(capsys, "oracle", "--count", "1", "--width", "12")
+    code, _, err = run_cli(capsys, "oracle", "--count", "1", "--width", "17")
     assert code == 1 and "width" in err
+
+
+@pytest.mark.parametrize("option, value, least", [
+    ("--count", "-3", 0),
+    ("--switches", "1", 2),
+    ("--rules", "-1", 0),
+    ("--width", "0", 1),
+])
+def test_oracle_refuses_an_option_out_of_range(capsys, option, value, least):
+    """Refused by name, not run as zero cases or failed deep in the generator."""
+    assert run_cli(capsys, "oracle", option, value) == (1, "", f"error: {option} must be at least {least}, got {value}\n")
+
+
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+def test_oracle_samples_headers_at_the_product_width(capsys, mutation):
+    """At width 16 the oracle checks sampled headers, passes the engine and
+    catches each deliberate analysis bug."""
+    code, out, _ = run_cli(capsys, "oracle", "--count", "5", "--width", "16", *(["--mutate", mutation] if mutation else []))
+    if mutation is None:
+        assert (code, out.splitlines()[-1]) == (0, "cases=5 failed=0")
+    else:
+        assert code == 2 and "MISMATCH" in out
 
 
 def readme_cli_commands():
