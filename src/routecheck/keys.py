@@ -118,7 +118,7 @@ class KeyRegistry:
         controller_seal = SealKeyPair(rng.randbytes(32))
         client_keys: dict[str, VerifyKey] = {}
         client_signing: dict[str, SigningKey] = {}
-        for client in sorted(topo.clients()):
+        for client in sorted({ap.client for ap in topo.access_points}):
             if client in topo.unkeyed:
                 continue
             sk = SigningKey(rng.randbytes(32))

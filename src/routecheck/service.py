@@ -18,7 +18,7 @@ from .keys import KeyRegistry
 from .protocol import DEFAULT_POLL_RATE, DEFAULT_TIMEOUT, Controller, Finding, build_agents, default_magic
 from .scenario import Script, parse_scenario, run_scenario
 from .sim import Network
-from .snapshots import DEFAULT_WINDOW, Snapshot, export_snapshot, snapshot_of
+from .snapshots import DEFAULT_WINDOW, export_snapshot, snapshot_of
 from .topology import Topology, load_topology
 from . import wire
 
@@ -46,9 +46,6 @@ class RunResult:
     @property
     def exit_code(self) -> int:
         return 2 if self.findings else 0
-
-    def final_snapshot(self) -> Snapshot:
-        return self.controller.service.current()
 
 
 def load_run_inputs(config: RunConfig) -> tuple[Topology, Script, Ternary]:
@@ -102,7 +99,7 @@ def _write_artifacts(result: RunResult, initial_dump: str, out: Path) -> None:
         "".join(d.line(width) + "\n" for d in result.net.deliveries)
     )
     (out / "snapshot_initial.txt").write_text(initial_dump)
-    (out / "snapshot_final.txt").write_text(export_snapshot(result.final_snapshot()))
+    (out / "snapshot_final.txt").write_text(export_snapshot(result.controller.service.current()))
     (out / "findings.txt").write_text(
         "".join(f.line() + "\n" for f in result.findings)
     )

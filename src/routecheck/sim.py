@@ -50,7 +50,7 @@ class SwitchEvent(NamedTuple):
     seq: int
     tick: int
     switch: str
-    kind: str  # "flowmod" | "packet_in" | "port_status"
+    kind: str  # "flowmod" | "packet_in"
     op: str = ""  # flowmod: "add" | "remove"
     rule: FlowRule | None = None
     noop: bool = False  # flowmod: removal of an absent rule
@@ -64,10 +64,8 @@ class SwitchEvent(NamedTuple):
             if self.noop:
                 s += " noop=1"
             return s
-        if self.kind == "packet_in":
-            hdr = format(self.packet.header, f"0{width}b")
-            return f"{head} packet_in port={self.in_port} header={hdr} payload_len={len(self.packet.payload)}"
-        return f"{head} port_status"
+        hdr = format(self.packet.header, f"0{width}b")
+        return f"{head} packet_in port={self.in_port} header={hdr} payload_len={len(self.packet.payload)}"
 
 
 class Delivery(NamedTuple):
@@ -143,7 +141,7 @@ class Network:
         self.topo.access_point(*at)  # refuses any other endpoint
         return self._run_live(packet, at[0], at[1])
 
-    def packet_out(self, switch: str, port: str, packet: Packet) -> list[Delivery]:
+    def packet_out(self, switch: str, port: str, packet: Packet) -> None:
         """Send a packet out of a switch port, as the controller would.
 
         At an access point the attached client receives it directly; at an
@@ -152,13 +150,11 @@ class Network:
         if port not in self.topo.switch_ports.get(switch, ()):
             raise ValueError(f"switch {switch} has no port {port}")
         ap = self.topo.access_point_at(switch, port)
-        n_before = len(self.deliveries)
         if ap is not None:
             self.deliveries.append(Delivery(self.tick, ap.client, switch, port, packet))
         else:
             peer = self.topo.peer(switch, port)
             self._run_live(packet, peer[0], peer[1])
-        return self.deliveries[n_before:]
 
     # -- packet walk ---------------------------------------------------
 

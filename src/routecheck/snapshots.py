@@ -108,8 +108,10 @@ def poll_ticks(seed: int | str, rate: float) -> Iterator[int]:
         raise ValueError(f"poll rate must be positive, got {rate}")
     if rate >= 1.0:
         return itertools.count(1)
-    rng = random.Random(f"{seed}:polls")
     scale = math.log(1.0 - rate)
+    if not scale:  # below about 1e-16 no gap can be drawn
+        raise ValueError(f"poll rate {rate} is too small: 1 - rate rounds to 1")
+    rng = random.Random(f"{seed}:polls")
     return itertools.accumulate(1 + int(math.log(1.0 - rng.random()) / scale) for _ in itertools.count())
 
 
@@ -182,7 +184,7 @@ class SnapshotService:
                 if not new.count(rule):
                     self._record(sw, rule)
             return self._new_version()
-        # packet_in / port_status, or a flowmod left unapplied, advance the sequence but not the view
+        # a packet_in, or a flowmod left unapplied, advances the sequence but not the view
         return self._version
 
     def resync(self, switch: str, seq: int) -> None:

@@ -28,12 +28,12 @@ a client exists (``client_aps``) or an endpoint is one of a client's access
 points (``access_point_of``), so every reader refuses a mistake alike.
 
 A ``FlowTable`` is an immutable value that memoises its own lookups: the
-split of a header space by winning rule is computed once per (table
-value, space) and lives as long as the table does. Anyone holding the
-same value shares it, as the snapshots of a controller's view do for
-every switch that a change left alone; ``add`` and ``remove`` make a new
-value that starts without it. A concrete header's rule is found by a
-scan of the rules. No module-level cache exists.
+split of a term by winning rule is computed once per (table value,
+term) and lives as long as the table does. Anyone holding the same
+value shares it, as the snapshots of a controller's view do for every
+switch that a change left alone; ``add`` and ``remove`` make a new value
+that starts without it. A concrete header's rule is found by a scan of
+the rules. No module-level cache exists.
 """
 
 from __future__ import annotations
@@ -274,7 +274,7 @@ class FlowTable:
     ``rules`` is in lookup order: descending priority, insertion order
     breaking ties (earlier wins). The constructor trusts the order it is
     given; ``add`` and ``remove`` return new tables and leave this one as
-    it is. It memoises its ``lookup`` results by input space, and the
+    it is. It memoises its ``lookup`` results by input term, and the
     tables that ``add`` and ``remove`` make start without them. It also
     keeps how many copies of each rule it holds, built on first need for
     a table constructed directly, and derived from the parent's by one
@@ -284,7 +284,7 @@ class FlowTable:
 
     rules: tuple[FlowRule, ...] = ()
     _copies: dict[FlowRule, int] | None = field(default=None, compare=False, repr=False)
-    _splits: dict[HeaderSpace, tuple[tuple[FlowRule | None, HeaderSpace], ...]] = field(
+    _splits: dict[Ternary, tuple[tuple[FlowRule | None, HeaderSpace], ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
@@ -322,27 +322,27 @@ class FlowTable:
                 return rule
         return None
 
-    def lookup(self, space: HeaderSpace) -> tuple[tuple[FlowRule | None, HeaderSpace], ...]:
-        """Split `space` by winning rule, in lookup order.
+    def lookup(self, term: Ternary) -> tuple[tuple[FlowRule | None, HeaderSpace], ...]:
+        """Split `term` by winning rule, in lookup order.
 
         Each pair carries the sub-space a rule wins after priority
         shadowing; a trailing (None, residual) pair reports the unmatched
         remainder, which is implicitly dropped. Empty sub-spaces are
-        omitted. A repeated lookup of an equal space returns the memoised
+        omitted. A repeated lookup of an equal term returns the memoised
         split.
 
-        The split works on terms: a rule wins the meets of its match with
-        the residual's terms, and the residual becomes their ``minus``
-        pieces, compacted when it had more than one term (one term's
-        pieces never subsume each other), exactly the terms that
-        ``HeaderSpace.intersect`` and ``difference`` give.
+        A rule wins the meets of its match with the residual's terms, and
+        the residual becomes their ``minus`` pieces, compacted when it had
+        more than one term (one term's pieces never subsume each other),
+        exactly the terms that ``HeaderSpace.intersect`` and
+        ``difference`` give.
         """
-        split = self._splits.get(space)
+        split = self._splits.get(term)
         if split is not None:
             return split
-        width = space.width
+        width = term.width
         out: list[tuple[FlowRule | None, HeaderSpace]] = []
-        residual = space.terms
+        residual = [term]
         for rule in self.rules:
             if not residual:
                 break
@@ -355,7 +355,7 @@ class FlowTable:
             residual = pieces if len(residual) == 1 else _space(width, pieces).compact().terms
         if residual:
             out.append((None, _space(width, residual)))
-        split = self._splits[space] = tuple(out)
+        split = self._splits[term] = tuple(out)
         return split
 
 
@@ -384,13 +384,6 @@ class Topology:
 
     def access_point_at(self, switch: str, port: str) -> AccessPoint | None:
         return self._ap_at.get((switch, port))
-
-    def clients(self) -> list[str]:
-        seen = []
-        for ap in self.access_points:
-            if ap.client not in seen:
-                seen.append(ap.client)
-        return seen
 
     def client_aps(self, client: str) -> list[AccessPoint]:
         """The client's access points, in document order; a client with none is unknown."""

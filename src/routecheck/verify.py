@@ -7,13 +7,13 @@ header space as currently carried alongside the space as originally sent,
 so results are reported in terms of what the client transmits even when
 rules rewrite headers along the way.
 
-Propagation splits each work item's space with the snapshot's own
+Propagation splits each work item's term with the snapshot's own
 ``FlowTable`` values, trusting their rule order as lookup order. Work is
 memoised at two grains, and both memos hold immutable values (tuples,
 frozensets, frozen entries), so no caller can alter another query's
 answer:
 
-- each table memoises its splits by input space (see ``topology``), so
+- each table memoises its splits by input term (see ``topology``), so
   the work items that reach an unchanged switch again, from another
   access point or in a later snapshot version, reuse its splits;
 - results are memoised in ``Snapshot.reach``, keyed by (access point,
@@ -78,7 +78,7 @@ def _propagate(
 
     while work:
         sw, cur, orig, rwmask = work.popleft()
-        for rule, sub in snap.tables[sw].lookup(_space(width, (cur,))):
+        for rule, sub in snap.tables[sw].lookup(cur):
             if rule is None or rule.action.kind in ("drop", "ctrl"):
                 continue
             for st in sub.terms:

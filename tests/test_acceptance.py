@@ -155,7 +155,7 @@ def test_acceptance_4_geo_diversion_detection():
         if ev.tick < 10:
             replay.ingest_event(ev)
     direct_pre = geo_exposure(topo, replay.current(), "alice")
-    direct_post = geo_exposure(topo, result.final_snapshot(), "alice")
+    direct_post = geo_exposure(topo, result.controller.service.current(), "alice")
     assert direct_post - direct_pre == {"offshore"}
 
 

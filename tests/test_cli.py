@@ -260,6 +260,15 @@ def test_nan_poll_rate_exits_one(tmp_path, capsys):
     assert err == "error: poll rate must be positive, got nan\n"
 
 
+def test_poll_rate_too_small_to_draw_gaps_exits_one(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "run", "--topology", fixture_path("benign.topo"),
+        "--scenario", fixture_path("benign.scn"), "--poll-rate", "1e-17", "--out", str(tmp_path / "out"),
+    )
+    assert code == 1 and out == ""
+    assert err == "error: poll rate 1e-17 is too small: 1 - rate rounds to 1\n"
+
+
 def test_malformed_topology_exits_one(capsys):
     code, _, err = run_cli(
         capsys,

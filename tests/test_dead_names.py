@@ -4,7 +4,7 @@ Collects each module-level function, class and constant, and each
 non-dunder method, of ``src/routecheck/*.py`` (the package ``__init__``
 aside) and looks for the name as a whole word in the Python files of
 ``src/``, ``tests/`` and ``bench/``. The definition line itself does not
-count, and neither do the re-exports in ``src/routecheck/__init__.py``.
+count.
 """
 
 import ast

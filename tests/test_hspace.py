@@ -446,3 +446,91 @@ def test_prop_trusted_constructors_agree_with_the_public_ones(case):
     repeated = public + public[::2]
     assert _space(width, repeated).terms == HeaderSpace(width, repeated).terms
     assert _space(width, repeated) == HeaderSpace(width, repeated)
+
+
+# -- the set laws at product widths, on sampled headers ------------------------------
+
+
+def fixing(draw, width, positions) -> Ternary:
+    """A term that fixes the given positions to drawn values."""
+    return Ternary(width, sum(1 << i for i in positions), draw(st.integers(0, (1 << width) - 1)))
+
+
+def random_headers(width):
+    return st.lists(st.integers(0, (1 << width) - 1), min_size=20, max_size=20)
+
+
+@st.composite
+def wide_spaces(draw, width):
+    """Two spaces of 1-3 terms and 20 random headers. A term fixes from one
+    position to a quarter of them, drawn one by one so that high bits are
+    fixed as often as low ones; the spaces often meet."""
+    positions = st.sets(st.integers(0, width - 1), min_size=1, max_size=width // 4)
+
+    def space():
+        return HeaderSpace(width, [fixing(draw, width, draw(positions)) for _ in range(draw(st.integers(1, 3)))])
+
+    return space(), space(), draw(random_headers(width))
+
+
+@st.composite
+def wide_rewrites(draw, width):
+    """A term, a rewrite that writes some of the term's fixed positions and
+    some of its wildcards, and 20 random headers."""
+    own = draw(st.sets(st.integers(0, width - 1), min_size=1, max_size=width // 2))
+    written = draw(st.sets(st.sampled_from(sorted(own)))) | draw(st.sets(st.integers(0, width - 1), max_size=width // 4))
+    return fixing(draw, width, own), fixing(draw, width, written), draw(random_headers(width))
+
+
+def sampled_headers(terms, writers, randoms) -> set[int]:
+    """Both corners of every term (wildcards all 0, all 1), each corner
+    also with a writer's fixed bits written into it, each of those with
+    one bit flipped, and the random headers."""
+    width = terms[0].width
+    full = (1 << width) - 1
+    corners = {c for t in terms for c in (t.value, t.value | (full & ~t.care))}
+    bases = corners | {w.apply(c) for w in writers for c in corners}
+    flips = [0] + [1 << i for i in range(width)]
+    return set(randoms) | {b ^ flip for b in bases for flip in flips}
+
+
+@pytest.mark.parametrize("width", [16, 32])
+def test_prop_intersect_and_difference_at_product_widths(width):
+    """A header is in ``a.intersect(b)`` exactly when it is in both, and in
+    ``a.difference(b)`` exactly when it is in a and not in b; no term of
+    the difference meets b."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_spaces(width))
+    def law(case):
+        a, b, randoms = case
+        meet, rest = a.intersect(b), a.difference(b)
+        for h in sampled_headers(a.terms + b.terms + meet.terms + rest.terms, a.terms + b.terms, randoms):
+            assert meet.member(h) == (a.member(h) and b.member(h))
+            assert rest.member(h) == (a.member(h) and not b.member(h))
+        assert all(t.intersect(u) is None for t in rest.terms for u in b.terms)
+
+    law()
+
+
+@pytest.mark.parametrize("width", [16, 32])
+def test_prop_rewrite_at_product_widths(width):
+    """``t.rewrite(rw)`` holds ``rw.apply(h)`` for each sampled h in t, and
+    holds h' exactly when h' carries rw's values on rw's fixed bits and
+    agrees with t elsewhere."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_rewrites(width))
+    def law(case):
+        t, rw, randoms = case
+        image = t.rewrite(rw)
+        headers = sampled_headers((t, rw, image), (t, rw), randoms)
+        for h in headers:
+            if t.matches(h):
+                assert image.matches(rw.apply(h))
+        keep = ~rw.care
+        for h in headers | {rw.apply(h) for h in headers}:
+            expected = h & rw.care == rw.value and h & t.care & keep == t.value & keep
+            assert image.matches(h) == expected
+
+    law()

@@ -6,9 +6,8 @@ used only where it is read as an attribute (``x.name``), a classmethod
 only where it is read through its own class (``Ternary.parse``) or as
 ``cls.name`` inside that class, and a module-level function or class
 only where it is read by name, imported, or read as an attribute of its
-module (``verify.answer``). A name in a docstring or comment is no use,
-and neither are the re-exports in ``src/routecheck/__init__.py``. A
-helper that only tests or the benchmark read is product code that no
+module (``verify.answer``). A name in a docstring or comment is no use.
+A helper that only tests or the benchmark read is product code that no
 product path runs. ``TEST_ONLY`` names the few kept on purpose, each
 with its reason.
 """

@@ -495,7 +495,7 @@ def template_digest() -> tuple[str, dict[str, int]]:
         t = load_topology(text)
         wild = Ternary.wildcard(t.width)
         script = Script()
-        for client in t.clients():
+        for client in dict.fromkeys(ap.client for ap in t.access_points):
             for ap in t.access_points:
                 if ap.client != client:
                     n = len(script.joins)

@@ -211,18 +211,17 @@ def test_replayed_mod_sequence_matches_simple_replay():
 
 def test_packet_out_at_access_point_delivers():
     _, net = make_net()
-    deliveries = net.packet_out("swA", "2", Packet(0b0101, b"x"))
-    assert len(deliveries) == 1
-    assert deliveries[0].client == "alice"
+    assert net.packet_out("swA", "2", Packet(0b0101, b"x")) is None
+    assert [d.client for d in net.deliveries] == ["alice"]
 
 
 def test_packet_out_internal_enters_neighbor_pipeline():
     _, net = make_net()
-    deliveries = net.packet_out("swA", "1", Packet(0))
-    assert deliveries == []  # neighbor table empty: dropped there
+    net.packet_out("swA", "1", Packet(0))
+    assert net.deliveries == []  # neighbor table empty: dropped there
     net.apply_flow_mod("swB", "add", rule(5, "xxxx", "fwd:2"))
-    deliveries = net.packet_out("swA", "1", Packet(0))
-    assert [d.client for d in deliveries] == ["bob"]
+    net.packet_out("swA", "1", Packet(0))
+    assert [d.client for d in net.deliveries] == ["bob"]
 
 
 def test_packet_out_unknown_port():

@@ -206,10 +206,9 @@ def test_reach_memo_shared_only_while_tables_are_unchanged():
     svc.ingest_event(net.apply_flow_mod("swA", "add", r))
     memo = filled_memo()
     version = svc.current().version
-    # a confirming poll and packet-in / port-status events leave the content as it was
+    # a confirming poll and a packet-in event leave the content as it was
     svc.active_poll("swA", net)
     svc.ingest_event(SwitchEvent(svc.last_seq("swB") + 1, net.tick, "swB", "packet_in", in_port="2", packet=Packet(0)))
-    svc.ingest_event(SwitchEvent(svc.last_seq("swB") + 1, net.tick, "swB", "port_status"))
     svc.poll_all(net)
     assert not svc.poll_findings
     assert svc.current().version == version + 3
@@ -295,6 +294,17 @@ def test_poll_ticks_refuses_a_rate_that_is_not_positive(rate):
     rate is (positive), not by what it is not (zero or below)."""
     with pytest.raises(ValueError, match=f"poll rate must be positive, got {rate}"):
         poll_ticks(1, rate)
+
+
+@pytest.mark.parametrize("rate", [1e-17, 1e-300])
+def test_poll_ticks_refuses_a_rate_that_one_minus_rate_loses(rate):
+    """Below about 1e-16, 1 - rate rounds to 1 and no gap can be drawn."""
+    with pytest.raises(ValueError, match=f"poll rate {rate} is too small: 1 - rate rounds to 1"):
+        poll_ticks(1, rate)
+
+
+def test_poll_ticks_draws_gaps_at_the_smallest_rate_it_takes():
+    assert next(poll_ticks(1, 1e-16)) >= 1
 
 
 def test_poll_ticks_infinite_rate_polls_every_tick():

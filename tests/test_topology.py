@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routecheck.hspace import HeaderSpace, Ternary
+from routecheck.hspace import Ternary
 from routecheck.topology import (
     Action,
     FlowRule,
@@ -162,7 +162,7 @@ def rule(prio, match, action):
 def test_lookup_single_rule_covers_space():
     t = FlowTable()
     t = t.add(rule(5, "xx", "fwd:1"))
-    pairs = t.lookup(HeaderSpace.full(2))
+    pairs = t.lookup(Ternary.wildcard(2))
     assert len(pairs) == 1
     got_rule, space = pairs[0]
     assert got_rule.priority == 5
@@ -173,7 +173,7 @@ def test_lookup_priority_shadowing():
     t = FlowTable()
     t = t.add(rule(9, "1x", "drop"))
     t = t.add(rule(1, "xx", "fwd:1"))
-    pairs = t.lookup(HeaderSpace.full(2))
+    pairs = t.lookup(Ternary.wildcard(2))
     assert [p[0].action.kind for p in pairs] == ["drop", "fwd"]
     assert pairs[0][1].denote() == frozenset({0b10, 0b11})
     assert pairs[1][1].denote() == frozenset({0b00, 0b01})
@@ -182,7 +182,7 @@ def test_lookup_priority_shadowing():
 def test_lookup_reports_residual_as_implicit_drop():
     t = FlowTable()
     t = t.add(rule(5, "11", "fwd:1"))
-    pairs = t.lookup(HeaderSpace.full(2))
+    pairs = t.lookup(Ternary.wildcard(2))
     assert pairs[-1][0] is None
     assert pairs[-1][1].denote() == frozenset({0b00, 0b01, 0b10})
 
@@ -260,7 +260,7 @@ def test_lookup_winner_matches_enumeration():
             r = FlowRule(rng.randint(0, 5), Ternary(width, care, value), Action.parse("fwd:1"))
             t = t.add(r)
             rules.append(r)
-        pairs = t.lookup(HeaderSpace.full(width))
+        pairs = t.lookup(Ternary.wildcard(width))
         winner_by_header = {}
         for got_rule, space in pairs:
             for h in space.denote():
@@ -269,7 +269,7 @@ def test_lookup_winner_matches_enumeration():
         for h in range(1 << width):
             expect = t.match_header(h)
             assert winner_by_header[h] == expect
-        # union of all sub-spaces plus residual covers the input space
+        # union of all sub-spaces plus residual covers the input term
         assert len(winner_by_header) == 1 << width
 
 
@@ -277,17 +277,17 @@ def test_lookup_deterministic():
     t = FlowTable()
     t = t.add(rule(3, "1x", "fwd:1"))
     t = t.add(rule(3, "x1", "drop"))
-    a = t.lookup(HeaderSpace.full(2))
-    b = t.lookup(HeaderSpace.full(2))
+    a = t.lookup(Ternary.wildcard(2))
+    b = t.lookup(Ternary.wildcard(2))
     assert a == b
 
 
 def test_repeated_lookup_is_memoised_and_new_tables_start_empty():
     t = FlowTable().add(rule(3, "1x", "fwd:1")).add(rule(3, "x1", "drop"))
-    first = t.lookup(HeaderSpace.full(2))
-    again = t.lookup(HeaderSpace.full(2))  # an equal space, not the same object
+    first = t.lookup(Ternary.wildcard(2))
+    again = t.lookup(Ternary.wildcard(2))  # an equal term, not the same object
     assert again == first and again is first
-    assert t.lookup(HeaderSpace.of("0x")) != first
+    assert t.lookup(Ternary.parse("0x")) != first
     assert t._splits
     assert t.add(rule(1, "xx", "drop"))._splits == {}
     assert t.remove(rule(3, "1x", "fwd:1"))._splits == {}
@@ -296,9 +296,9 @@ def test_repeated_lookup_is_memoised_and_new_tables_start_empty():
 
 
 @st.composite
-def tables_and_spaces(draw, width):
+def tables_and_terms(draw, width):
     """A table of up to 8 rules with priority ties and overlapping matches,
-    and the space to split: the full space or a cover of up to 3 terms."""
+    and the term to split: the wildcard or a random term."""
     bits = st.integers(0, (1 << width) - 1)
 
     def term():
@@ -307,11 +307,8 @@ def tables_and_spaces(draw, width):
     t = FlowTable()
     for _ in range(draw(st.integers(0, 8))):
         t = t.add(FlowRule(draw(st.integers(0, 3)), term(), Action.parse(draw(st.sampled_from(["fwd:1", "drop"])))))
-    if draw(st.booleans()):
-        space = HeaderSpace.full(width)
-    else:
-        space = HeaderSpace(width, [term() for _ in range(draw(st.integers(1, 3)))])
-    return t, space, draw(st.lists(bits, min_size=20, max_size=20))
+    split = Ternary.wildcard(width) if draw(st.booleans()) else term()
+    return t, split, draw(st.lists(bits, min_size=20, max_size=20))
 
 
 def corner_headers(term: Ternary) -> set[int]:
@@ -325,22 +322,22 @@ def corner_headers(term: Ternary) -> set[int]:
 
 @pytest.mark.parametrize("width", [16, 32])
 def test_lookup_law_on_sampled_headers_at_product_widths(width):
-    """On every rule-match corner, every input-term corner and random
+    """On every rule-match corner, the input term's corners and random
     headers, the pieces are pairwise disjoint and each header of the input
-    space lands in the piece of ``match_header``'s winner."""
+    term lands in the piece of ``match_header``'s winner."""
 
     @settings(max_examples=60, deadline=None)
-    @given(tables_and_spaces(width))
+    @given(tables_and_terms(width))
     def law(case):
-        t, space, randoms = case
-        pieces = t.lookup(space)
+        t, split, randoms = case
+        pieces = t.lookup(split)
         headers = set(randoms)
-        for term in [r.match for r in t.rules] + list(space.terms):
+        for term in [r.match for r in t.rules] + [split]:
             headers |= corner_headers(term)
         for h in headers:
             holders = [got_rule for got_rule, sub in pieces if sub.member(h)]
             assert len(holders) <= 1  # pairwise disjoint
-            if space.member(h):
+            if split.matches(h):
                 assert holders == [t.match_header(h)]
             else:
                 assert holders == []

@@ -251,7 +251,7 @@ def test_geo_traversal_agrees_with_walk_oracle():
         topo, net = random_network(f"geo-oracle-{i}", width=6, max_switches=4, max_rules=8)
         snap = snapshot_of(net)
         walk = state_walk(topo, snap)
-        for client in topo.clients():
+        for client in sorted({ap.client for ap in topo.access_points}):
             regions = geo_exposure(topo, snap, client)
             visited = set()
             for ap in topo.client_aps(client):
@@ -310,7 +310,7 @@ def test_summary_contains_no_internal_identifiers():
     for i in range(5):
         topo, net = random_network(f"conf-{i}", width=6, max_switches=5, max_rules=8)
         snap = snapshot_of(net)
-        for client in topo.clients():
+        for client in sorted({ap.client for ap in topo.access_points}):
             text = render_summary(client, transfer_summary(topo, snap, client))
             for sw in topo.switch_ports:
                 assert sw not in text
@@ -504,7 +504,7 @@ def residual_propagate(topo, snap, start, space):
     while work:
         sw, port, cur, orig, rwmask = work.popleft()
         traversed.add(sw)
-        for rule, sub in snap.tables[sw].lookup(_space(width, (cur,))):
+        for rule, sub in snap.tables[sw].lookup(cur):
             if rule is None or rule.action.kind in ("drop", "ctrl"):
                 continue
             for st in sub.terms:
