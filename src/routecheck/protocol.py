@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from .hspace import Ternary
 from .keys import KeyRegistry, SigningKey, VerifyKey, seal
 from .sim import Delivery, Network, Packet, SwitchEvent
-from .snapshots import DEFAULT_WINDOW, GapDetected, SnapshotService, poll_ticks
+from .snapshots import DEFAULT_WINDOW, SnapshotService, poll_ticks
 from .topology import AccessPoint, Action, FlowRule, Topology
 from . import verify, wire
 
@@ -202,25 +202,18 @@ class Controller:
     def on_events(self, events: list[SwitchEvent], net: Network) -> None:
         """Fold a batch of events into the view, in order, and serve its packet-ins.
 
-        A sequence gap is recorded and its switch re-read from ``net`` at
-        once, so no later query is answered from a view known to lack a
-        change. The re-read copies the table as the whole batch left it,
+        A sequence gap is a finding, and its switch is re-read from ``net``
+        at once, so no later query is answered from a view known to lack a
+        change. The re-read reflects every event the switch had emitted,
         so the batch's later events of that switch only advance its
         sequence.
         """
-        reread: set[str] = set()
         for ev in events:
-            apply = ev.switch not in reread
-            try:
-                self.service.ingest_event(ev, apply)
-            except GapDetected as gap:
-                self.findings.append(
-                    Finding(ev.tick, "gap", f"sw={gap.switch} expected_seq={gap.expected} got_seq={gap.got}")
-                )
-                self.service.resync(ev.switch, ev.seq - 1)
-                self.service.ingest_event(ev, apply)
-                self.service.active_poll(ev.switch, net)
-                reread.add(ev.switch)
+            expected = self.service.ingest_event(ev)
+            if expected is not None:
+                detail = f"sw={ev.switch} expected_seq={expected} got_seq={ev.seq}"
+                self.findings.append(Finding(ev.tick, "gap", detail))
+                self._report_poll(ev.tick, self.service.active_poll(ev.switch, net))
             if ev.kind != "packet_in":
                 continue
             try:
@@ -233,16 +226,15 @@ class Controller:
 
     def on_tick(self, tick: int, net: Network) -> None:
         while self._next_poll <= tick:
-            self.service.poll_all(net)
+            self._report_poll(tick, self.service.poll_all(net))
             self._next_poll = next(self._polls)
-        for f in self.service.poll_findings:
-            self.findings.append(
-                Finding(tick, "transient", f"poll_disagreement sw={f.switch} status={f.status} rule[{f.rule}]")
-            )
-        self.service.poll_findings.clear()
         due = [s for s in self.sessions.values() if s.deadline <= tick]
         for session in sorted(due, key=lambda s: s.nonce):
             self._finalize(session, tick, net)
+
+    def _report_poll(self, tick: int, disagreements: list[tuple[str, str, FlowRule]]) -> None:
+        for sw, status, rule in disagreements:
+            self.findings.append(Finding(tick, "transient", f"poll_disagreement sw={sw} status={status} rule[{rule}]"))
 
     def close_sessions(self, tick: int, net: Network) -> None:
         """Report every session still open, with the replies received so far.

@@ -50,7 +50,7 @@ class RunResult:
 
 def load_run_inputs(config: RunConfig) -> tuple[Topology, Script, Ternary]:
     topo = load_topology(Path(config.topology_path).read_text())
-    magic = Ternary.parse(config.magic) if config.magic else default_magic(topo.width)
+    magic = Ternary.parse(config.magic) if config.magic is not None else default_magic(topo.width)
     if magic.width != topo.width:
         raise ValueError(f"magic pattern width {magic.width} != header width {topo.width}")
     script = parse_scenario(Path(config.scenario_path).read_text(), topo)

@@ -112,12 +112,12 @@ class Network:
         self.tick = 0
         self.events: list[SwitchEvent] = []
         self.deliveries: list[Delivery] = []
-        self._seq: dict[str, int] = {sw: 0 for sw in topo.switch_ports}
+        self.seq: dict[str, int] = {sw: 0 for sw in topo.switch_ports}
 
     def _emit(self, switch: str, *fields, **named) -> SwitchEvent:
         """Log the next event of ``switch`` with its seq and the tick;
         ``fields`` and ``named`` are the event's fields from ``kind`` on."""
-        seq = self._seq[switch] = self._seq[switch] + 1
+        seq = self.seq[switch] = self.seq[switch] + 1
         ev = SwitchEvent(seq, self.tick, switch, *fields, **named)
         self.events.append(ev)
         return ev

@@ -1,17 +1,21 @@
 """Versioned configuration snapshots for the verification controller.
 
 The controller builds its network view passively from the per-switch
-event stream and actively by polling ground truth at random ticks. Every
-view change (each flowmod event and each polled switch) is numbered as a
-new version, with the tick at which it was made; the immutable snapshot
-of a version, which holds its number, its tick and the per-switch tables,
-and no record of whether a table came from an event or a poll, is built
-only when ``current()`` is read, so versions nobody reads cost a counter
-increment. Each (switch, rule) presence change is logged when it
-happens, by a flowmod that adds the first copy of a rule or removes the
-last one, or by a poll that corrects the view; the log and the poll
-results are kept for a tick window, so a short-lived rule is detected and
-attributed however many versions came after it.
+event stream and actively by polling ground truth at random ticks. The
+service returns what it finds, an event's sequence gap or a poll's
+disagreements with the view, and the controller makes each a finding. A
+poll copies its switch as of that switch's latest event, so a flowmod
+numbered at or before it only advances the sequence. Every other flowmod
+and every polled switch is numbered as a new version, with the tick at
+which it was made; the immutable snapshot of a version, which holds its
+number, its tick and the per-switch tables, and no record of whether a
+table came from an event or a poll, is built only when ``current()`` is
+read, so versions nobody reads cost a counter increment. Each (switch,
+rule) presence change is logged when it happens, by a flowmod that adds
+the first copy of a rule or removes the last one, or by a poll that
+corrects the view; the log and the poll results are kept for a tick
+window, so a short-lived rule is detected and attributed however many
+versions came after it.
 
 The view holds one immutable ``FlowTable`` per switch, and a change
 rebinds it to a new table; a snapshot holds those table values
@@ -47,16 +51,6 @@ from .sim import Network, SwitchEvent
 from .topology import FlowRule, FlowTable, Topology, check_keys, key_values, number, numbered_lines, parse_flowmod
 
 DEFAULT_WINDOW = 1024
-
-
-class GapDetected(Exception):
-    """A switch event arrived out of sequence: an update was missed."""
-
-    def __init__(self, switch: str, expected: int, got: int):
-        super().__init__(f"event gap at {switch}: expected seq {expected}, got {got}")
-        self.switch = switch
-        self.expected = expected
-        self.got = got
 
 
 @dataclass(frozen=True)
@@ -130,6 +124,8 @@ class SnapshotService:
         self.window = window
         self._tables: dict[str, FlowTable] = {sw: FlowTable() for sw in topo.switch_ports}
         self._last_seq: dict[str, int] = {sw: 0 for sw in topo.switch_ports}
+        # per switch, the seq of the latest event its last poll reflects
+        self._polled_seq: dict[str, int] = {sw: 0 for sw in topo.switch_ports}
         self._version = 0
         self._tick = 0
         self._version_tick = 0  # tick of the latest version
@@ -137,15 +133,13 @@ class SnapshotService:
         # (tick, switch, rule, tick of the version before the change)
         self.changes: deque[tuple[int, str, FlowRule, int]] = deque()
         self.polls: deque[PollRecord] = deque()
-        self.poll_findings: list[TransientFinding] = []
         self._new_version()
 
     # -- internals -----------------------------------------------------
 
-    def _new_version(self) -> int:
+    def _new_version(self) -> None:
         self._version += 1
         self._version_tick = self._tick
-        return self._version
 
     def _record(self, switch: str, rule: FlowRule) -> None:
         """Log a presence change that the next version makes."""
@@ -156,24 +150,21 @@ class SnapshotService:
 
     # -- operations ------------------------------------------------------
 
-    def ingest_event(self, event: SwitchEvent, apply: bool = True) -> int:
-        """Fold one switch event into the view; returns the latest version.
+    def ingest_event(self, event: SwitchEvent) -> int | None:
+        """Fold one switch event into the view; the expected sequence
+        number if the event skipped some (a gap), else None.
 
-        A sequence gap raises GapDetected: a missed update is itself a
-        security signal and is never silently repaired here. Callers that
-        choose to continue must resync() explicitly. With ``apply`` false
-        the event only advances the sequence: for a change that a poll of
-        its switch already copied.
+        A missed update is itself a security signal: the caller reports it
+        and re-reads the switch. A flowmod that the switch's latest poll
+        already reflects only advances the sequence.
         """
         sw = event.switch
         if sw not in self._tables:
             raise ValueError(f"event from unknown switch {sw}")
         expected = self._last_seq[sw] + 1
-        if event.seq != expected:
-            raise GapDetected(sw, expected, event.seq)
         self._last_seq[sw] = event.seq
         self._tick = max(self._tick, event.tick)
-        if event.kind == "flowmod" and apply:
+        if event.kind == "flowmod" and event.seq > self._polled_seq[sw]:
             rule, old = event.rule, self._tables[sw]
             if event.op == "add":
                 self._tables[sw] = old.add(rule)
@@ -183,30 +174,26 @@ class SnapshotService:
                 self._tables[sw] = new
                 if not new.count(rule):
                     self._record(sw, rule)
-            return self._new_version()
-        # a packet_in, or a flowmod left unapplied, advances the sequence but not the view
-        return self._version
+            self._new_version()
+        return expected if event.seq != expected else None
 
-    def resync(self, switch: str, seq: int) -> None:
-        """Accept a post-gap sequence position (after the gap was recorded)."""
-        self._last_seq[switch] = seq
+    def active_poll(self, switch: str, net: Network) -> list[tuple[str, str, FlowRule]]:
+        """Copy ground truth for one switch at the current tick, up to its
+        latest event; the (switch, status, rule) of each disagreement.
 
-    def active_poll(self, switch: str, net: Network) -> int:
-        """Copy ground truth for one switch at the current tick.
-
-        Any disagreement with the passive view becomes a TransientFinding
-        (appeared: present on the switch but not in the view; vanished:
-        the reverse; reordered: in both, at another place among the rules
-        both hold or in another number of copies) appended to
-        ``poll_findings``, and the view is corrected to the polled truth.
+        A rule present on the switch but not in the view has appeared, the
+        reverse has vanished, and one in both at another place among the
+        rules both hold, or in another number of copies, is reordered. The
+        view is corrected to the polled truth.
         """
         if switch not in self._tables:
             raise ValueError(f"unknown switch {switch}")
         polled = net.tables[switch]
         truth = polled.rules
-        tick = net.tick
-        self._tick = max(self._tick, tick)
+        self._polled_seq[switch] = net.seq[switch]
+        self._tick = max(self._tick, net.tick)
         passive = self._tables[switch].rules
+        found = []
         if truth != passive:
             truth_set, passive_set = set(truth), set(passive)
             appeared = [rule for rule in truth if rule not in passive_set]
@@ -214,22 +201,19 @@ class SnapshotService:
             kept_truth = [r for r in truth if r in passive_set]
             kept_view = [r for r in passive if r in truth_set]
             reordered = dict.fromkeys(a or b for a, b in itertools.zip_longest(kept_truth, kept_view) if a != b)
-            self.poll_findings += [TransientFinding(switch, r, tick, tick, 1, "appeared") for r in appeared]
-            self.poll_findings += [TransientFinding(switch, r, tick, tick, 0, "vanished") for r in vanished]
-            self.poll_findings += [TransientFinding(switch, r, tick, tick, 1, "reordered") for r in reordered]
+            for status, rules in (("appeared", appeared), ("vanished", vanished), ("reordered", reordered)):
+                found += [(switch, status, rule) for rule in rules]
             for rule in dict.fromkeys(appeared + vanished):
                 self._record(switch, rule)
             self._tables[switch] = polled
-        self.polls.append(PollRecord(tick, switch, truth))
+        self.polls.append(PollRecord(net.tick, switch, truth))
         while self.polls and self.polls[0].tick < self._tick - self.window:
             self.polls.popleft()
-        return self._new_version()
+        self._new_version()
+        return found
 
-    def poll_all(self, net: Network) -> int:
-        version = self._version
-        for sw in self.topo.switch_ports:
-            version = self.active_poll(sw, net)
-        return version
+    def poll_all(self, net: Network) -> list[tuple[str, str, FlowRule]]:
+        return [found for sw in self.topo.switch_ports for found in self.active_poll(sw, net)]
 
     def current(self) -> Snapshot:
         """The snapshot of the latest version, built on this first read of it.

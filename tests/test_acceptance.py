@@ -16,7 +16,7 @@ from routecheck.protocol import verify_report
 from routecheck.scenario import TransientSpec, transient_pattern
 from routecheck.service import RunConfig, run_session
 from routecheck.sim import Network
-from routecheck.snapshots import GapDetected, SnapshotService, schedule_polls
+from routecheck.snapshots import SnapshotService, schedule_polls
 from routecheck.topology import Action, FlowRule, load_topology
 from routecheck.verify import geo_exposure
 
@@ -359,11 +359,7 @@ def test_acceptance_8_snapshot_fidelity_and_gap_detection():
         for i in droppable[:10]:
             gap_cases += 1
             svc2 = SnapshotService(result.topo, window=1 << 20)
-            try:
-                for j, ev in enumerate(events):
-                    if j != i:
-                        svc2.ingest_event(ev)
-            except GapDetected:
+            if any(svc2.ingest_event(ev) is not None for j, ev in enumerate(events) if j != i):
                 gap_detected += 1
     ok = replay_ok == len(fixtures) and gap_cases > 0 and gap_detected == gap_cases
     verdict(8, ok, "event-log replay reproduces simulator tables exactly; injected gaps always detected",

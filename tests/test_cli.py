@@ -269,6 +269,16 @@ def test_poll_rate_too_small_to_draw_gaps_exits_one(tmp_path, capsys):
     assert err == "error: poll rate 1e-17 is too small: 1 - rate rounds to 1\n"
 
 
+def test_empty_magic_pattern_exits_one(tmp_path, capsys):
+    """An empty pattern is refused, not replaced by the default one."""
+    code, out, err = run_cli(
+        capsys, "run", "--topology", fixture_path("benign.topo"),
+        "--scenario", fixture_path("benign.scn"), "--magic", "", "--out", str(tmp_path / "out"),
+    )
+    assert code == 1 and out == ""
+    assert err == "error: header width must be positive, got 0\n"
+
+
 def test_malformed_topology_exits_one(capsys):
     code, _, err = run_cli(
         capsys,

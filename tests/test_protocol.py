@@ -4,6 +4,8 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routecheck.hspace import Ternary
 from routecheck.keys import KeyRegistry, SealKeyPair, SigningKey, seal
@@ -174,7 +176,7 @@ def test_controller_polls_at_schedule_polls_ticks(seed, rate):
     topo, registry, _, magic, net, _, _ = setup()
     controller = Controller(topo, registry, magic, seed=seed, poll_rate=rate)
     polled = []
-    controller.service.poll_all = lambda net: polled.append(net.tick)
+    controller.service.poll_all = lambda net: polled.append(net.tick) or []
     horizon = 600
     for tick in range(1, horizon + 1):
         net.tick = tick
@@ -192,11 +194,72 @@ def test_a_flowmod_after_a_gap_in_one_batch_is_not_applied_twice():
     for prio in (7, 8, 9):  # the first event is withheld, the second reveals the gap
         net.apply_flow_mod("swD", "add", FlowRule(prio, Ternary.parse("1xxxxxxx"), Action("drop")))
     controller.on_events(net.events[start + 1 :], net)
-    assert [f.kind for f in controller.findings] == ["gap"]
+    gap, *polled = controller.findings
+    assert gap.detail == f"sw=swD expected_seq={net.events[start].seq} got_seq={net.events[start + 1].seq}"
+    assert [f.detail.split(" rule[")[0] for f in polled] == ["poll_disagreement sw=swD status=appeared"] * 2
     assert controller.service.current().tables["swD"] == net.tables["swD"]
-    controller.service.poll_findings.clear()
-    controller.service.active_poll("swD", net)
-    assert controller.service.poll_findings == []
+    assert controller.service.active_poll("swD", net) == []
+
+
+BATCH_RULES = [
+    FlowRule(prio, Ternary.parse(match), Action.parse(action))
+    for prio, match, action in (
+        (1, "0xxxxxxx", "drop"), (2, "00xxxxxx", "fwd:1"), (2, "01xxxxxx", "drop"), (3, "0xxxxxxx", "fwd:1")
+    )
+]
+
+
+@st.composite
+def event_batches(draw):
+    """Up to 6 batches of up to 8 flowmods on swB, swC and swD, each
+    flowmod withheld from the controller in about one case of four, and
+    whether a scheduled poll follows the batch."""
+    flowmod = st.tuples(
+        st.sampled_from(["swB", "swC", "swD"]),
+        st.sampled_from(["add", "add", "remove"]),
+        st.sampled_from(BATCH_RULES),
+        st.integers(0, 3).map(lambda roll: roll == 0),
+    )
+    return draw(st.lists(st.tuples(st.lists(flowmod, max_size=8), st.booleans()), min_size=1, max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(event_batches())
+def test_random_batches_report_each_gap_once_and_reread_its_switch(batches):
+    """Each gap is one finding naming the expected and the received seq;
+    its switch's view then equals the switch, and so does every switch
+    whose latest event arrived, or that a scheduled poll re-read; a second
+    poll of such a switch finds nothing to correct."""
+    topo, registry, _, magic, net, _, _ = setup()
+    controller = Controller(topo, registry, magic, seed=5, poll_rate=1.0)  # polls at every tick on_tick is given
+    controller.on_events(list(net.events), net)
+    delivered = {sw: controller.service.last_seq(sw) for sw in topo.switch_ports}  # the latest seq it saw
+    emitted = dict(delivered)
+    for tick, (flowmods, poll) in enumerate(batches, 1):
+        net.tick = tick
+        events = [(net.apply_flow_mod(sw, op, rule), withheld) for sw, op, rule, withheld in flowmods]
+        emitted.update((ev.switch, ev.seq) for ev, _ in events)
+        passed = [ev for ev, withheld in events if not withheld]
+        expected = []
+        for ev in passed:
+            if ev.seq != delivered[ev.switch] + 1:
+                expected.append(f"sw={ev.switch} expected_seq={delivered[ev.switch] + 1} got_seq={ev.seq}")
+            delivered[ev.switch] = ev.seq
+        before = len(controller.findings)
+        controller.on_events(passed, net)
+        new = controller.findings[before:]
+        assert [f.detail for f in new if f.kind == "gap"] == expected
+        assert all(f.tick == tick for f in new)
+        in_step = {sw for sw in topo.switch_ports if delivered[sw] == emitted[sw]}
+        in_step |= {detail.split()[0][len("sw=") :] for detail in expected}
+        if poll:
+            controller.on_tick(tick, net)
+            in_step = set(topo.switch_ports)
+        view = controller.service.current().tables
+        for sw in in_step:
+            assert view[sw] == net.tables[sw], sw
+            controller.service.active_poll(sw, net)
+            assert controller.service.current().tables[sw] is view[sw]  # a poll that disagrees adopts net's table
 
 
 def test_encoded_query_travels_in_band_to_exactly_one_packet_in():

@@ -14,7 +14,6 @@ from routecheck.oracle import random_network
 from routecheck.scenario import Script, TransientSpec, run_scenario
 from routecheck.sim import Network, Packet, SwitchEvent
 from routecheck.snapshots import (
-    GapDetected,
     SnapshotService,
     TransientFinding,
     export_snapshot,
@@ -49,9 +48,9 @@ def test_ingest_add_builds_table():
     topo, net, svc = fresh()
     r = rule(5, "1xxx", "fwd:1")
     ev = net.apply_flow_mod("swA", "add", r)
-    v = svc.ingest_event(ev)
+    assert svc.ingest_event(ev) is None
     snap = svc.current()
-    assert snap.version == v
+    assert snap.version == 2
     assert snap.tables["swA"].rules == (r,)
 
 
@@ -79,17 +78,35 @@ def test_ingest_finds_a_rules_presence_without_scanning_the_table(monkeypatch):
     assert [(sw, r) for _, sw, r, _ in svc.changes] == [("swA", r) for _, r in ops]
 
 
-def test_ingest_seq_gap_raises():
+def test_ingest_seq_gap_returns_the_expected_seq_and_folds_the_event_in():
     topo, net, svc = fresh()
     net.apply_flow_mod("swA", "add", rule(1, "xxxx", "drop"))
     net.apply_flow_mod("swA", "add", rule(2, "xxxx", "drop"))
     net.apply_flow_mod("swA", "add", rule(3, "xxxx", "drop"))
-    svc.ingest_event(net.events[0])
-    with pytest.raises(GapDetected) as exc:
-        svc.ingest_event(net.events[2])  # seq jumps 1 -> 3
-    assert exc.value.expected == 2 and exc.value.got == 3
-    svc.resync("swA", net.events[2].seq - 1)
-    svc.ingest_event(net.events[2])  # explicit resync allows continuing
+    assert svc.ingest_event(net.events[0]) is None
+    assert svc.ingest_event(net.events[2]) == 2  # seq jumps 1 -> 3
+    assert svc.last_seq("swA") == 3
+    assert [r.priority for r in svc.current().tables["swA"].rules] == [3, 1]
+    assert svc.ingest_event(SwitchEvent(4, 0, "swA", "packet_in", in_port="2", packet=Packet(0))) is None
+
+
+def test_events_a_poll_already_reflects_only_advance_the_sequence():
+    """Three flowmods reach the switch, a poll copies its table, then the
+    three events arrive: the table, the version and the change log stay."""
+    topo, net, svc = fresh()
+    for prio in (1, 2, 3):
+        net.apply_flow_mod("swA", "add", rule(prio, "xxxx", "drop"))
+    svc.active_poll("swA", net)
+    before = svc.current()
+    changes = list(svc.changes)
+    for ev in net.events:
+        assert svc.ingest_event(ev) is None
+    after = svc.current()
+    assert after is before and after.tables["swA"] == net.tables["swA"]
+    assert list(svc.changes) == changes
+    assert svc.last_seq("swA") == 3
+    svc.ingest_event(net.apply_flow_mod("swA", "remove", rule(2, "xxxx", "drop")))
+    assert svc.current().tables["swA"] == net.tables["swA"]
 
 
 def test_replay_of_event_log_matches_simulator_tables():
@@ -116,8 +133,10 @@ def test_version_monotone_under_interleaving():
     versions = []
     for i in range(5):
         ev = net.apply_flow_mod("swA", "add", rule(i, "xxxx", "drop"))
-        versions.append(svc.ingest_event(ev))
-        versions.append(svc.poll_all(net))
+        svc.ingest_event(ev)
+        versions.append(svc.current().version)
+        svc.poll_all(net)
+        versions.append(svc.current().version)
     assert versions == sorted(versions)
     assert len(set(versions)) == len(versions)
 
@@ -141,10 +160,10 @@ def test_versions_are_numbered_per_change_and_built_only_when_read(monkeypatch):
         svc.poll_all(net)
     svc.ingest_event(SwitchEvent(svc.last_seq("swB") + 1, net.tick, "swB", "packet_in", in_port="2", packet=Packet(0)))
     net.apply_flow_mod("swB", "add", r)  # suppressed: the correcting poll below makes a version
-    version = svc.active_poll("swB", net)
+    assert svc.active_poll("swB", net) == [("swB", "appeared", r)]
     assert [f.status for f in svc.detect_transients()] == ["flapping"]
-    assert version == 1 + 3 * (2 + 2) + 1
     assert built == []
+    version = 1 + 3 * (2 + 2) + 1
     snap = svc.current()
     assert (snap.version, snap.tick, snap.tables["swB"].rules) == (version, 2, (r,))
     assert svc.current() is snap and built == [version]
@@ -163,22 +182,18 @@ def test_snapshots_built_at_random_reads_equal_those_built_at_every_step():
             sw = rng.choice(["swA", "swB"])
             roll = rng.random()
             if roll < 0.1:
-                versions = {every.poll_all(net), sometimes.poll_all(net)}
+                results = [svc.poll_all(net) for svc in (every, sometimes)]
             elif roll < 0.25:
-                versions = {every.active_poll(sw, net), sometimes.active_poll(sw, net)}
+                results = [svc.active_poll(sw, net) for svc in (every, sometimes)]
             elif roll < 0.3:
                 ev = SwitchEvent(every.last_seq(sw) + 1, net.tick, sw, "packet_in", in_port="2", packet=Packet(0))
-                versions = {every.ingest_event(ev), sometimes.ingest_event(ev)}
+                results = [every.ingest_event(ev), sometimes.ingest_event(ev)]
             else:
                 ev = net.apply_flow_mod(sw, rng.choice(("add", "remove")), rng.choice(pool))
                 if rng.random() < 0.1:
                     continue  # suppressed: neither service sees it
-                versions = set()
-                for svc in (every, sometimes):
-                    if svc.last_seq(sw) + 1 != ev.seq:
-                        svc.resync(sw, ev.seq - 1)
-                    versions.add(svc.ingest_event(ev))
-            assert len(versions) == 1
+                results = [every.ingest_event(ev), sometimes.ingest_event(ev)]
+            assert results[0] == results[1]
             a = every.current()
             if rng.random() < 0.2:
                 b = sometimes.current()
@@ -207,10 +222,9 @@ def test_reach_memo_shared_only_while_tables_are_unchanged():
     memo = filled_memo()
     version = svc.current().version
     # a confirming poll and a packet-in event leave the content as it was
-    svc.active_poll("swA", net)
+    assert svc.active_poll("swA", net) == []
     svc.ingest_event(SwitchEvent(svc.last_seq("swB") + 1, net.tick, "swB", "packet_in", in_port="2", packet=Packet(0)))
-    svc.poll_all(net)
-    assert not svc.poll_findings
+    assert svc.poll_all(net) == []
     assert svc.current().version == version + 3
     assert svc.current().reach is memo
     # a flowmod add, a flowmod remove and a correcting poll each start a fresh memo
@@ -221,8 +235,7 @@ def test_reach_memo_shared_only_while_tables_are_unchanged():
     assert svc.current().reach is not memo and not svc.current().reach
     memo = filled_memo()
     net.apply_flow_mod("swB", "add", rule(4, "xxxx", "fwd:1"))  # suppressed: never ingested
-    svc.active_poll("swB", net)
-    assert [f.status for f in svc.poll_findings] == ["appeared"]
+    assert [status for _, status, _ in svc.active_poll("swB", net)] == ["appeared"]
     assert svc.current().reach is not memo and not svc.current().reach
 
 
@@ -315,8 +328,7 @@ def test_poll_agreeing_with_passive_view_has_no_finding():
     topo, net, svc = fresh()
     ev = net.apply_flow_mod("swA", "add", rule(5, "xxxx", "drop"))
     svc.ingest_event(ev)
-    svc.active_poll("swA", net)
-    assert svc.poll_findings == []
+    assert svc.active_poll("swA", net) == []
 
 
 def test_poll_equals_simulator_truth():
@@ -335,8 +347,7 @@ def test_poll_discrepancy_raises_findings_and_corrects_view():
     svc.ingest_event(ev1)
     # the adversary applies a change whose event never reaches the service
     net.apply_flow_mod("swA", "add", rule(7, "1xxx", "fwd:1"))
-    svc.active_poll("swA", net)
-    statuses = {(f.status, f.rule.priority) for f in svc.poll_findings}
+    statuses = {(status, r.priority) for _, status, r in svc.active_poll("swA", net)}
     assert ("appeared", 7) in statuses
     assert svc.current().tables["swA"].rules == net.tables["swA"].rules
 
@@ -352,13 +363,10 @@ def test_poll_that_only_reorders_a_table_reports_the_moved_rules():
         svc.ingest_event(net.apply_flow_mod("swA", "add", r))
     net.apply_flow_mod("swA", "remove", first)
     net.apply_flow_mod("swA", "add", first)
-    svc.active_poll("swA", net)
-    assert [(f.status, f.rule) for f in svc.poll_findings] == [("reordered", second), ("reordered", first)]
+    assert svc.active_poll("swA", net) == [("swA", "reordered", second), ("swA", "reordered", first)]
     assert svc.current().tables["swA"].rules == (second, first)
-    svc.poll_findings.clear()
     net.apply_flow_mod("swA", "add", first)
-    svc.active_poll("swA", net)
-    assert [(f.status, f.rule) for f in svc.poll_findings] == [("reordered", first)]
+    assert svc.active_poll("swA", net) == [("swA", "reordered", first)]
     assert svc.current().tables["swA"].rules == (second, first, first)
 
 
@@ -577,11 +585,7 @@ def test_change_log_detection_equals_scan_over_every_snapshot():
                 ev = net.apply_flow_mod(sw, rng.choice(("add", "remove")), rng.choice(pool))
                 if rng.random() < 0.1:
                     continue  # suppressed: the service never sees it
-                try:
-                    svc.ingest_event(ev)
-                except GapDetected:
-                    svc.resync(sw, ev.seq - 1)
-                    svc.ingest_event(ev)
+                svc.ingest_event(ev)
             now = net.tick
             if svc.current() is not snaps[-1]:
                 snaps.append(svc.current())
