@@ -132,6 +132,8 @@ def parse_scenario(text: str, topo: Topology) -> Script:
                 if len(toks) != 2:
                     raise ScenarioError("horizon takes one argument")
                 script.horizon_hint = number(int, toks[1], "horizon")
+                if script.horizon_hint < 0:
+                    raise ScenarioError("horizon must be non-negative")
                 continue
             if not toks[0].startswith("@"):
                 raise ScenarioError("directives start with @<tick>")

@@ -10,6 +10,7 @@ runs with the same config and seed produce byte-identical output.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,6 +90,9 @@ def run_session(config: RunConfig) -> RunResult:
     return result
 
 
+_FILE_SAFE = re.compile(r"[^A-Za-z0-9._-]")  # a client id's characters that a report file name maps to _
+
+
 def _write_artifacts(result: RunResult, initial_dump: str, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     width = result.topo.width
@@ -106,7 +110,7 @@ def _write_artifacts(result: RunResult, initial_dump: str, out: Path) -> None:
     reports = out / "reports"
     reports.mkdir(exist_ok=True)
     for i, (tick, client, kind, frame, body) in enumerate(result.controller.reports_sent):
-        base = f"{i:03d}_{client.replace(':', '_')}_{kind}"
+        base = f"{i:03d}_{_FILE_SAFE.sub('_', client)}_{kind}"
         report = wire.parse_frame(frame).report
         text_lines = [body, f"auth_requested={report.requested}", f"auth_received={report.received}"]
         verified = report.param("verified")

@@ -17,8 +17,9 @@ state-to-access-point edge and the controller one packet-in per
 to-controller state, however many paths lead there. A branch that comes
 back to a state on its own path is a forwarding loop and is cut with a
 "loop" trace; a branch that reaches a state another branch already walked
-merges into it silently. The hop limit cuts states whose shortest path
-from the injection point is longer than the limit.
+merges into it silently. So a header reaches exactly the access points
+that ``verify.reachable_endpoints`` and ``oracle.state_walk`` say it
+reaches.
 
 The walk is one loop over an explicit stack, so its cost per state is a
 handful of dict and set operations plus one scan of the switch's rules
@@ -33,8 +34,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .topology import AccessPoint, FlowRule, FlowTable, Topology
-
-HOP_LIMIT_FACTOR = 4
 
 State = tuple[str, int]  # (switch, header): all a lookup depends on
 
@@ -105,10 +104,9 @@ class TracePath:
 class Network:
     """Live network state: topology, flow tables, event and delivery logs."""
 
-    def __init__(self, topo: Topology, hop_limit: int | None = None):
+    def __init__(self, topo: Topology):
         self.topo = topo
         self.tables: dict[str, FlowTable] = {sw: FlowTable() for sw in topo.switch_ports}
-        self.hop_limit = hop_limit if hop_limit is not None else HOP_LIMIT_FACTOR * len(topo.switch_ports)
         self.tick = 0
         self.events: list[SwitchEvent] = []
         self.deliveries: list[Delivery] = []
@@ -184,21 +182,13 @@ class Network:
         - egress: one copy per state-to-access-point edge, not per path;
         - drop or controller: once per state that ends there, carrying the
           ingress port of the first branch to arrive;
-        - loop: a branch re-enters a state on its own path (a true
-          forwarding loop), or enters a state farther than ``hop_limit``
-          hops from the injection point.
+        - loop: a branch re-enters a state on its own path (a forwarding
+          loop).
 
         A branch that reaches a state another branch already expanded
-        merges silently. The hop limit is measured on shortest paths: a
-        state reached by a path longer than the limit is judged by its
-        breadth-first depth instead, computed once per walk on the first
-        such arrival. Breadth-first depth never exceeds path depth, so
-        exactly the states within the limit are expanded, however long the
-        depth-first path that reaches them.
+        merges silently.
         """
-        limit = self.hop_limit
         tables, ap_at, peer_of = self.tables, self.topo._ap_at, self.topo._peer
-        min_depth: dict[State, int] | None = None
         paths: list[TracePath] = []
         hops: list[TraceHop] = []  # forwarding hops from the injection point to the top state
         on_path: set[State] = set()
@@ -213,10 +203,6 @@ class Network:
                 if state in expanded:
                     if state in on_path:
                         paths.append(TracePath(hops + [TraceHop(sw, port, None, "loop")], "loop", header=h))
-                elif len(hops) >= limit and state not in (
-                    min_depth := min_depth or self._min_depths(header, switch)
-                ):
-                    paths.append(TracePath(hops + [TraceHop(sw, port, None, "loop")], "loop", header=h))
                 else:
                     expanded.add(state)
                     rule = tables[sw].match_header(h)
@@ -249,22 +235,3 @@ class Network:
             peer = peer_of[sw, out_port]  # every port is an access point or linked
             hops.append(hop)
             arrival = (peer[0], peer[1], h2)
-
-    def _min_depths(self, header: int, switch: str) -> dict[State, int]:
-        """Breadth-first hop count of every state within the hop limit."""
-        depth = {(switch, header): 1}
-        frontier = [(switch, header)]
-        for d in range(2, self.hop_limit + 1):
-            following = []
-            for state in frontier:
-                rule = self.tables[state[0]].match_header(state[1])
-                if rule is None or rule.action.kind not in ("fwd", "rewrite"):
-                    continue
-                h2 = rule.action.rewrite.apply(state[1]) if rule.action.kind == "rewrite" else state[1]
-                for out_port in rule.action.ports:
-                    peer = self.topo.peer(state[0], out_port)  # None at an access point
-                    if peer is not None and (peer[0], h2) not in depth:
-                        depth[(peer[0], h2)] = d
-                        following.append((peer[0], h2))
-            frontier = following
-        return depth

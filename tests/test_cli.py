@@ -57,6 +57,25 @@ def test_benign_run_exits_clean(tmp_path, capsys):
     assert "foreign=-" in iso
 
 
+def test_client_id_with_a_slash_names_its_report_files_safely(tmp_path, capsys):
+    """A client id is free text; its report files map every character
+    outside [A-Za-z0-9._-] to _, so a / cannot name a missing directory."""
+    topo = tmp_path / "slash.topo"
+    topo.write_text(Path(fixture_path("benign.topo")).read_text().replace("client alice", "client al/ice"))
+    scn = tmp_path / "slash.scn"
+    scn.write_text(Path(fixture_path("benign.scn")).read_text().replace("client=alice", "client=al/ice"))
+    art = tmp_path / "art"
+    code, out, err = run_cli(capsys, "run", "--topology", str(topo), "--scenario", str(scn), "--out", str(art))
+    assert code == 0, err
+    assert sorted(p.name for p in (art / "reports").iterdir()) == [
+        f"{i:03d}_al_ice_{kind}.{ext}"
+        for i, kind in enumerate(("summary", "geo", "sources", "isolation"))
+        for ext in ("bin", "txt")
+    ]
+    assert (art / "summary.txt").read_text() == "findings=0\nreports=4\nexit=0\n"
+    assert [line.split()[1] for line in (art / "client_reports.log").read_text().splitlines()] == ["client=al/ice"] * 4
+
+
 def test_joinattack_run_flags_hidden_endpoint(tmp_path, capsys):
     code, out, err = run_cli(
         capsys,

@@ -105,6 +105,7 @@ def test_scenario_check_rejects_join_lines_that_run_would_reject(tmp_path, capsy
         ("@0 attack transient flowmod add swA prio=1 match=xxxxxxxx action=drop f=0.5 period=ten", "period= must be"),
         ("@0 attack suppress sw=swA count=many", "count= must be a number"),
         ("horizon soon", "horizon must be a number"),
+        ("horizon -5", "horizon must be non-negative"),
         ("horizon 1 2", "horizon takes one argument"),
         ("5 inject swA:2 header=00000000", "directives start with @<tick>"),
         ("@x inject swA:2 header=00000000", "bad tick '@x'"),

@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from routecheck.hspace import Ternary
+from routecheck.hspace import HeaderSpace, Ternary
 from routecheck.oracle import random_network, random_rules, state_walk
 from routecheck.scenario import Directive
 from routecheck.sim import Delivery, Network, Packet, SwitchEvent, TraceHop
 from routecheck.snapshots import snapshot_of
 from routecheck.topology import Action, FlowRule, load_topology
+from routecheck.verify import reachable_endpoints
 
 LINE = """
 headerwidth 4
@@ -233,18 +234,18 @@ def test_packet_out_unknown_port():
 # -- cross-module oracle -----------------------------------------------------------
 
 
-def per_path_walk(topo, snap, switch, header, hop_limit):
+def per_path_walk(topo, snap, switch, header):
     """Reference walk: every simple path of (switch, header) states.
 
-    Enumerates each path within the hop limit, as the simulator once did,
-    and returns the egress (alias, header) pair of every state-to-access-
-    point edge those paths reach, sorted, plus the set of controller states.
+    Enumerates each path, as the simulator once did, and returns the
+    egress (alias, header) pair of every state-to-access-point edge those
+    paths reach, sorted, plus the set of controller states.
     Exponential in the worst case, so for small networks only.
     """
     edges, ctrl = set(), set()
 
     def step(sw, h, visited):
-        if (sw, h) in visited or len(visited) >= hop_limit:
+        if (sw, h) in visited:
             return
         rule = next((r for r in snap.tables[sw].rules if r.match.matches(h)), None)
         if rule is None or rule.action.kind == "drop":
@@ -266,14 +267,14 @@ def per_path_walk(topo, snap, switch, header, hop_limit):
 
 def assert_walk_matches_reference(topo, net, ap, h):
     """One copy per state-to-AP edge and one packet-in per controller state."""
-    want_egress, want_ctrl = per_path_walk(topo, snapshot_of(net), ap.switch, h, net.hop_limit)
+    want_egress, want_ctrl = per_path_walk(topo, snapshot_of(net), ap.switch, h)
     paths = net.forward(Packet(h), (ap.switch, ap.port))
     got = sorted((p.egress.alias, p.header) for p in paths if p.outcome == "egress")
-    assert got == want_egress, f"ap={ap.alias} header={h:b} hop_limit={net.hop_limit}"
+    assert got == want_egress, f"ap={ap.alias} header={h:b}"
     n_events = len(net.events)
     net.inject(Packet(h), (ap.switch, ap.port))
     pkt_ins = [(e.switch, e.packet.header) for e in net.events[n_events:]]
-    assert sorted(pkt_ins) == sorted(want_ctrl), f"ap={ap.alias} header={h:b} hop_limit={net.hop_limit}"
+    assert sorted(pkt_ins) == sorted(want_ctrl), f"ap={ap.alias} header={h:b}"
 
 
 # A diamond (both links of the ring lead to the same swB state) and a
@@ -318,6 +319,55 @@ def test_forward_egress_agrees_with_state_walk_oracle():
                 assert_walk_matches_reference(topo, net, ap, h)
 
 
+def test_long_rewrite_chain_reaches_what_engine_and_oracle_say():
+    """Header 0 from alice bounces between swA and swB five times, each
+    swA rule setting the lowest clear bit, before swB sends it to bob: a
+    path of ten switches on a two-switch network. On every header the
+    simulator's egress set is the walk oracle's and the engine's."""
+    topo, net = make_net(LINE.replace("headerwidth 4", "headerwidth 8"))
+    for i in range(5):
+        match = "x" * (7 - i) + "0" + "1" * i  # bit i clear, the bits below it set
+        written = "0" * (7 - i) + "1" + "0" * i
+        net.apply_flow_mod("swA", "add", rule(5, match, f"rewrite:{written}/{written}:1"))
+    net.apply_flow_mod("swB", "add", rule(9, "xxx11111", "fwd:2"))
+    net.apply_flow_mod("swB", "add", rule(1, "xxxxxxxx", "fwd:1"))
+    snap = snapshot_of(net)
+    walk = state_walk(topo, snap)
+    full = HeaderSpace.full(topo.width)
+    for ap in topo.access_points:
+        entries = reachable_endpoints(topo, snap, ap, full).entries
+        for h in range(1 << topo.width):
+            got = {p.egress.alias for p in net.forward(Packet(h), (ap.switch, ap.port)) if p.outcome == "egress"}
+            engine = {e.egress.alias for e in entries if e.sent.member(h)}
+            assert got == walk(ap, h)[0] == engine, f"ap={ap.alias} header={h:08b}"
+    paths = net.inject(Packet(0), ("swA", "2"))
+    assert [(p.outcome, len(p.hops)) for p in paths] == [("egress", 10)]
+    assert net.deliveries == [Delivery(0, "bob", "swB", "2", Packet(0b11111))]
+
+
+def test_forward_egress_agrees_with_state_walk_oracle_at_width_16():
+    """forward() and the walk oracle agree at the product's header width,
+    on networks of up to 30 switches and 40 rules each: from every access
+    point, on both corners of every rule match and 50 random headers."""
+    full_mask = (1 << 16) - 1
+    checks = 0
+    for i in range(12):
+        topo, net = random_network(f"w16-{i}", width=16, max_switches=30, max_rules=40)
+        walk = state_walk(topo, snapshot_of(net))
+        corners = set()
+        for table in net.tables.values():
+            for r in table.rules:
+                corners |= {r.match.value, r.match.value | full_mask & ~r.match.care}
+        rng = random.Random(i)
+        headers = sorted(corners) + [rng.getrandbits(16) for _ in range(50)]
+        for ap in topo.access_points:
+            for h in headers:
+                got = {p.egress.alias for p in net.forward(Packet(h), (ap.switch, ap.port)) if p.outcome == "egress"}
+                assert got == walk(ap, h)[0], f"net={i} ap={ap.alias} header={h:016b}"
+                checks += 1
+    assert checks > 100_000
+
+
 def full_mesh(n):
     """n switches, each linked to every other one, plus one client each.
 
@@ -345,38 +395,11 @@ def test_flood_on_full_mesh_delivers_once_per_access_point():
     assert {p.outcome for p in paths} == {"egress", "loop"}
 
 
-def test_hop_limit_counts_shortest_paths():
-    """A state the depth-first order first reaches too deep is still walked
-    when a shorter path reaches it: the limit cuts by shortest distance."""
-    doc = """
-headerwidth 4
-switch sA ports 3
-switch sB ports 2
-switch sC ports 3
-switch sD ports 2
-link sA:1 sB:1
-link sA:2 sC:1
-link sB:2 sC:2
-link sC:3 sD:1
-access sA:3 client alice
-access sD:2 client dave
-"""
-    topo = load_topology(doc)
-    for hop_limit, want in ((2, []), (3, ["dave"]), (4, ["dave"])):
-        net = Network(topo, hop_limit=hop_limit)
-        net.apply_flow_mod("sA", "add", rule(5, "xxxx", "fwd:1,2"))
-        net.apply_flow_mod("sB", "add", rule(5, "xxxx", "fwd:2"))
-        net.apply_flow_mod("sC", "add", rule(5, "xxxx", "fwd:3"))
-        net.apply_flow_mod("sD", "add", rule(5, "xxxx", "fwd:2"))
-        net.inject(Packet(0), ("sA", "3"))
-        assert [d.client for d in net.deliveries] == want, hop_limit
-        assert_walk_matches_reference(topo, net, topo.access_points[0], 0)
-
-
 def test_cut_walk_traces_are_pinned():
-    """A rewrite chain whose depth-first order first reaches sD one hop too
-    deep (through sB) while a shorter path (sA-sC) reaches the same state:
-    every trace, with its outcome, hop switches and header, is pinned."""
+    """A rewrite chain whose depth-first order first reaches sD by the
+    longer way (through sB) while a shorter path (sA-sC) reaches the same
+    state: every trace, with its outcome, hop switches and header, is
+    pinned."""
     doc = """
 headerwidth 4
 switch sA ports 3
@@ -394,33 +417,25 @@ access sD:2 client dave
 access sE:2 client eve
 """
     topo = load_topology(doc)
-    want = {
-        3: [
-            ("egress", ["sA", "sB", "sC", "sD"], 0b1011),
-            ("loop", ["sA", "sB", "sC", "sD", "sE"], 0b1011),
-        ],
-        4: [
-            ("egress", ["sA", "sB", "sC", "sD"], 0b1011),
-            ("egress", ["sA", "sB", "sC", "sD", "sE"], 0b1011),
-        ],
-    }
-    for hop_limit, traces in want.items():
-        net = Network(topo, hop_limit=hop_limit)
-        net.apply_flow_mod("sA", "add", rule(5, "xxxx", "rewrite:1000/1xxx:1,2"))
-        net.apply_flow_mod("sB", "add", rule(5, "1xxx", "rewrite:1100/10xx:2"))
-        net.apply_flow_mod("sC", "add", rule(5, "1xxx", "rewrite:0010/xx1x:3"))
-        net.apply_flow_mod("sD", "add", rule(5, "1x1x", "rewrite:0001/xxx1:2,3"))
-        net.apply_flow_mod("sE", "add", rule(5, "xxxx", "fwd:2"))
-        paths = net.forward(Packet(0), ("sA", "3"))
-        got = [(p.outcome, [h.switch for h in p.hops], p.header) for p in paths]
-        assert got == traces, hop_limit
-        assert_walk_matches_reference(topo, net, topo.access_points[0], 0)
+    net = Network(topo)
+    net.apply_flow_mod("sA", "add", rule(5, "xxxx", "rewrite:1000/1xxx:1,2"))
+    net.apply_flow_mod("sB", "add", rule(5, "1xxx", "rewrite:1100/10xx:2"))
+    net.apply_flow_mod("sC", "add", rule(5, "1xxx", "rewrite:0010/xx1x:3"))
+    net.apply_flow_mod("sD", "add", rule(5, "1x1x", "rewrite:0001/xxx1:2,3"))
+    net.apply_flow_mod("sE", "add", rule(5, "xxxx", "fwd:2"))
+    paths = net.forward(Packet(0), ("sA", "3"))
+    got = [(p.outcome, [h.switch for h in p.hops], p.header) for p in paths]
+    assert got == [
+        ("egress", ["sA", "sB", "sC", "sD"], 0b1011),
+        ("egress", ["sA", "sB", "sC", "sD", "sE"], 0b1011),
+    ]
+    assert_walk_matches_reference(topo, net, topo.access_points[0], 0)
 
 
-def test_hop_limit_sets_match_per_path_walk():
-    """Small hop limits on random rules and partial floods over meshes: the
-    same deliveries and packet-ins as the per-path walk, one copy per edge
-    and per controller state."""
+def test_mesh_walks_match_per_path_walk():
+    """Random rules and partial floods over meshes: the same deliveries and
+    packet-ins as the per-path walk, one copy per edge and per controller
+    state."""
     for i in range(12):
         rng = random.Random(i)
         topo = full_mesh(rng.randint(3, 5))
@@ -431,11 +446,9 @@ def test_hop_limit_sets_match_per_path_walk():
             ports = topo.switch_ports[sw]
             flood = Action("fwd", tuple(rng.sample(ports, rng.randint(1, len(ports)))))
             net.apply_flow_mod(sw, "add", FlowRule(0, Ternary.parse("xxxx"), flood))
-        for hop_limit in (1, 2, 3, 5):
-            net.hop_limit = hop_limit
-            for ap in topo.access_points:
-                for h in range(1 << topo.width):
-                    assert_walk_matches_reference(topo, net, ap, h)
+        for ap in topo.access_points:
+            for h in range(1 << topo.width):
+                assert_walk_matches_reference(topo, net, ap, h)
 
 
 def test_long_chain_walks_without_recursion():
@@ -465,8 +478,8 @@ def trace_digest() -> tuple[str, dict[str, int]]:
     returns them. The networks are ``random_network`` ones, which carry
     rewrites, multi-port rules and cycles; every other one also gets a
     priority-0 flood on each switch. Every access point injects every
-    header. Also returns a count per outcome and
-    of rewrite hops, so the caller can see what was covered.
+    header. Also returns a count per outcome and of rewrite hops, so the
+    caller can see what was covered.
     """
     digest = hashlib.sha256()
     seen: dict[str, int] = {}
@@ -475,7 +488,6 @@ def trace_digest() -> tuple[str, dict[str, int]]:
         if i % 2:
             for sw in topo.switch_ports:
                 net.apply_flow_mod(sw, "add", FlowRule(0, Ternary.wildcard(topo.width), Action("fwd", topo.switch_ports[sw])))
-        net.hop_limit = 1 << 30
         for ap in topo.access_points:
             for h in range(1 << topo.width):
                 for p in net.inject(Packet(h), (ap.switch, ap.port)):
