@@ -467,22 +467,24 @@ def test_long_chain_walks_without_recursion():
     assert [d.client for d in net.deliveries] == ["bob"]
 
 
-# -- trace characterisation ----------------------------------------------------
+# -- output characterisation ---------------------------------------------------
 
 
-def trace_digest() -> tuple[str, dict[str, int]]:
-    """sha256 over every trace of injections on seeded random networks.
+def output_digest() -> tuple[str, dict[str, int]]:
+    """sha256 over what injections on seeded random networks log.
 
-    Each trace contributes its outcome, its hops (switch, in_port, rule
-    text, action), its header and its egress alias, in the order the walk
-    returns them. The networks are ``random_network`` ones, which carry
-    rewrites, multi-port rules and cycles; every other one also gets a
-    priority-0 flood on each switch. Every access point injects every
-    header. Also returns a count per outcome and of rewrite hops, so the
-    caller can see what was covered.
+    Each injection contributes its access point and header, then the
+    ``Delivery.line`` text of every delivery it appended and the
+    ``SwitchEvent.line`` text of every packet-in it emitted, in log order:
+    the text of ``deliveries.log`` and ``events.log``. The networks are
+    ``random_network`` ones, which carry rewrites, multi-port rules and
+    cycles; every other one also gets a priority-0 flood on each switch.
+    Every access point injects every header. Also returns counts of
+    deliveries, packet-ins and rewritten deliveries, so the caller can see
+    what was covered.
     """
     digest = hashlib.sha256()
-    seen: dict[str, int] = {}
+    seen = {"delivery": 0, "packet_in": 0, "rewritten": 0}
     for i in range(16):
         topo, net = random_network(f"trace-char-{i}", width=5, max_switches=5, max_rules=8)
         if i % 2:
@@ -490,23 +492,26 @@ def trace_digest() -> tuple[str, dict[str, int]]:
                 net.apply_flow_mod(sw, "add", FlowRule(0, Ternary.wildcard(topo.width), Action("fwd", topo.switch_ports[sw])))
         for ap in topo.access_points:
             for h in range(1 << topo.width):
-                for p in net.inject(Packet(h), (ap.switch, ap.port)):
-                    seen[p.outcome] = seen.get(p.outcome, 0) + 1
-                    hops = ";".join(f"{x.switch},{x.in_port},{x.rule},{x.action}" for x in p.hops)
-                    alias = p.egress.alias if p.egress else "-"
-                    digest.update(f"{ap.alias}|{h}|{p.outcome}|{hops}|{p.header}|{alias}\n".encode())
-                    seen["rewrite"] = seen.get("rewrite", 0) + sum(
-                        1 for x in p.hops if x.rule is not None and x.rule.action.kind == "rewrite"
-                    )
+                n_deliveries, n_events = len(net.deliveries), len(net.events)
+                net.inject(Packet(h), (ap.switch, ap.port))
+                digest.update(f"{ap.alias}|{h}\n".encode())
+                for d in net.deliveries[n_deliveries:]:
+                    digest.update(f"{d.line(topo.width)}\n".encode())
+                    seen["delivery"] += 1
+                    seen["rewritten"] += d.packet.header != h
+                for e in net.events[n_events:]:
+                    digest.update(f"{e.line(topo.width)}\n".encode())
+                    seen["packet_in"] += 1
     return digest.hexdigest(), seen
 
 
-def test_traces_match_the_recorded_characterisation():
-    """The walk's traces, byte for byte, as recorded under a hop limit that
-    cut nothing: a change to the walk's order, cuts or trace contents shows."""
-    digest, seen = trace_digest()
-    assert {"egress", "drop", "controller", "loop", "rewrite"} <= set(seen), seen
-    assert digest == "414bcbd2bb205ecea03da75c0927009889651ce1f4bbf9beb8beb1747935026a", (digest, seen)
+def test_outputs_match_the_recorded_characterisation():
+    """The deliveries and packet-ins of every injection, byte for byte, as
+    recorded before the walk stopped building traces: a change to the
+    walk's order, merges or outputs shows."""
+    digest, seen = output_digest()
+    assert all(seen.values()), seen
+    assert digest == "e88778b80970ddb0911e49043df1b1942a86a80be92cd4993ee3a6fe5791e721", (digest, seen)
 
 
 # -- records ----------------------------------------------------------------------
