@@ -152,14 +152,16 @@ def state_walk(topo: Topology, snap: Snapshot):
     """Exact per-header behaviour by walking the (switch, header) graph.
 
     Returns walk(access_point, header) -> (frozenset of egress aliases,
-    frozenset of switches visited). Independent of the wildcard algebra:
+    frozenset of switches visited, frozenset of (egress alias, final
+    header) pairs). Independent of the wildcard algebra:
     plain integer matching plus graph search, with cycles handled by the
     visited set.
     """
     tables = {sw: snap.tables[sw].rules for sw in topo.switch_ports}
 
-    def walk(ap: AccessPoint, header: int) -> tuple[frozenset[str], frozenset[str]]:
+    def walk(ap: AccessPoint, header: int) -> tuple[frozenset[str], frozenset[str], frozenset[tuple[str, int]]]:
         egress: set[str] = set()
+        finals: set[tuple[str, int]] = set()
         visited: set[str] = set()
         stack = [(ap.switch, header)]
         seen: set[tuple[str, int]] = set()
@@ -177,11 +179,12 @@ def state_walk(topo: Topology, snap: Snapshot):
                 out = topo.access_point_at(sw, port)
                 if out is not None:
                     egress.add(out.alias)
+                    finals.add((out.alias, h2))
                     continue
                 peer = topo.peer(sw, port)
                 if peer is not None:
                     stack.append((peer[0], h2))
-        return frozenset(egress), frozenset(visited)
+        return frozenset(egress), frozenset(visited), frozenset(finals)
 
     return walk
 
@@ -222,7 +225,9 @@ def mutate_snapshot(snap: Snapshot, mutation: str) -> Snapshot:
 def _compare(topo: Topology, net: Network, mutation: str | None, headers) -> list[str]:
     """Up to five mismatches between the walk over `net`'s tables and the
     engine's reach over them (with `mutation` planted), on the headers that
-    a fresh ``headers()`` call gives for each access point in turn."""
+    a fresh ``headers()`` call gives for each access point in turn: in the
+    egresses a header reaches, or in a final header that an egress's
+    ``arriving`` lacks."""
     truth = snapshot_of(net)
     analyzed = mutate_snapshot(truth, mutation) if mutation else truth
     walk = state_walk(topo, truth)
@@ -230,15 +235,20 @@ def _compare(topo: Topology, net: Network, mutation: str | None, headers) -> lis
     mismatches = []
     for ap in topo.access_points:
         entries = reachable_endpoints(topo, analyzed, ap, full).entries
+        arriving = {e.egress.alias: e.arriving for e in entries}
         for h in headers():
-            expect = walk(ap, h)[0]
+            expect, _, finals = walk(ap, h)
             got = frozenset(e.egress.alias for e in entries if e.sent.member(h))
             if got != expect:
                 mismatches.append(
                     f"from={ap.alias} header={h:0{topo.width}b} engine={sorted(got)} oracle={sorted(expect)}"
                 )
-                if len(mismatches) >= 5:
-                    return mismatches
+            else:  # so every egress in finals has an entry
+                lost = sorted(f"{alias}:{h2:0{topo.width}b}" for alias, h2 in finals if not arriving[alias].member(h2))
+                if lost:
+                    mismatches.append(f"from={ap.alias} header={h:0{topo.width}b} arriving lacks {' '.join(lost)}")
+            if len(mismatches) >= 5:
+                return mismatches
     return mismatches
 
 

@@ -78,6 +78,24 @@ def test_check_case_reports_details_on_mismatch():
     pytest.fail("expected at least one mutated case to mismatch")
 
 
+def test_a_rewrite_ignored_is_caught_by_its_final_headers():
+    """swA sets the top bit of 0xxx headers and swB sends everything to bob.
+    Without the rewrite the engine still finds bob reachable from alice on
+    the same headers, so only the final headers tell: 1xxx arrive, and the
+    mutated ``arriving`` holds 0xxx instead."""
+    topo = load_topology(
+        "headerwidth 4\nswitch swA ports 2\nswitch swB ports 2\nlink swA:1 swB:1\n"
+        "access swA:2 client alice\naccess swB:2 client bob\n"
+    )
+    net = Network(topo)
+    net.apply_flow_mod("swA", "add", FlowRule(5, Ternary.parse("0xxx"), Action.parse("rewrite:1000/1xxx:1")))
+    net.apply_flow_mod("swB", "add", FlowRule(5, Ternary.parse("xxxx"), Action.parse("fwd:2")))
+    assert check_case(topo, net) == []
+    mismatches = check_case(topo, net, mutation="ignore-rewrite")
+    assert mismatches
+    assert mismatches[0] == "from=alice:ap1 header=0000 arriving lacks bob:ap1:1000"
+
+
 # -- the sampled referee at the product width ------------------------------------
 
 
