@@ -6,23 +6,23 @@ event stream (the controller's input) plus a delivery log of packets
 handed to clients at access points. Time is a discrete tick counter owned
 by the scenario driver; the simulator itself never advances it.
 
-Packets, switch events, deliveries and trace hops are named tuples:
-immutable, equal by value and built as one tuple each, since a run makes
-one per injected packet, per event, per delivery and per walked port.
+Packets, switch events and deliveries are named tuples: immutable,
+equal by value and built as one tuple each, since a run makes one per
+injected packet, per event and per delivery.
 
 Delivery semantics: lookups ignore the ingress port, so a packet's fate
 at a switch depends only on its (switch, header) state, and one injection
-walks each reachable state once. A client receives one copy per
+expands each reachable state once. A client receives one copy per
 state-to-access-point edge and the controller one packet-in per
-to-controller state, however many paths lead there. A branch that comes
-back to a state on its own path is a forwarding loop and is cut with a
-"loop" trace; a branch that reaches a state another branch already walked
-merges into it silently. So a header reaches exactly the access points
-that ``verify.reachable_endpoints`` and ``oracle.state_walk`` say it
-reaches.
+to-controller state, however many paths lead there. A branch that
+reaches an expanded state stops there, whether it came back on its own
+path (a forwarding loop) or met another branch (a merge). So a header
+reaches exactly the access points that ``verify.reachable_endpoints`` and
+``oracle.state_walk`` say it reaches.
 
-The walk is one loop over an explicit stack, so its cost per state is a
-handful of dict and set operations plus one scan of the switch's rules
+The walk makes the logs' entries as it goes and keeps no paths: it is one
+loop over an explicit stack, so its cost per state is a few tuple and set
+operations plus one scan of the switch's rules
 (``FlowTable.match_header``). A rule that ``Topology.check_rule`` finds
 unfit for its switch is refused when applied, so a walk leaves only by
 access points and linked ports.
@@ -30,10 +30,9 @@ access points and linked ports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .topology import AccessPoint, FlowRule, FlowTable, Topology
+from .topology import FlowRule, FlowTable, Topology
 
 State = tuple[str, int]  # (switch, header): all a lookup depends on
 
@@ -84,23 +83,6 @@ class Delivery(NamedTuple):
         )
 
 
-class TraceHop(NamedTuple):
-    """One hop of a trace; a named tuple because every walked port makes one."""
-
-    switch: str
-    in_port: str
-    rule: FlowRule | None
-    action: str  # "fwd:<port>" | "drop" | "ctrl" | "loop"
-
-
-@dataclass
-class TracePath:
-    hops: list[TraceHop]
-    outcome: str  # "drop" | "egress" | "controller" | "loop"
-    egress: AccessPoint | None = None
-    header: int = 0  # header as it left the last hop
-
-
 class Network:
     """Live network state: topology, flow tables, event and delivery logs."""
 
@@ -129,13 +111,9 @@ class Network:
         new = self.tables[switch] = old.add(rule) if op == "add" else old.remove(rule)
         return self._emit(switch, "flowmod", op, rule, new is old)
 
-    def forward(self, packet: Packet, at: tuple[str, str]) -> list[TracePath]:
-        """Predict where a packet injected at an access point goes (no side effects)."""
-        self.topo.access_point(*at)  # refuses any other endpoint
-        return self._walk(packet.header, at[0], at[1])
-
-    def inject(self, packet: Packet, at: tuple[str, str]) -> list[TracePath]:
-        """Inject a packet at an access point; emits packet-ins and deliveries."""
+    def inject(self, packet: Packet, at: tuple[str, str]) -> list[Delivery | SwitchEvent]:
+        """Inject a packet at an access point; logs its deliveries and
+        packet-ins and returns them, in the order the walk made them."""
         self.topo.access_point(*at)  # refuses any other endpoint
         return self._run_live(packet, at[0], at[1])
 
@@ -156,82 +134,42 @@ class Network:
 
     # -- packet walk ---------------------------------------------------
 
-    def _run_live(self, packet: Packet, switch: str, in_port: str) -> list[TracePath]:
-        paths = self._walk(packet.header, switch, in_port)
-        for path in paths:
-            if path.outcome != "egress" and path.outcome != "controller":
-                continue
-            # packets are immutable values, so a copy left unrewritten is the packet itself
-            out = packet if path.header == packet.header else Packet(path.header, packet.payload)
-            if path.outcome == "egress":
-                ap = path.egress
-                self.deliveries.append(Delivery(self.tick, ap.client, ap.switch, ap.port, out))
-            else:
-                last = path.hops[-1]
-                self._emit(last.switch, "packet_in", in_port=last.in_port, packet=out)
-        return paths
-
-    def _walk(self, header: int, switch: str, in_port: str) -> list[TracePath]:
-        """Depth-first multicast walk over (switch, header) states.
-
-        Lookups ignore the ingress port, so a packet's fate depends only on
-        its (switch, header) state: each state is looked up and expanded at
-        most once per walk. Branches are followed in rule-port order and
-        every leaf becomes one linear trace:
-
-        - egress: one copy per state-to-access-point edge, not per path;
-        - drop or controller: once per state that ends there, carrying the
-          ingress port of the first branch to arrive;
-        - loop: a branch re-enters a state on its own path (a forwarding
-          loop).
-
-        A branch that reaches a state another branch already expanded
-        merges silently.
-        """
+    def _run_live(self, packet: Packet, switch: str, in_port: str) -> list[Delivery | SwitchEvent]:
+        """Walk a packet arriving at ``switch`` by ``in_port`` depth first, in
+        rule-port order; a packet-in carries the first arriving branch's port."""
         tables, ap_at, peer_of = self.tables, self.topo._ap_at, self.topo._peer
-        paths: list[TracePath] = []
-        hops: list[TraceHop] = []  # forwarding hops from the injection point to the top state
-        on_path: set[State] = set()
-        expanded: set[State] = set()  # a superset of on_path
-        stack: list[tuple] = []  # open states: (state, in_port, rule, header out, port iterator)
-        arrival: tuple[str, str, int] | None = (switch, in_port, header)  # next to enter: switch, in_port, header
-        while True:
-            if arrival is not None:
-                sw, port, h = arrival
-                arrival = None
-                state = (sw, h)
-                if state in expanded:
-                    if state in on_path:
-                        paths.append(TracePath(hops + [TraceHop(sw, port, None, "loop")], "loop", header=h))
+        header, payload, tick, deliveries = packet.header, packet.payload, self.tick, self.deliveries
+        made: list[Delivery | SwitchEvent] = []
+        expanded: set[State] = set()
+        # arrivals (switch, in_port, header) and deliveries; children are
+        # pushed in reverse port order, so they pop in recursive order
+        stack: list[tuple] = [(switch, in_port, header)]
+        while stack:
+            item = stack.pop()
+            if type(item) is Delivery:
+                deliveries.append(item)
+                made.append(item)
+                continue
+            sw, port, h = item
+            state = (sw, h)
+            if state in expanded:
+                continue
+            expanded.add(state)
+            rule = tables[sw].match_header(h)
+            if rule is None or rule.action.kind == "drop":
+                continue
+            action = rule.action
+            h2 = action.rewrite.apply(h) if action.kind == "rewrite" else h
+            # packets are immutable values, so a copy left unrewritten is the packet itself
+            out = packet if h2 == header else Packet(h2, payload)
+            if action.kind == "ctrl":
+                made.append(self._emit(sw, "packet_in", in_port=port, packet=out))
+                continue
+            for out_port in reversed(action.ports):
+                ap = ap_at.get((sw, out_port))
+                if ap is None:
+                    peer = peer_of[sw, out_port]  # every port is an access point or linked
+                    stack.append((peer[0], peer[1], h2))
                 else:
-                    expanded.add(state)
-                    rule = tables[sw].match_header(h)
-                    kind = "drop" if rule is None else rule.action.kind
-                    if kind == "fwd" or kind == "rewrite":
-                        on_path.add(state)
-                        h2 = rule.action.rewrite.apply(h) if kind == "rewrite" else h
-                        stack.append((state, port, rule, h2, iter(rule.action.ports)))
-                        continue
-                    outcome = "drop" if kind == "drop" else "controller"
-                    paths.append(TracePath(hops + [TraceHop(sw, port, rule, kind)], outcome, header=h))
-                if stack:
-                    hops.pop()  # the hop into the state that was not pushed
-            if not stack:
-                return paths
-            state, port, rule, h2, out_ports = stack[-1]
-            out_port = next(out_ports, None)
-            if out_port is None:
-                stack.pop()
-                on_path.remove(state)
-                if stack:
-                    hops.pop()
-                continue
-            sw = state[0]
-            hop = TraceHop(sw, port, rule, f"fwd:{out_port}")
-            ap = ap_at.get((sw, out_port))
-            if ap is not None:
-                paths.append(TracePath(hops + [hop], "egress", egress=ap, header=h2))
-                continue
-            peer = peer_of[sw, out_port]  # every port is an access point or linked
-            hops.append(hop)
-            arrival = (peer[0], peer[1], h2)
+                    stack.append(Delivery(tick, ap.client, sw, out_port, out))
+        return made

@@ -53,4 +53,4 @@ def test_every_dataclass_field_is_read_by_the_package():
 
 def test_the_scan_covers_the_named_tuple_records():
     classes = {f.split(".", 1)[0] for f in dataclass_fields()}
-    assert {"Directive", "SwitchEvent", "Packet", "Delivery", "TraceHop"} <= classes
+    assert {"Directive", "SwitchEvent", "Packet", "Delivery"} <= classes

@@ -29,7 +29,6 @@ TEST_ONLY = {
     "union": "bench/spans.py wraps HeaderSpace.union by name, and the algebra-law tests check it; "
     "drop it once ROADMAP item 1 unpins the benchmark's names",
     "raw": "VerifyKey.raw lets the key tests compare provisioned keys byte for byte",
-    "forward": "Network.forward predicts a packet's traces without side effects, for the simulator tests",
     "name": "Link.name gives the confidentiality test the link identifiers no report may carry",
 }
 

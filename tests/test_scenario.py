@@ -326,9 +326,8 @@ def test_join_attack_creates_path_into_client_space():
     # rules now carry 11xxxxxx from swC through swB into alice's first ap
     from routecheck.sim import Packet
 
-    paths = net.forward(Packet(0b11000000), ("swC", "2"))
-    assert [p.outcome for p in paths] == ["egress"]
-    assert paths[0].egress.alias == "alice:ap1"
+    made = net.inject(Packet(0b11000000), ("swC", "2"))
+    assert [t.access_point_at(d.switch, d.port).alias for d in made] == ["alice:ap1"]
 
 
 def test_join_attack_verified_by_engine_on_snapshot():
@@ -398,9 +397,12 @@ location swE offshore
     run_scenario(script, net, seed=1)
     from routecheck.sim import Packet
 
-    paths = net.forward(Packet(0b00000001), ("swA", "2"))
-    assert paths[0].outcome == "egress"
-    assert [h.switch for h in paths[0].hops] == ["swA", "swE", "swB"]
+    from routecheck.oracle import state_walk
+    from routecheck.snapshots import snapshot_of
+
+    made = net.inject(Packet(0b00000001), ("swA", "2"))
+    assert [t.access_point_at(d.switch, d.port).alias for d in made] == ["alice:ap2"]
+    assert "swE" in state_walk(t, snapshot_of(net))(t.access_point("swA", "2"), 0b00000001)[1]
 
 
 def test_transient_pattern_exact_on_count_per_period():

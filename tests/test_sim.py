@@ -8,7 +8,7 @@ import pytest
 from routecheck.hspace import HeaderSpace, Ternary
 from routecheck.oracle import random_network, random_rules, state_walk
 from routecheck.scenario import Directive
-from routecheck.sim import Delivery, Network, Packet, SwitchEvent, TraceHop
+from routecheck.sim import Delivery, Network, Packet, SwitchEvent
 from routecheck.snapshots import snapshot_of
 from routecheck.topology import Action, FlowRule, load_topology
 from routecheck.verify import reachable_endpoints
@@ -44,54 +44,36 @@ def make_net(doc=LINE):
 
 def test_empty_tables_drop_single_hop():
     _, net = make_net()
-    paths = net.forward(Packet(0b1010), ("swA", "2"))
-    assert len(paths) == 1
-    assert paths[0].outcome == "drop"
-    assert len(paths[0].hops) == 1
-    assert paths[0].hops[0].switch == "swA"
+    assert net.inject(Packet(0b1010), ("swA", "2")) == []
+    assert net.deliveries == [] and net.events == []
 
 
 def test_two_hop_egress_at_peer():
-    topo, net = make_net()
+    _, net = make_net()
     net.apply_flow_mod("swA", "add", rule(5, "xxxx", "fwd:1"))
     net.apply_flow_mod("swB", "add", rule(5, "xxxx", "fwd:2"))
-    paths = net.forward(Packet(0b0001), ("swA", "2"))
-    assert len(paths) == 1
-    path = paths[0]
-    assert path.outcome == "egress"
-    assert path.egress.alias == "bob:ap1"
-    assert [h.switch for h in path.hops] == ["swA", "swB"]
+    made = net.inject(Packet(0b0001), ("swA", "2"))
+    assert made == net.deliveries == [Delivery(0, "bob", "swB", "2", Packet(0b0001))]
 
 
-def test_trace_hops_cross_existing_links():
-    topo, net = make_net()
-    net.apply_flow_mod("swA", "add", rule(5, "xxxx", "fwd:1"))
-    net.apply_flow_mod("swB", "add", rule(5, "xxxx", "fwd:2"))
-    for path in net.forward(Packet(3), ("swA", "2")):
-        for a, b in zip(path.hops, path.hops[1:]):
-            out_port = a.action.split(":", 1)[1]
-            assert topo.peer(a.switch, out_port) == (b.switch, b.in_port)
-
-
-def test_loop_is_reported_not_raised():
+def test_loop_ends_without_output():
     _, net = make_net(RING)
     net.apply_flow_mod("swA", "add", rule(5, "xxxx", "fwd:1"))
     net.apply_flow_mod("swB", "add", rule(5, "xxxx", "fwd:2"))
-    paths = net.forward(Packet(0), ("swA", "3"))
-    assert [p.outcome for p in paths] == ["loop"]
+    n_events = len(net.events)
+    assert net.inject(Packet(0), ("swA", "3")) == []
+    assert net.deliveries == [] and len(net.events) == n_events
 
 
 def test_rewrite_changes_header_on_egress():
     _, net = make_net()
     net.apply_flow_mod("swA", "add", rule(5, "xxxx", "rewrite:1000/1xxx:1"))
     net.apply_flow_mod("swB", "add", rule(5, "xxxx", "fwd:2"))
-    paths = net.inject(Packet(0b0011), ("swA", "2"))
-    assert paths[0].outcome == "egress"
-    assert net.deliveries[-1].packet.header == 0b1011
+    made = net.inject(Packet(0b0011), ("swA", "2"))
+    assert made == net.deliveries == [Delivery(0, "bob", "swB", "2", Packet(0b1011))]
 
 
-def test_multicast_yields_one_subtrace_per_port():
-    doc = """
+FORK = """
 headerwidth 4
 switch swA ports 3
 switch swB ports 2
@@ -100,12 +82,36 @@ access swA:2 client alice
 access swA:3 client carol
 access swB:2 client bob
 """
-    _, net = make_net(doc)
+
+
+def test_multicast_delivers_one_copy_per_port():
+    _, net = make_net(FORK)
     net.apply_flow_mod("swA", "add", rule(5, "xxxx", "fwd:1,3"))
     net.apply_flow_mod("swB", "add", rule(5, "xxxx", "fwd:2"))
-    paths = net.inject(Packet(1), ("swA", "2"))
-    assert sorted(p.outcome for p in paths) == ["egress", "egress"]
-    assert {d.client for d in net.deliveries} == {"bob", "carol"}
+    made = net.inject(Packet(1), ("swA", "2"))
+    assert made == net.deliveries
+    assert [d.client for d in made] == ["bob", "carol"]  # port 1's subtree first, then port 3
+
+
+def test_inject_returns_what_it_logged_in_the_order_it_was_made():
+    """Multicast, a rewrite and a ``ctrl`` rule in one walk: swA rewrites
+    the top bit and sends copies to swB and carol; swB sends one to bob and
+    one back, which swA's controller rule catches. What ``inject`` returns
+    is what it appended to each log, interleaved in walk order."""
+    _, net = make_net(FORK)
+    net.apply_flow_mod("swA", "add", rule(9, "1xxx", "ctrl"))
+    net.apply_flow_mod("swA", "add", rule(5, "xxxx", "rewrite:1000/1xxx:1,3"))
+    net.apply_flow_mod("swB", "add", rule(5, "xxxx", "fwd:2,1"))
+    n_events = len(net.events)
+    made = net.inject(Packet(0b0011, b"p"), ("swA", "2"))
+    out = Packet(0b1011, b"p")
+    assert made == [
+        Delivery(0, "bob", "swB", "2", out),
+        SwitchEvent(3, 0, "swA", "packet_in", in_port="1", packet=out),
+        Delivery(0, "carol", "swA", "3", out),
+    ]
+    assert [x for x in made if type(x) is Delivery] == net.deliveries
+    assert [x for x in made if type(x) is SwitchEvent] == net.events[n_events:]
 
 
 def test_to_controller_emits_packet_in():
@@ -119,10 +125,11 @@ def test_to_controller_emits_packet_in():
     assert pkt_ins[0].packet.payload == b"hello"
 
 
-def test_forward_requires_access_point():
+def test_inject_requires_access_point():
     _, net = make_net()
     with pytest.raises(ValueError, match="not an access point"):
-        net.forward(Packet(0), ("swA", "1"))
+        net.inject(Packet(0), ("swA", "1"))
+    assert net.deliveries == [] and net.events == []
 
 
 # -- flow mods ----------------------------------------------------------------
@@ -265,15 +272,17 @@ def per_path_walk(topo, snap, switch, header):
     return sorted((alias, h2) for _, _, alias, h2 in edges), ctrl
 
 
+def delivered(topo, made):
+    """(egress alias, header) of each delivery in what ``inject`` returned."""
+    return [(topo.access_point_at(x.switch, x.port).alias, x.packet.header) for x in made if type(x) is Delivery]
+
+
 def assert_walk_matches_reference(topo, net, ap, h):
     """One copy per state-to-AP edge and one packet-in per controller state."""
     want_egress, want_ctrl = per_path_walk(topo, snapshot_of(net), ap.switch, h)
-    paths = net.forward(Packet(h), (ap.switch, ap.port))
-    got = sorted((p.egress.alias, p.header) for p in paths if p.outcome == "egress")
-    assert got == want_egress, f"ap={ap.alias} header={h:b}"
-    n_events = len(net.events)
-    net.inject(Packet(h), (ap.switch, ap.port))
-    pkt_ins = [(e.switch, e.packet.header) for e in net.events[n_events:]]
+    made = net.inject(Packet(h), (ap.switch, ap.port))
+    assert sorted(delivered(topo, made)) == want_egress, f"ap={ap.alias} header={h:b}"
+    pkt_ins = [(x.switch, x.packet.header) for x in made if type(x) is SwitchEvent]
     assert sorted(pkt_ins) == sorted(want_ctrl), f"ap={ap.alias} header={h:b}"
 
 
@@ -289,10 +298,10 @@ REWRITE_LOOP_RULES = {
 }
 
 
-def test_forward_egress_agrees_with_state_walk_oracle():
-    """forward() and the engine-side walk oracle agree on egress sets.
+def test_inject_egress_agrees_with_state_walk_oracle():
+    """inject() and the engine-side walk oracle agree on egress sets.
 
-    The egress traces also carry exactly one (alias, header) copy per
+    The deliveries are also exactly one (alias, header) copy per
     state-to-access-point edge of a walk over the snapshot, with multicast
     and rewrite loops included.
     """
@@ -303,7 +312,7 @@ def test_forward_egress_agrees_with_state_walk_oracle():
         for ap in topo.access_points:
             for _ in range(40):
                 h = rng.getrandbits(topo.width)
-                got = {p.egress.alias for p in net.forward(Packet(h), (ap.switch, ap.port)) if p.outcome == "egress"}
+                got = {alias for alias, _ in delivered(topo, net.inject(Packet(h), (ap.switch, ap.port)))}
                 assert got == walk(ap, h)[0], f"ap={ap.alias} header={h:06b}"
                 assert_walk_matches_reference(topo, net, ap, h)
     for rules in (DIAMOND_RULES, REWRITE_LOOP_RULES):
@@ -314,8 +323,8 @@ def test_forward_egress_agrees_with_state_walk_oracle():
         walk = state_walk(topo, snapshot_of(net))
         for ap in topo.access_points:
             for h in range(1 << topo.width):
-                paths = net.forward(Packet(h), (ap.switch, ap.port))
-                assert {p.egress.alias for p in paths if p.outcome == "egress"} == walk(ap, h)[0]
+                got = {alias for alias, _ in delivered(topo, net.inject(Packet(h), (ap.switch, ap.port)))}
+                assert got == walk(ap, h)[0]
                 assert_walk_matches_reference(topo, net, ap, h)
 
 
@@ -337,18 +346,17 @@ def test_long_rewrite_chain_reaches_what_engine_and_oracle_say():
     for ap in topo.access_points:
         entries = reachable_endpoints(topo, snap, ap, full).entries
         for h in range(1 << topo.width):
-            got = {p.egress.alias for p in net.forward(Packet(h), (ap.switch, ap.port)) if p.outcome == "egress"}
+            got = {alias for alias, _ in delivered(topo, net.inject(Packet(h), (ap.switch, ap.port)))}
             engine = {e.egress.alias for e in entries if e.sent.member(h)}
             assert got == walk(ap, h)[0] == engine, f"ap={ap.alias} header={h:08b}"
-    paths = net.inject(Packet(0), ("swA", "2"))
-    assert [(p.outcome, len(p.hops)) for p in paths] == [("egress", 10)]
-    assert net.deliveries == [Delivery(0, "bob", "swB", "2", Packet(0b11111))]
+    assert net.inject(Packet(0), ("swA", "2")) == [Delivery(0, "bob", "swB", "2", Packet(0b11111))]
 
 
-def test_forward_egress_agrees_with_state_walk_oracle_at_width_16():
-    """forward() and the walk oracle agree at the product's header width,
-    on networks of up to 30 switches and 40 rules each: from every access
-    point, on both corners of every rule match and 50 random headers."""
+def test_inject_egress_agrees_with_state_walk_oracle_at_width_16():
+    """inject() and the walk oracle agree on every delivered (egress,
+    final header) pair at the product's header width, on networks of up to
+    30 switches and 40 rules each: from every access point, on both corners
+    of every rule match and 50 random headers."""
     full_mask = (1 << 16) - 1
     checks = 0
     for i in range(12):
@@ -362,8 +370,8 @@ def test_forward_egress_agrees_with_state_walk_oracle_at_width_16():
         headers = sorted(corners) + [rng.getrandbits(16) for _ in range(50)]
         for ap in topo.access_points:
             for h in headers:
-                got = {p.egress.alias for p in net.forward(Packet(h), (ap.switch, ap.port)) if p.outcome == "egress"}
-                assert got == walk(ap, h)[0], f"net={i} ap={ap.alias} header={h:016b}"
+                got = set(delivered(topo, net.inject(Packet(h), (ap.switch, ap.port))))
+                assert got == walk(ap, h)[2], f"net={i} ap={ap.alias} header={h:016b}"
                 checks += 1
     assert checks > 100_000
 
@@ -389,17 +397,15 @@ def test_flood_on_full_mesh_delivers_once_per_access_point():
     flood = "fwd:" + ",".join(str(p) for p in range(1, 9))
     for sw in topo.switch_ports:
         net.apply_flow_mod(sw, "add", rule(5, "xxxx", flood))
-    paths = net.inject(Packet(0b0110), ("s0", "8"))
-    assert sorted(d.client for d in net.deliveries) == [f"c{i}" for i in range(8)]
-    assert len(paths) <= 64
-    assert {p.outcome for p in paths} == {"egress", "loop"}
+    made = net.inject(Packet(0b0110), ("s0", "8"))
+    assert made == net.deliveries
+    assert sorted(d.client for d in made) == [f"c{i}" for i in range(8)]
 
 
-def test_cut_walk_traces_are_pinned():
+def test_cut_walk_deliveries_are_pinned():
     """A rewrite chain whose depth-first order first reaches sD by the
     longer way (through sB) while a shorter path (sA-sC) reaches the same
-    state: every trace, with its outcome, hop switches and header, is
-    pinned."""
+    state: every delivery, with its client and header, is pinned."""
     doc = """
 headerwidth 4
 switch sA ports 3
@@ -423,11 +429,10 @@ access sE:2 client eve
     net.apply_flow_mod("sC", "add", rule(5, "1xxx", "rewrite:0010/xx1x:3"))
     net.apply_flow_mod("sD", "add", rule(5, "1x1x", "rewrite:0001/xxx1:2,3"))
     net.apply_flow_mod("sE", "add", rule(5, "xxxx", "fwd:2"))
-    paths = net.forward(Packet(0), ("sA", "3"))
-    got = [(p.outcome, [h.switch for h in p.hops], p.header) for p in paths]
-    assert got == [
-        ("egress", ["sA", "sB", "sC", "sD"], 0b1011),
-        ("egress", ["sA", "sB", "sC", "sD", "sE"], 0b1011),
+    made = net.inject(Packet(0), ("sA", "3"))
+    assert made == [
+        Delivery(0, "dave", "sD", "2", Packet(0b1011)),
+        Delivery(0, "eve", "sE", "2", Packet(0b1011)),
     ]
     assert_walk_matches_reference(topo, net, topo.access_points[0], 0)
 
@@ -461,10 +466,8 @@ def test_long_chain_walks_without_recursion():
     net = Network(topo)
     for sw in topo.switch_ports:
         net.apply_flow_mod(sw, "add", rule(5, "xxxx", "fwd:2"))
-    paths = net.inject(Packet(0b1001), ("s0", "1"))
-    assert [p.outcome for p in paths] == ["egress"]
-    assert len(paths[0].hops) == n
-    assert [d.client for d in net.deliveries] == ["bob"]
+    made = net.inject(Packet(0b1001), ("s0", "1"))
+    assert made == net.deliveries == [Delivery(0, "bob", f"s{n - 1}", "2", Packet(0b1001))]
 
 
 # -- output characterisation ---------------------------------------------------
@@ -547,7 +550,6 @@ def records():
         SwitchEvent(1, 0, "swA", "flowmod", "add", r),
         SwitchEvent(2, 0, "swA", "packet_in", in_port="1", packet=Packet(3)),
         Delivery(4, "alice", "swA", "2", Packet(3, b"x")),
-        TraceHop("swA", "2", r, "fwd:1"),
         Directive(2, "flowmod", "add", "swA", r),
         Directive(2, "suppress", switch="swA", count=1),
     ]
