@@ -287,10 +287,14 @@ def parse_snapshot_dump(text: str, topo: Topology) -> Snapshot:
     tick = 0
     tables: dict[str, FlowTable] = {sw: FlowTable() for sw in topo.switch_ports}
     parsed: dict[tuple[str, ...], FlowRule] = {}
+    headed = False
     for lineno, line in numbered_lines(text):
         toks = line.split()
         try:
             if toks[0].startswith("version="):
+                if headed:
+                    raise ValueError("repeated version line")
+                headed = True
                 kv = key_values(toks)
                 version = number(int, kv.get("version", "0"), "version=")
                 tick = number(int, kv.get("tick", "0"), "tick=")

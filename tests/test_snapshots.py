@@ -631,6 +631,7 @@ def test_snapshot_dump_roundtrip():
         ("version=1 tick", "line 2: expected key=value, got 'tick'"),
         ("version=1 tick=0 when=now", "line 2: unknown key when="),
         ("version=1 tick=0 version=2", "line 2: repeated key version="),
+        ("version=1 tick=2\nversion=3 tick=4", "line 3: repeated version line"),
     ],
 )
 def test_snapshot_dump_header_errors_name_their_line(head, message):
