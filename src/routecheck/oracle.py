@@ -160,7 +160,6 @@ def state_walk(topo: Topology, snap: Snapshot):
     tables = {sw: snap.tables[sw].rules for sw in topo.switch_ports}
 
     def walk(ap: AccessPoint, header: int) -> tuple[frozenset[str], frozenset[str], frozenset[tuple[str, int]]]:
-        egress: set[str] = set()
         finals: set[tuple[str, int]] = set()
         visited: set[str] = set()
         stack = [(ap.switch, header)]
@@ -178,13 +177,12 @@ def state_walk(topo: Topology, snap: Snapshot):
             for port in rule.action.ports:
                 out = topo.access_point_at(sw, port)
                 if out is not None:
-                    egress.add(out.alias)
                     finals.add((out.alias, h2))
                     continue
                 peer = topo.peer(sw, port)
                 if peer is not None:
                     stack.append((peer[0], h2))
-        return frozenset(egress), frozenset(visited), frozenset(finals)
+        return frozenset(alias for alias, _ in finals), frozenset(visited), frozenset(finals)
 
     return walk
 
